@@ -76,7 +76,6 @@ from .model import (
     train_classifier,
 )
 from .similarity import (
-    ConvergenceError,
     NormalizedAdjacency,
     SimilarityMatrix,
     adjacency_similarity,

@@ -12,15 +12,17 @@ other-group samples carrying the opposite label:
         / sum_j [s_j != s_i] c_j Q[i, j].
 
 Both are the closed-form minimizers of the corresponding weighted local
-regressions on label indicators. A zero denominator means there is no
-evidence to estimate from; the entry is flagged undefined rather than
-raised. Each defined bias value decomposes exactly into per-contributor
+regressions on label indicators. Every sum runs over (group, label)
+cells, so both estimates read Q only through Q @ V, where V holds the
+four cell indicator columns (scaled by credibility for the bias). A
+zero denominator means there is no evidence to estimate from; the entry
+is flagged undefined rather than raised. Each defined bias value decomposes exactly into per-contributor
 shares, which are the explanation unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -88,11 +90,13 @@ class BiasRecord:
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Full attribution result: vectors plus one explained record per sample."""
+    """Full attribution result: vectors, one explained record per sample,
+    and the similarity they were computed from."""
 
     credibility: CredibilityVector
     bias: BiasVector
     records: tuple
+    similarity: SimilarityMatrix = field(compare=False, repr=False)
 
     def to_text(self) -> str:
         lines = ["# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)"]
@@ -112,15 +116,22 @@ class BiasReport:
             fh.write(self.to_text())
 
 
+def _cell_mass(d: Dataset, q: SimilarityMatrix, weight) -> np.ndarray:
+    """Q @ V: column 2*g + y is sample i's proximity mass on the cell (g, y),
+    each sample j counted with `weight` (a scalar or one value per sample)."""
+    v = np.zeros((d.n, 4))
+    v[np.arange(d.n), 2 * d.groups + d.labels] = weight
+    return q.matrix @ v
+
+
 def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> CredibilityVector:
     """Closed-form credibility over same-group proximity mass, self term included."""
-    qm = q.matrix
-    if qm.shape != (d.n, d.n):
+    if q.matrix.shape != (d.n, d.n):
         raise ValueError("similarity matrix does not match dataset size")
-    same_group = d.groups[:, None] == d.groups[None, :]
-    same_label = d.labels[:, None] == d.labels[None, :]
-    den = np.where(same_group, qm, 0.0).sum(axis=1)
-    num = np.where(same_group & same_label, qm, 0.0).sum(axis=1)
+    mass = _cell_mass(d, q, 1.0)
+    rows, cell = np.arange(d.n), 2 * d.groups
+    den = mass[rows, cell] + mass[rows, cell + 1]
+    num = mass[rows, cell + d.labels]
     defined = den > 0.0
     values = np.full(d.n, np.nan)
     values[defined] = num[defined] / den[defined]
@@ -133,13 +144,10 @@ def estimate_bias(d: Dataset, q: SimilarityMatrix, c: CredibilityVector) -> Bias
     Undefined credibility entries contribute zero weight; a sample with
     no credible other-group proximity mass is flagged undefined.
     """
-    qm = q.matrix
-    cred = np.where(c.defined, c.values, 0.0)
-    other_group = d.groups[:, None] != d.groups[None, :]
-    other_label = d.labels[:, None] != d.labels[None, :]
-    weights = np.where(other_group, qm, 0.0) * cred[None, :]
-    den = weights.sum(axis=1)
-    num = np.where(other_label, weights, 0.0).sum(axis=1)
+    mass = _cell_mass(d, q, np.where(c.defined, c.values, 0.0))
+    rows, cell = np.arange(d.n), 2 * (1 - d.groups)
+    den = mass[rows, cell] + mass[rows, cell + 1]
+    num = mass[rows, cell + 1 - d.labels]
     defined = den > 0.0
     values = np.full(d.n, np.nan)
     values[defined] = num[defined] / den[defined]
@@ -179,19 +187,19 @@ def attribute(
     damping: float = 0.1,
     top_k: int = 5,
     similarity: str = "rwr",
-    backend: str = "dense",
 ) -> BiasReport:
     """Run the full attribution pipeline on a normalized dataset.
 
     Stages: comparability graph -> symmetric normalization -> proximity
-    (`similarity`="rwr" solves the walk with the chosen `backend`;
-    "adjacency" uses the row-normalized graph directly) -> credibility
-    -> bias -> per-sample records with top-`top_k` explanations.
+    (`similarity`="rwr" solves the walk exactly; "adjacency" uses the
+    row-normalized graph directly) -> credibility -> bias -> per-sample
+    records with top-`top_k` explanations (`top_k` <= 0 skips them).
+    The report keeps the proximity so later stages can reuse it.
     Deterministic throughout.
     """
     graph = build_comparability_graph(d, cfg)
     if similarity == "rwr":
-        q = rwr_proximity(symmetric_normalize(graph), damping=damping, backend=backend)
+        q = rwr_proximity(symmetric_normalize(graph), damping=damping)
     elif similarity == "adjacency":
         q = adjacency_similarity(graph)
     else:
@@ -200,7 +208,7 @@ def attribute(
     bias = estimate_bias(d, q, cred)
     records = []
     for i in range(d.n):
-        if bias.defined[i]:
+        if bias.defined[i] and top_k > 0:
             explanations = tuple(bias_contributions(d, q, cred, i, top_k))
         else:
             explanations = ()
@@ -215,4 +223,4 @@ def attribute(
                 explanations=explanations,
             )
         )
-    return BiasReport(credibility=cred, bias=bias, records=tuple(records))
+    return BiasReport(credibility=cred, bias=bias, records=tuple(records), similarity=q)

@@ -2,11 +2,13 @@
 
 Exit codes
 ----------
-attribute: 0 success, 1 I/O or schema error, 2 solver non-convergence.
+attribute: 0 success, 1 I/O, schema or data error.
 explain:   additionally 3 when the queried sample has no comparable
            other-group evidence.
 mitigate:  additionally 4 on an exact class tie without --tie-label.
 
+`mitigate --strategy aug` ranks mixup neighbours with the proximity
+that attribution already computed; the graph and Q are built once.
 All report files are written atomically (temp file then rename).
 """
 
@@ -20,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .attribution import attribute
-from .comparability import ComparabilityConfig, build_comparability_graph
+from .comparability import ComparabilityConfig
 from .data import (
     ParseError,
     SchemaError,
@@ -44,12 +46,6 @@ from .mitigation import (
     write_plan,
 )
 from .model import train_classifier
-from .similarity import (
-    ConvergenceError,
-    adjacency_similarity,
-    rwr_proximity,
-    symmetric_normalize,
-)
 
 _LOAD_ERRORS = (OSError, SchemaError, ParseError, ValidationError)
 
@@ -96,7 +92,6 @@ def _attribute_from_args(args, dataset, top_k=None):
         damping=args.damping,
         top_k=args.topk if top_k is None else top_k,
         similarity=args.similarity,
-        backend="iterative",
     )
     return report, normalized, params
 
@@ -107,11 +102,7 @@ def cmd_attribute(args) -> int:
     except _LOAD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        report, _, _ = _attribute_from_args(args, dataset)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report, _, _ = _attribute_from_args(args, dataset)
     out_path = os.path.join(args.out, "bias_report.txt")
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -142,11 +133,7 @@ def cmd_explain(args) -> int:
     if not 0 <= args.index < dataset.n:
         print(f"error: sample index {args.index} out of range", file=sys.stderr)
         return 1
-    try:
-        report, _, _ = _attribute_from_args(args, dataset)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report, _, _ = _attribute_from_args(args, dataset)
     record = report.records[args.index]
     feature_names = list(dataset.schema.numerical_names) + list(dataset.schema.categorical_names)
     header = ["row", "index"] + feature_names + [
@@ -189,34 +176,20 @@ def cmd_mitigate(args) -> int:
     train_raw = dataset.subset(train_idx)
     test_raw = dataset.subset(test_idx)
 
-    try:
-        report, train, params = _attribute_from_args(args, train_raw, top_k=0)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report, train, params = _attribute_from_args(args, train_raw, top_k=0)
     test = apply_normalization(test_raw, params)
 
     try:
         if args.strategy == "rem":
             plan = plan_removal(train, report.bias, args.budget, tie_label=args.tie_label)
         else:
-            cfg = ComparabilityConfig(t_r=args.tr, t_d=args.td)
-            graph = build_comparability_graph(train, cfg)
-            if args.similarity == "rwr":
-                q = rwr_proximity(symmetric_normalize(graph), damping=args.damping,
-                                  backend="iterative")
-            else:
-                q = adjacency_similarity(graph)
             plan = synthesize_fair_samples(
-                train, report.bias, q, args.budget,
+                train, report.bias, report.similarity, args.budget,
                 n_nb=args.neighbors, rng_seed=args.seed, tie_label=args.tie_label,
             )
     except ClassBalanceTieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -215,7 +215,7 @@ def load_dataset(path, schema: FeatureSchema, sep: str = ",") -> Dataset:
 
     Rows keep file order. Categorical codes are assigned per column in
     first-appearance order. Missing cells are a hard error; there is no
-    imputation.
+    imputation. Numerical cells must be finite (no nan or inf).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=sep)
@@ -255,6 +255,10 @@ def load_dataset(path, schema: FeatureSchema, sep: str = ",") -> Dataset:
                 raise ParseError(
                     f"{path}: non-numeric value {row[c]!r} in column {name!r} at row {r}"
                 ) from None
+            if not np.isfinite(numericals[r, j]):
+                raise ParseError(
+                    f"{path}: non-finite value {row[c]!r} in column {name!r} at row {r}"
+                )
 
     categoricals = np.zeros((n, len(schema.categorical_names)), dtype=int)
     levels = []

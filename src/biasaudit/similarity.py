@@ -6,10 +6,10 @@ W = D^(-1/2) A D^(-1/2), and the proximity matrix solves
     Q = (1 - p) (I - p W)^(-1),
 
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
-mass on the diagonal and therefore more locality. Two interchangeable
-backends are provided: an exact dense solve and a fixed-point iteration
-Q_{k+1} = (1 - p) I + p W Q_k. A cheap bypass that uses the
-row-normalized adjacency directly (no walk) is available for large data.
+mass on the diagonal and therefore more locality. I - pW is symmetric
+positive definite, so Q comes from one exact in-place inversion. A cheap
+bypass that uses the row-normalized adjacency directly (no walk) is
+available for large data.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .comparability import ComparabilityGraph
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach tolerance within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +61,13 @@ def symmetric_normalize(g: ComparabilityGraph) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=w.tocsr(), degree=g.degree)
 
 
-def rwr_proximity(
-    w: NormalizedAdjacency,
-    damping: float = 0.1,
-    backend: str = "dense",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SimilarityMatrix:
+def rwr_proximity(w: NormalizedAdjacency, damping: float = 0.1) -> SimilarityMatrix:
     """Solve Q = (1 - p)(I - p W)^(-1) for the damping factor p.
+
+    W has spectral radius <= 1, so I - pW is symmetric positive definite
+    and is inverted exactly, in place: the n x n result is the only dense
+    array the solve allocates. Entries are clipped to [0, 1] to remove
+    rounding outside the unit interval.
 
     Parameters
     ----------
@@ -80,44 +75,18 @@ def rwr_proximity(
         Symmetrically normalized graph; spectral radius <= 1.
     damping : float
         Walk continuation probability p, 0 <= p < 1. p = 0 gives Q = I.
-    backend : str
-        "dense" solves the linear system directly; "iterative" runs the
-        fixed point Q_{k+1} = (1 - p) I + p W Q_k until the max-norm
-        update falls below `tol`. Both agree entrywise to solver
-        precision; the iterative form only touches the sparse W.
-    tol : float
-        Max-norm convergence tolerance of the iterative backend.
-    max_iter : int
-        Iteration cap of the iterative backend.
-
-    Raises
-    ------
-    ConvergenceError
-        If the iterative backend exceeds `max_iter`; the message reports
-        the final residual.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    n = w.n
-    if backend == "dense":
-        system = np.eye(n) - damping * w.matrix.toarray()
-        q = np.linalg.solve(system, (1.0 - damping) * np.eye(n))
-    elif backend == "iterative":
-        restart = (1.0 - damping) * np.eye(n)
-        q = restart.copy()
-        for _ in range(max_iter):
-            q_next = restart + damping * (w.matrix @ q)
-            delta = np.abs(q_next - q).max()
-            q = q_next
-            if delta <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations; residual {delta:.3e}"
-            )
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return SimilarityMatrix(matrix=np.clip(q, 0.0, 1.0), damping=damping)
+    q = w.matrix.toarray(order="F")
+    q *= -damping
+    q[np.diag_indices(w.n)] += 1.0
+    q = linalg.inv(q, overwrite_a=True, check_finite=False)
+    q *= 1.0 - damping
+    np.clip(q, 0.0, 1.0, out=q)
+    # The system is symmetric, so Q is too; its transpose is a C-ordered
+    # view of the same array, which keeps per-sample row reads contiguous.
+    return SimilarityMatrix(matrix=q.T, damping=damping)
 
 
 def adjacency_similarity(g: ComparabilityGraph) -> SimilarityMatrix:

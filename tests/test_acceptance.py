@@ -121,14 +121,13 @@ def test_criterion_3_rwr_backend_agreement():
                                degree=dense_adj.sum(axis=1).astype(int))
         w = symmetric_normalize(g)
         for p in (0.1, 0.5, 0.9):
-            qd = rwr_proximity(w, damping=p, backend="dense").matrix
-            qi = rwr_proximity(w, damping=p, backend="iterative").matrix
-            worst = max(worst, float(np.abs(qd - qi).max()))
-        for backend in ("dense", "iterative"):
-            q0 = rwr_proximity(w, damping=0.0, backend=backend).matrix
-            assert np.array_equal(q0, np.eye(n))
-    check(3, f"dense and iterative proximity agree within 1e-8 (worst {worst:.2e}), "
-             "damping 0 gives the identity exactly", worst < 1e-8)
+            q = rwr_proximity(w, damping=p).matrix
+            oracle = np.linalg.solve(np.eye(n) - p * w.matrix.toarray(), (1 - p) * np.eye(n))
+            worst = max(worst, float(np.abs(q - oracle).max()))
+        q0 = rwr_proximity(w, damping=0.0).matrix
+        assert np.array_equal(q0, np.eye(n))
+    check(3, f"proximity agrees with the dense solve oracle within 1e-8 "
+             f"(worst {worst:.2e}), damping 0 gives the identity exactly", worst < 1e-8)
 
 
 def test_criterion_4_contribution_decomposition():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from biasaudit.attribution import (
     estimate_bias,
     estimate_credibility,
 )
-from biasaudit.comparability import ComparabilityConfig
-from biasaudit.similarity import SimilarityMatrix
+from biasaudit.comparability import ComparabilityConfig, build_comparability_graph
+from biasaudit.similarity import SimilarityMatrix, symmetric_normalize
 
 from util import make_dataset, random_dataset
 
@@ -260,6 +262,9 @@ class TestAttributeEndToEnd:
         r2 = attribute(d, ComparabilityConfig(0.3, 1))
         assert np.array_equal(r1.bias.values, r2.bias.values, equal_nan=True)
         assert r1.records == r2.records
+        # top_k=0 skips the explanations and changes nothing else
+        r0 = attribute(d, ComparabilityConfig(0.3, 1), top_k=0)
+        assert r0.records == tuple(replace(r, explanations=()) for r in r1.records)
 
     def test_adjacency_similarity_variant(self):
         rng = np.random.default_rng(7)
@@ -268,13 +273,16 @@ class TestAttributeEndToEnd:
         ok = report.bias.defined
         assert (report.bias.values[ok] >= 0).all() and (report.bias.values[ok] <= 1).all()
 
-    def test_iterative_backend_variant(self):
+    def test_rwr_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
         d = random_dataset(rng, 25)
-        dense = attribute(d, ComparabilityConfig(0.4, 2), backend="dense")
-        iterative = attribute(d, ComparabilityConfig(0.4, 2), backend="iterative")
-        assert np.allclose(dense.bias.values, iterative.bias.values,
-                           atol=1e-8, equal_nan=True)
+        cfg = ComparabilityConfig(0.4, 2)
+        report = attribute(d, cfg)
+        w = symmetric_normalize(build_comparability_graph(d, cfg)).matrix.toarray()
+        oracle = sim(np.linalg.solve(np.eye(d.n) - 0.1 * w, 0.9 * np.eye(d.n)))
+        expected = estimate_bias(d, oracle, estimate_credibility(d, oracle))
+        assert np.array_equal(report.bias.defined, expected.defined)
+        assert np.allclose(report.bias.values, expected.values, atol=1e-8, equal_nan=True)
 
 
 class TestReportSerialization:

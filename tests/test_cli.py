@@ -79,6 +79,16 @@ class TestAttribute:
                      "--schema", schema_path, "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_non_finite_cell_exits_one_without_output(self, tmp_path, capsys):
+        data_path, schema_path = write_csv(
+            tmp_path, "x,s,y\n0.0,0,1\nnan,0,0\n0.05,1,1\n0.06,1,0\n")
+        out = tmp_path / "out"
+        code = main(["attribute", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "bias_report.txt").exists()
+
     def test_disconnected_groups_warns_and_succeeds(self, tmp_path, capsys):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.0,0,1\n0.01,0,0\n5.0,1,1\n5.01,1,0\n")
@@ -208,6 +218,23 @@ class TestMitigate:
         train_size = len(stratified_split(biased, seed=11)[0][0])
         assert edited.n == train_size + 15
 
+    def test_augmentation_builds_graph_once(self, synth_inputs, tmp_path, monkeypatch):
+        from biasaudit import attribution, cli, comparability
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return comparability.build_comparability_graph(*args, **kwargs)
+
+        for module in (attribution, cli):
+            monkeypatch.setattr(module, "build_comparability_graph", counted, raising=False)
+        data_path, schema_path, _, _ = synth_inputs
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "out"), "--strategy", "aug", "--budget", "5"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_exact_tie_exits_four(self, tmp_path):
         rows = ["x,s,y"]
         for i in range(10):
@@ -230,12 +257,17 @@ class TestMitigate:
 
 
 def test_console_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import biasaudit
+
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
     result = subprocess.run(
         [sys.executable, "-m", "biasaudit.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 0
     assert "attribute" in result.stdout and "mitigate" in result.stdout

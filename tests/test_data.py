@@ -57,6 +57,12 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="row 1"):
             load_dataset(f, SCHEMA)
 
+    def test_non_finite_reports_row_and_column(self, tmp_path):
+        for token in ("nan", "inf", "-inf"):
+            f = write_csv(tmp_path / "d.csv", f"age,job,sex,income\n1,A,0,1\n{token},B,1,0\n")
+            with pytest.raises(ParseError, match="non-finite.*'age' at row 1"):
+                load_dataset(f, SCHEMA)
+
     def test_non_binary_label_rejected(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "age,job,sex,income\n1,A,0,2\n")
         with pytest.raises(ValidationError, match="income"):

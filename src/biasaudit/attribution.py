@@ -18,6 +18,14 @@ four cell indicator columns (scaled by credibility for the bias). A
 zero denominator means there is no evidence to estimate from; the entry
 is flagged undefined rather than raised. Each defined bias value decomposes exactly into per-contributor
 shares, which are the explanation unit.
+
+All explanations come from one batched ranking kernel. Candidate
+(row, contributor, share) triplets are read from the storage of Q: the
+stored entries of a sparse Q, or blocks of dense rows cut to the
+other-group columns and shrunk to each row's k best by `np.partition`.
+One lexsort over (row, share descending, index ascending) then keeps
+each row's first k, so the cost follows the stored entries of Q rather
+than a Python loop over dense rows.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .comparability import ComparabilityConfig, build_comparability_graph
 from .data import Dataset
@@ -121,7 +130,7 @@ def _cell_mass(d: Dataset, q: SimilarityMatrix, weight) -> np.ndarray:
     each sample j counted with `weight` (a scalar or one value per sample)."""
     v = np.zeros((d.n, 4))
     v[np.arange(d.n), 2 * d.groups + d.labels] = weight
-    return q.matrix @ v
+    return np.asarray(q.matrix @ v)
 
 
 def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> CredibilityVector:
@@ -154,6 +163,82 @@ def estimate_bias(d: Dataset, q: SimilarityMatrix, c: CredibilityVector) -> Bias
     return BiasVector(values=values, defined=defined)
 
 
+def _top_k(row, col, share, k):
+    """Positions of each row's first k triplets, ordered by row, share
+    descending, then column ascending."""
+    order = np.lexsort((col, -share, row))
+    row = row[order]
+    pos = np.arange(len(row))
+    first = np.maximum.accumulate(np.where(np.r_[True, row[1:] != row[:-1]], pos, 0))
+    return order[pos - first < k]
+
+
+def _k_best_mask(key, k):
+    """Mask of each row's k smallest keys; ties go to the leftmost entries."""
+    if k == 0 or k >= key.shape[1]:
+        return np.full(key.shape, k > 0)
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1, None]
+    below = key < kth
+    tie = key == kth
+    return below | (tie & (np.cumsum(tie, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+
+
+def _stored_candidates(d, q, cred, rows, k):
+    """Candidates from the stored entries of a sparse Q: every contributor."""
+    block = q.matrix[rows]
+    row = np.repeat(rows, np.diff(block.indptr))
+    col, sim = block.indices, block.data
+    w = sim * cred[col]
+    keep = (d.groups[col] != d.groups[row]) & (w > 0.0)
+    row, col, sim, w = row[keep], col[keep], sim[keep], w[keep]
+    den = np.bincount(row, weights=w, minlength=d.n)
+    share = np.where(d.labels[col] != d.labels[row], w, 0.0) / den[row]
+    return rows[den[rows] > 0.0], row, col, share, sim
+
+
+def _dense_candidates(d, q, cred, rows, k):
+    """Candidates from dense rows: each row's k best contributors. Rows are
+    taken in blocks of about 2**17 other-group entries, small enough that
+    the block temporaries do not raise peak memory."""
+    parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
+    for g in (0, 1):
+        same = d.groups == g
+        other = np.flatnonzero(~same)
+        other_cred = np.where(same, 0.0, cred)
+        mine = rows[same[rows]]
+        step = max(1, 2**17 // max(len(other), 1))
+        for start in range(0, len(mine), step):
+            r = mine[start:start + step]
+            sim = q.rows(r)
+            # Summed over the full row with same-group entries zeroed: the order
+            # of this sum sets the last bit of every share.
+            den = (sim * other_cred).sum(axis=1)
+            ok = np.flatnonzero(den > 0.0)
+            r, den, sim = r[ok], den[ok, None], sim[np.ix_(ok, other)]
+            w = sim * cred[other]
+            share = np.where(d.labels[other] != d.labels[r, None], w, 0.0) / den
+            contributes = w > 0.0
+            pick = _k_best_mask(np.where(contributes, -share, np.inf), k) & contributes
+            ri, ci = np.nonzero(pick)
+            parts.append((r, r[ri], other[ci], share[ri, ci], sim[ri, ci]))
+    return tuple(np.concatenate(f) for f in zip(*parts))
+
+
+def _explanations(d: Dataset, q: SimilarityMatrix, c: CredibilityVector, rows, k: int) -> dict:
+    """The batched kernel: {i: top-k Explanation list} for each i in `rows`
+    with credible other-group proximity mass; other rows are left out."""
+    cred = np.where(c.defined, c.values, 0.0)
+    k = max(k, 0)
+    source = _stored_candidates if sparse.issparse(q.matrix) else _dense_candidates
+    defined, row, col, share, sim = source(d, q, cred, np.asarray(rows, dtype=int), k)
+    keep = _top_k(row, col, share, k)
+    out = {i: [] for i in defined.tolist()}
+    for i, j, s, cj, x in zip(row[keep].tolist(), col[keep].tolist(), share[keep].tolist(),
+                              cred[col[keep]].tolist(), sim[keep].tolist()):
+        out[i].append(Explanation(j, s, cj, x))
+    return out
+
+
 def bias_contributions(
     d: Dataset, q: SimilarityMatrix, c: CredibilityVector, i: int, k: int
 ):
@@ -162,23 +247,13 @@ def bias_contributions(
     A contributor is any other-group sample with positive weight
     c_j * Q[i, j]; over the full contributor list the shares sum to b_i
     exactly. Ties are broken by ascending sample index, and k beyond the
-    contributor count returns the full list.
+    contributor count returns the full list. This is the one-row call of
+    the kernel that `attribute` runs over all samples at once.
     """
-    qm = q.matrix
-    cred = np.where(c.defined, c.values, 0.0)
-    other_group = d.groups != d.groups[i]
-    weights = np.where(other_group, qm[i] * cred, 0.0)
-    den = weights.sum()
-    if den <= 0.0:
+    found = _explanations(d, q, c, [i], k)
+    if int(i) not in found:
         raise UndefinedBiasError("no comparable other-group evidence")
-    opposite = d.labels != d.labels[i]
-    shares = np.where(opposite, weights, 0.0) / den
-    contributors = np.nonzero(weights > 0.0)[0]
-    order = np.lexsort((contributors, -shares[contributors]))
-    top = contributors[order][: max(k, 0)]
-    return [
-        Explanation(int(j), float(shares[j]), float(cred[j]), float(qm[i, j])) for j in top
-    ]
+    return found[int(i)]
 
 
 def attribute(
@@ -194,6 +269,8 @@ def attribute(
     (`similarity`="rwr" solves the walk exactly; "adjacency" uses the
     row-normalized graph directly) -> credibility -> bias -> per-sample
     records with top-`top_k` explanations (`top_k` <= 0 skips them).
+    The explanations of all defined samples come from one call of the
+    batched ranking kernel, whose cost follows the stored entries of Q.
     The report keeps the proximity so later stages can reuse it.
     Deterministic throughout.
     """
@@ -206,21 +283,12 @@ def attribute(
         raise ValueError(f"unknown similarity {similarity!r}")
     cred = estimate_credibility(d, q)
     bias = estimate_bias(d, q, cred)
-    records = []
-    for i in range(d.n):
-        if bias.defined[i] and top_k > 0:
-            explanations = tuple(bias_contributions(d, q, cred, i, top_k))
-        else:
-            explanations = ()
-        records.append(
-            BiasRecord(
-                index=i,
-                group=int(d.groups[i]),
-                label=int(d.labels[i]),
-                credibility=float(cred.values[i]),
-                bias=float(bias.values[i]),
-                defined=bool(bias.defined[i]),
-                explanations=explanations,
-            )
-        )
-    return BiasReport(credibility=cred, bias=bias, records=tuple(records), similarity=q)
+    explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k) if top_k > 0 else {}
+    records = tuple(
+        BiasRecord(index=i, group=g, label=y, credibility=cv, bias=bv, defined=ok,
+                   explanations=tuple(explained.get(i, ())))
+        for i, (g, y, cv, bv, ok) in enumerate(zip(
+            d.groups.tolist(), d.labels.tolist(), cred.values.tolist(),
+            bias.values.tolist(), bias.defined.tolist()))
+    )
+    return BiasReport(credibility=cred, bias=bias, records=records, similarity=q)

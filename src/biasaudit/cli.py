@@ -18,10 +18,11 @@ import argparse
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from .attribution import attribute
+from .attribution import attribute, bias_contributions
 from .comparability import ComparabilityConfig
 from .data import (
     ParseError,
@@ -50,19 +51,6 @@ from .model import train_classifier
 _LOAD_ERRORS = (OSError, SchemaError, ParseError, ValidationError)
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_file(path, writer):
     """Run `writer(tmp_path)` and rename the result into place."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -75,6 +63,10 @@ def _atomic_file(path, writer):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# perfbench/traced.py wraps this name as well as `_atomic_file`.
+_atomic_write = _atomic_file
 
 
 def _load(args):
@@ -106,7 +98,8 @@ def cmd_attribute(args) -> int:
     out_path = os.path.join(args.out, "bias_report.txt")
     try:
         os.makedirs(args.out, exist_ok=True)
-        _atomic_write(out_path, report.to_text())
+        text = report.to_text()
+        _atomic_file(out_path, lambda p: Path(p).write_text(text, encoding="utf-8"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -133,7 +126,7 @@ def cmd_explain(args) -> int:
     if not 0 <= args.index < dataset.n:
         print(f"error: sample index {args.index} out of range", file=sys.stderr)
         return 1
-    report, _, _ = _attribute_from_args(args, dataset)
+    report, normalized, _ = _attribute_from_args(args, dataset, top_k=0)
     record = report.records[args.index]
     feature_names = list(dataset.schema.numerical_names) + list(dataset.schema.categorical_names)
     header = ["row", "index"] + feature_names + [
@@ -150,7 +143,9 @@ def cmd_explain(args) -> int:
     if not record.defined:
         print("no comparable other-group evidence", file=sys.stderr)
         return 3
-    for rank, e in enumerate(record.explanations[: args.topk], start=1):
+    explanations = bias_contributions(
+        normalized, report.similarity, report.credibility, args.index, args.topk)
+    for rank, e in enumerate(explanations, start=1):
         cells = (
             [f"expl{rank}", str(e.index)]
             + _format_row(dataset, e.index)
@@ -207,8 +202,8 @@ def cmd_mitigate(args) -> int:
                      lambda p: save_dataset(edited_raw, p))
         _atomic_file(os.path.join(args.out, "plan.txt"),
                      lambda p: write_plan(plan, train, p))
-        _atomic_write(os.path.join(args.out, "metrics_before.txt"), before.to_text())
-        _atomic_write(os.path.join(args.out, "metrics_after.txt"), after.to_text())
+        _atomic_file(os.path.join(args.out, "metrics_before.txt"), before.write)
+        _atomic_file(os.path.join(args.out, "metrics_after.txt"), after.write)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -221,7 +216,7 @@ def cmd_mitigate(args) -> int:
         ctrl_train = apply_plan(train, ctrl_plan)
         clf_ctrl = train_classifier(encode_features(ctrl_train), ctrl_train.labels)
         control = evaluate_classifier(clf_ctrl, test)
-        _atomic_write(os.path.join(args.out, "metrics_control.txt"), control.to_text())
+        _atomic_file(os.path.join(args.out, "metrics_control.txt"), control.write)
 
     print(f"edited {train.n} -> {edited.n} training samples; reports in {args.out}")
     print("before\t" + before.to_text().strip())

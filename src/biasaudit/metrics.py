@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset, DesignMatrix, encode_features
 from .model import Classifier, predict
@@ -98,6 +97,17 @@ def accuracy(scores, true_labels) -> float:
     return float((pred == np.asarray(true_labels)).mean())
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x; tied values share the average of their ranks."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    first = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
+    dense = np.empty(len(x), dtype=int)
+    dense[order] = np.cumsum(first)
+    count = np.r_[np.flatnonzero(first), len(x)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores, true_labels) -> float:
     """Rank-statistic AUC; tied scores count half."""
     scores = np.asarray(scores, dtype=float)
@@ -106,7 +116,7 @@ def roc_auc(scores, true_labels) -> float:
     n_neg = int((true_labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC-AUC needs both classes present")
-    ranks = rankdata(scores)  # average ranks on ties
+    ranks = _average_ranks(scores)
     return float((ranks[true_labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

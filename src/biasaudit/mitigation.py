@@ -148,20 +148,16 @@ def synthesize_fair_samples(
     if n_nb < 1:
         raise ValueError("neighborhood size must be at least 1")
     selector = select_edit_subgroup(d, "augmentation", tie_label)
-    pool = np.nonzero(
-        (d.labels == selector.target_label) & (d.groups == selector.target_group)
-    )[0]
+    same_cell = (d.labels == selector.target_label) & (d.groups == selector.target_group)
+    pool = np.flatnonzero(same_cell)
     if len(pool) == 0:
         raise ValueError("augmentation candidate pool is empty")
     weights = 1.0 - np.where(b.defined, b.values, 0.0)[pool]
     if weights.sum() <= 0.0:
         raise ValueError("all candidate weights are zero")
 
-    qm = q.matrix
-    same_cell = (d.labels == selector.target_label) & (d.groups == selector.target_group)
-
     def neighbor_pool(seed_idx):
-        sims = qm[seed_idx]
+        sims = q.rows([seed_idx])[0]
         mask = same_cell & (sims > 0.0)
         mask[seed_idx] = False
         nbrs = np.nonzero(mask)[0]

@@ -8,8 +8,8 @@ W = D^(-1/2) A D^(-1/2), and the proximity matrix solves
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
 mass on the diagonal and therefore more locality. I - pW is symmetric
 positive definite, so Q comes from one exact in-place inversion. A cheap
-bypass that uses the row-normalized adjacency directly (no walk) is
-available for large data.
+bypass uses the row-normalized adjacency D^-1 A directly (no walk); it
+stays a sparse matrix, so it costs O(edges) memory rather than O(n^2).
 """
 
 from __future__ import annotations
@@ -36,19 +36,28 @@ class NormalizedAdjacency:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Dense proximity matrix; `damping` is None for the adjacency bypass."""
+    """Proximity Q: a read-only dense array from the walk, or a CSR matrix
+    from the adjacency bypass (`damping` is None for the bypass)."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sparse.csr_matrix
     damping: float | None
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        mat.setflags(write=False)
+        if sparse.issparse(self.matrix):
+            mat = sparse.csr_matrix(self.matrix, dtype=float)
+        else:
+            mat = np.asarray(self.matrix, dtype=float)
+            mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows Q[idx] as a dense (len(idx), n) array."""
+        block = self.matrix[np.asarray(idx, dtype=int)]
+        return block.toarray() if sparse.issparse(block) else block
 
 
 def symmetric_normalize(g: ComparabilityGraph) -> NormalizedAdjacency:
@@ -90,14 +99,16 @@ def rwr_proximity(w: NormalizedAdjacency, damping: float = 0.1) -> SimilarityMat
 
 
 def adjacency_similarity(g: ComparabilityGraph) -> SimilarityMatrix:
-    """Row-normalized adjacency as a similarity, bypassing the walk.
+    """Row-normalized adjacency D^-1 A as a similarity, bypassing the walk.
 
-    Intended for data large enough that solving for Q is not worth it;
-    isolated vertices get an all-zero row (their own diagonal included),
-    so downstream estimates may come back undefined for them.
+    Intended for data large enough that solving for Q is not worth it:
+    the result stays CSR with exactly the graph's stored entries, so it
+    takes O(edges) memory and is never densified. Isolated vertices get
+    an all-zero row (their own diagonal included), so downstream
+    estimates may come back undefined for them.
     """
     inv_deg = np.zeros(g.n)
     nonzero = g.degree > 0
     inv_deg[nonzero] = 1.0 / g.degree[nonzero]
     q = sparse.diags(inv_deg) @ g.adjacency.astype(float)
-    return SimilarityMatrix(matrix=q.toarray(), damping=None)
+    return SimilarityMatrix(matrix=q.tocsr(), damping=None)

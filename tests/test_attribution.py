@@ -2,10 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from biasaudit.attribution import (
     CredibilityVector,
     UndefinedBiasError,
+    _explanations,
     attribute,
     bias_contributions,
     estimate_bias,
@@ -319,3 +323,82 @@ class TestReportSerialization:
         for rec in report.records:
             contrs = [e.contribution for e in rec.explanations]
             assert contrs == sorted(contrs, reverse=True)
+
+
+def reference_contributions(d, qm, c, i, k):
+    """Brute-force top-k of row i over one dense row; None when undefined."""
+    cred = np.where(c.defined, c.values, 0.0)
+    weights = np.where(d.groups != d.groups[i], qm[i] * cred, 0.0)
+    den = weights.sum()
+    if den <= 0.0:
+        return None
+    shares = np.where(d.labels != d.labels[i], weights, 0.0) / den
+    contributors = np.nonzero(weights > 0.0)[0]
+    top = contributors[np.lexsort((contributors, -shares[contributors]))][: max(k, 0)]
+    return [(int(j), float(shares[j]), float(cred[j]), float(qm[i, j])) for j in top]
+
+
+def assert_matches_reference(found, expected, exact):
+    assert [e.index for e in found] == [e[0] for e in expected]
+    if exact:
+        assert [tuple(e) for e in found] == expected
+    else:
+        got = np.array([tuple(e)[1:] for e in found]).reshape(-1, 3)
+        assert np.allclose(got, np.array([e[1:] for e in expected]).reshape(-1, 3),
+                           rtol=0.0, atol=1e-12)
+
+
+# Grid-valued features make exact share ties; the far value is an isolated vertex.
+grid_samples = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1, max_size=24,
+)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_samples, st.sampled_from(["rwr", "adjacency"]))
+    def test_attribute_matches_per_row_reference(self, rows, similarity):
+        x, s, y = (list(col) for col in zip(*rows))
+        d = make_dataset(x, [], y, s)
+        for k in (1, 5, d.n):
+            report = attribute(d, ComparabilityConfig(0.1, 2), damping=0.5, top_k=k,
+                               similarity=similarity)
+            qm = report.similarity.rows(np.arange(d.n))
+            for i, rec in enumerate(report.records):
+                expected = reference_contributions(d, qm, report.credibility, i, k)
+                assert rec.defined == (expected is not None)
+                # a dense row sum and a sparse one may differ in the last bit
+                assert_matches_reference(rec.explanations, expected or [],
+                                         exact=similarity == "rwr")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_undefined_credibility_dense_and_sparse(self, n, seed):
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, n, n_num=1, n_cat=0)
+        raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
+        qm = np.triu(raw) + np.triu(raw, 1).T
+        c = CredibilityVector(values=rng.choice([0.5, 1.0], size=n),
+                              defined=rng.random(n) < 0.7)
+        for q in (sim(qm), SimilarityMatrix(matrix=sparse.csr_matrix(qm), damping=None)):
+            for k in (1, 5, n):
+                batched = _explanations(d, q, c, np.arange(n), k)
+                for i in range(n):
+                    expected = reference_contributions(d, qm, c, i, k)
+                    if expected is None:
+                        assert i not in batched
+                        with pytest.raises(UndefinedBiasError):
+                            bias_contributions(d, q, c, i, k)
+                        continue
+                    # dyadic entries sum exactly in any order
+                    assert_matches_reference(batched[i], expected, exact=True)
+                    assert bias_contributions(d, q, c, i, k) == batched[i]
+
+    def test_adjacency_report_keeps_q_sparse(self):
+        rng = np.random.default_rng(10)
+        d = random_dataset(rng, 40)
+        cfg = ComparabilityConfig(0.3, 1)
+        q = attribute(d, cfg, similarity="adjacency").similarity.matrix
+        assert sparse.issparse(q)
+        assert q.nnz == build_comparability_graph(d, cfg).adjacency.nnz

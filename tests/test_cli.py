@@ -166,6 +166,34 @@ class TestExplain:
         assert code == 3
         assert "no comparable other-group evidence" in capsys.readouterr().err
 
+    def test_explains_only_the_queried_sample(self, tmp_path, capsys, monkeypatch):
+        from biasaudit import attribution, cli
+
+        ranked = []
+        kernel = getattr(attribution, "_explanations", None)
+
+        def counted_kernel(d, q, c, rows, k):
+            ranked.append(len(rows))
+            return kernel(d, q, c, rows, k)
+
+        def counted_contributions(*args, **kwargs):
+            ranked.append("bias_contributions")
+            return contributions(*args, **kwargs)
+
+        contributions = attribution.bias_contributions
+        monkeypatch.setattr(attribution, "_explanations", counted_kernel, raising=False)
+        for module in (attribution, cli):
+            monkeypatch.setattr(module, "bias_contributions", counted_contributions,
+                                raising=False)
+        data_path, schema_path = write_csv(
+            tmp_path, "x,s,y\n0.5,0,0\n0.5,1,1\n0.5,1,0\n0.5,0,1\n")
+        code = main(["explain", "--input", data_path, "--schema", schema_path,
+                     "--index", "0", "--topk", "2", "--tr", "1.0"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        # one ranking call, over the one queried row
+        assert ranked == ["bias_contributions", 1]
+
     def test_index_out_of_range_exits_one(self, tmp_path):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.5,0,0\n0.5,1,1\n")
@@ -271,3 +299,20 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "attribute" in result.stdout and "mitigate" in result.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -15,6 +15,7 @@ from biasaudit.metrics import (
     roc_auc,
     utility_metrics,
 )
+from biasaudit.metrics import _average_ranks
 from biasaudit.model import Classifier, TrainConfig, predict, train_classifier
 
 from util import make_dataset, random_dataset
@@ -182,6 +183,13 @@ class TestUtilityMetrics:
             ties = (pos[:, None] == neg[None, :]).sum()
             oracle = (wins + 0.5 * ties) / (len(pos) * len(neg))
             assert roc_auc(scores, labels) == pytest.approx(oracle, abs=1e-12)
+
+    def test_exact_ties_hand_ranks(self):
+        # sorted: 0.1 x2 -> ranks 1,2 (avg 1.5); 0.3 x3 -> 3,4,5 (avg 4); 0.7 -> 6
+        scores = np.array([0.3, 0.1, 0.3, 0.7, 0.1, 0.3])
+        assert _average_ranks(scores).tolist() == [4.0, 1.5, 4.0, 6.0, 1.5, 4.0]
+        # positives 0, 3, 4: rank sum 11.5, (11.5 - 3*4/2) / (3*3) = 5.5/9
+        assert roc_auc(scores, np.array([1, 0, 0, 1, 1, 0])) == 5.5 / 9
 
     def test_accuracy_threshold(self):
         scores = np.array([0.5, 0.49])

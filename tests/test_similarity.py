@@ -116,18 +116,27 @@ class TestRwrProximity:
 
 class TestAdjacencySimilarity:
     def test_row_normalized(self):
-        q = adjacency_similarity(PATH3).matrix
+        q = adjacency_similarity(PATH3).matrix.toarray()
         assert np.allclose(q[0], [0, 1, 0])
         assert np.allclose(q[1], [0.5, 0, 0.5])
         assert np.allclose(q.sum(axis=1), 1.0)
 
     def test_isolated_vertex_all_zero_row(self):
         g = graph_from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        q = adjacency_similarity(g).matrix
+        q = adjacency_similarity(g).matrix.toarray()
         assert np.array_equal(q[2], np.zeros(3))
 
     def test_damping_marked_absent(self):
         assert adjacency_similarity(PATH3).damping is None
+
+    def test_stays_sparse_with_the_graph_entries(self):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 40, 0.1)
+        q = adjacency_similarity(g)
+        assert sparse.issparse(q.matrix) and q.matrix.nnz == g.adjacency.nnz
+        rows = q.rows([3, 0, 3])
+        assert isinstance(rows, np.ndarray)
+        assert np.array_equal(rows, q.matrix.toarray()[[3, 0, 3]])
 
 
 def test_pipeline_from_comparability_graph():

@@ -81,9 +81,10 @@ print("proximity of applicant 0 to the others:",
 # ---------------------------------------------------------------------------
 report = attribute(data, cfg, damping=0.1, top_k=9)
 print("\nindex  s  approved  credibility    bias")
-for r in report.records:
-    bias = f"{r.bias:.4f}" if r.defined else "undefined"
-    print(f"{r.index:>5}  {r.group}  {r.label:>8}  {r.credibility:>11.4f}  {bias:>9}")
+for i in range(data.n):
+    bias = f"{report.bias.values[i]:.4f}" if report.bias.defined[i] else "undefined"
+    print(f"{i:>5}  {data.groups[i]}  {data.labels[i]:>8}  "
+          f"{report.credibility.values[i]:>11.4f}  {bias:>9}")
 
 # ---------------------------------------------------------------------------
 # Step 4: explanations. Each contributor is an other-group applicant in
@@ -92,10 +93,10 @@ for r in report.records:
 # query), yet it still matters: its credible denial is why the score is
 # 0.81 rather than 1.0.
 # ---------------------------------------------------------------------------
-query = report.records[0]
-print(f"\nwhy is applicant 0 scored {query.bias:.4f}?")
+explanations = report.explanations(0)
+print(f"\nwhy is applicant 0 scored {report.bias.values[0]:.4f}?")
 print("contributor  share   credibility  proximity")
-for e in query.explanations:
+for e in explanations:
     print(f"{e.index:>11}  {e.contribution:.4f}  {e.credibility:>11.4f}  {e.similarity:>9.4f}")
 print("\nthe share column sums to the bias score: "
-      f"{sum(e.contribution for e in query.explanations):.4f}")
+      f"{sum(e.contribution for e in explanations):.4f}")

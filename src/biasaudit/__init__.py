@@ -10,8 +10,7 @@ effect with the built-in classifier and metric suite.
 from .attribution import (
     BIAS_THRESHOLD,
     BiasReport,
-    BiasVector,
-    CredibilityVector,
+    Estimate,
     Explanation,
     UndefinedBiasError,
     attribute,

@@ -25,7 +25,8 @@ stored entries of a sparse Q, or blocks of dense rows cut to the
 other-group columns and shrunk to each row's k best by `np.partition`.
 One lexsort over (row, share descending, index ascending) then keeps
 each row's first k, so the cost follows the stored entries of Q rather
-than a Python loop over dense rows.
+than a Python loop over dense rows. The report keeps the result as
+columns sorted by row; `BiasReport.explanations(i)` reads one slice.
 """
 
 from __future__ import annotations
@@ -48,24 +49,8 @@ class UndefinedBiasError(ValueError):
 
 
 @dataclass(frozen=True)
-class CredibilityVector:
-    """Per-sample credibility in [0, 1]; NaN where undefined."""
-
-    values: np.ndarray
-    defined: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        defined = np.asarray(self.defined, dtype=bool)
-        for arr in (values, defined):
-            arr.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "defined", defined)
-
-
-@dataclass(frozen=True)
-class BiasVector:
-    """Per-sample bias in [0, 1]; NaN where undefined."""
+class Estimate:
+    """Per-sample credibility or bias in [0, 1]; NaN where undefined."""
 
     values: np.ndarray
     defined: np.ndarray
@@ -86,38 +71,44 @@ class Explanation(NamedTuple):
     similarity: float
 
 
-@dataclass(frozen=True)
-class BiasRecord:
-    index: int
-    group: int
-    label: int
-    credibility: float
-    bias: float
-    defined: bool
-    explanations: tuple
+def _as_explanations(columns, lo=0, hi=None) -> tuple:
+    """Entries lo:hi of the explanation columns as Explanation tuples."""
+    return tuple(Explanation(*e) for e in zip(*(c[lo:hi].tolist() for c in columns[1:])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasReport:
-    """Full attribution result: vectors, one explained record per sample,
-    and the similarity they were computed from."""
+    """Full attribution result as columns: each sample's group and label,
+    the two estimates, the explanation columns (row, index, contribution,
+    credibility, similarity) sorted by row, and the similarity they were
+    computed from."""
 
-    credibility: CredibilityVector
-    bias: BiasVector
-    records: tuple
-    similarity: SimilarityMatrix = field(compare=False, repr=False)
+    groups: np.ndarray
+    labels: np.ndarray
+    credibility: Estimate
+    bias: Estimate
+    explained: tuple
+    similarity: SimilarityMatrix = field(repr=False)
+
+    def explanations(self, i: int) -> tuple:
+        """Sample i's top-k explanations; empty when its bias is undefined."""
+        lo, hi = np.searchsorted(self.explained[0], [i, i + 1])
+        return _as_explanations(self.explained, lo, hi)
 
     def to_text(self) -> str:
+        row, index, contribution, credibility, similarity = self.explained
+        entries = [
+            f"{j}:{s:.6f}:{cj:.6f}:{x:.6f}"
+            for j, s, cj, x in zip(index.tolist(), contribution.tolist(),
+                                   credibility.tolist(), similarity.tolist())
+        ]
+        bounds = np.searchsorted(row, np.arange(len(self.groups) + 1)).tolist()
         lines = ["# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)"]
-        for r in self.records:
-            expl = ";".join(
-                f"{e.index}:{e.contribution:.6f}:{e.credibility:.6f}:{e.similarity:.6f}"
-                for e in r.explanations
-            )
-            lines.append(
-                f"{r.index}\t{r.group}\t{r.label}\t{r.credibility:.6f}\t{r.bias:.6f}"
-                f"\t{int(r.defined)}\t{expl}"
-            )
+        for i, (g, y, c, b, ok) in enumerate(zip(
+                self.groups.tolist(), self.labels.tolist(), self.credibility.values.tolist(),
+                self.bias.values.tolist(), self.bias.defined.tolist())):
+            expl = ";".join(entries[bounds[i]:bounds[i + 1]])
+            lines.append(f"{i}\t{g}\t{y}\t{c:.6f}\t{b:.6f}\t{int(ok)}\t{expl}")
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -133,7 +124,7 @@ def _cell_mass(d: Dataset, q: SimilarityMatrix, weight) -> np.ndarray:
     return np.asarray(q.matrix @ v)
 
 
-def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> CredibilityVector:
+def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> Estimate:
     """Closed-form credibility over same-group proximity mass, self term included."""
     if q.matrix.shape != (d.n, d.n):
         raise ValueError("similarity matrix does not match dataset size")
@@ -144,10 +135,10 @@ def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> CredibilityVector:
     defined = den > 0.0
     values = np.full(d.n, np.nan)
     values[defined] = num[defined] / den[defined]
-    return CredibilityVector(values=values, defined=defined)
+    return Estimate(values=values, defined=defined)
 
 
-def estimate_bias(d: Dataset, q: SimilarityMatrix, c: CredibilityVector) -> BiasVector:
+def estimate_bias(d: Dataset, q: SimilarityMatrix, c: Estimate) -> Estimate:
     """Closed-form bias over credibility-weighted other-group proximity mass.
 
     Undefined credibility entries contribute zero weight; a sample with
@@ -160,7 +151,7 @@ def estimate_bias(d: Dataset, q: SimilarityMatrix, c: CredibilityVector) -> Bias
     defined = den > 0.0
     values = np.full(d.n, np.nan)
     values[defined] = num[defined] / den[defined]
-    return BiasVector(values=values, defined=defined)
+    return Estimate(values=values, defined=defined)
 
 
 def _top_k(row, col, share, k):
@@ -224,24 +215,21 @@ def _dense_candidates(d, q, cred, rows, k):
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
-def _explanations(d: Dataset, q: SimilarityMatrix, c: CredibilityVector, rows, k: int) -> dict:
-    """The batched kernel: {i: top-k Explanation list} for each i in `rows`
-    with credible other-group proximity mass; other rows are left out."""
+def _explanations(d: Dataset, q: SimilarityMatrix, c: Estimate, rows, k: int):
+    """The batched kernel. Returns the rows of `rows` with credible
+    other-group proximity mass, and the columns (row, index, contribution,
+    credibility, similarity) of their top-k explanations, sorted by row."""
     cred = np.where(c.defined, c.values, 0.0)
     k = max(k, 0)
     source = _stored_candidates if sparse.issparse(q.matrix) else _dense_candidates
     defined, row, col, share, sim = source(d, q, cred, np.asarray(rows, dtype=int), k)
     keep = _top_k(row, col, share, k)
-    out = {i: [] for i in defined.tolist()}
-    for i, j, s, cj, x in zip(row[keep].tolist(), col[keep].tolist(), share[keep].tolist(),
-                              cred[col[keep]].tolist(), sim[keep].tolist()):
-        out[i].append(Explanation(j, s, cj, x))
-    return out
+    return defined, (row[keep], col[keep], share[keep], cred[col[keep]], sim[keep])
 
 
 def bias_contributions(
-    d: Dataset, q: SimilarityMatrix, c: CredibilityVector, i: int, k: int
-):
+    d: Dataset, q: SimilarityMatrix, c: Estimate, i: int, k: int
+) -> tuple:
     """Top-k contributors to sample i's bias, sorted by share descending.
 
     A contributor is any other-group sample with positive weight
@@ -250,10 +238,10 @@ def bias_contributions(
     contributor count returns the full list. This is the one-row call of
     the kernel that `attribute` runs over all samples at once.
     """
-    found = _explanations(d, q, c, [i], k)
-    if int(i) not in found:
+    defined, columns = _explanations(d, q, c, [i], k)
+    if not len(defined):
         raise UndefinedBiasError("no comparable other-group evidence")
-    return found[int(i)]
+    return _as_explanations(columns)
 
 
 def attribute(
@@ -267,8 +255,8 @@ def attribute(
 
     Stages: comparability graph -> symmetric normalization -> proximity
     (`similarity`="rwr" solves the walk exactly; "adjacency" uses the
-    row-normalized graph directly) -> credibility -> bias -> per-sample
-    records with top-`top_k` explanations (`top_k` <= 0 skips them).
+    row-normalized graph directly) -> credibility -> bias -> top-`top_k`
+    explanations of every defined sample (`top_k` <= 0 skips them).
     The explanations of all defined samples come from one call of the
     batched ranking kernel, whose cost follows the stored entries of Q.
     The report keeps the proximity so later stages can reuse it.
@@ -283,12 +271,8 @@ def attribute(
         raise ValueError(f"unknown similarity {similarity!r}")
     cred = estimate_credibility(d, q)
     bias = estimate_bias(d, q, cred)
-    explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k) if top_k > 0 else {}
-    records = tuple(
-        BiasRecord(index=i, group=g, label=y, credibility=cv, bias=bv, defined=ok,
-                   explanations=tuple(explained.get(i, ())))
-        for i, (g, y, cv, bv, ok) in enumerate(zip(
-            d.groups.tolist(), d.labels.tolist(), cred.values.tolist(),
-            bias.values.tolist(), bias.defined.tolist()))
-    )
-    return BiasReport(credibility=cred, bias=bias, records=records, similarity=q)
+    explained = (np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 3
+    if top_k > 0:
+        _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k)
+    return BiasReport(groups=d.groups, labels=d.labels, credibility=cred, bias=bias,
+                      explained=explained, similarity=q)

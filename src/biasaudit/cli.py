@@ -2,7 +2,8 @@
 
 Exit codes
 ----------
-attribute: 0 success, 1 I/O, schema or data error.
+attribute: 0 success, 1 I/O, schema or data error, or an invalid
+           option value (e.g. --tr 0).
 explain:   additionally 3 when the queried sample has no comparable
            other-group evidence.
 mitigate:  additionally 4 on an exact class tie without --tie-label.
@@ -25,9 +26,6 @@ import numpy as np
 from .attribution import attribute, bias_contributions
 from .comparability import ComparabilityConfig
 from .data import (
-    ParseError,
-    SchemaError,
-    ValidationError,
     apply_normalization,
     encode_features,
     fit_normalization,
@@ -47,8 +45,6 @@ from .mitigation import (
     write_plan,
 )
 from .model import train_classifier
-
-_LOAD_ERRORS = (OSError, SchemaError, ParseError, ValidationError)
 
 
 def _atomic_file(path, writer):
@@ -89,20 +85,11 @@ def _attribute_from_args(args, dataset, top_k=None):
 
 
 def cmd_attribute(args) -> int:
-    try:
-        dataset = _load(args)
-    except _LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report, _, _ = _attribute_from_args(args, dataset)
+    report, _, _ = _attribute_from_args(args, _load(args))
     out_path = os.path.join(args.out, "bias_report.txt")
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        text = report.to_text()
-        _atomic_file(out_path, lambda p: Path(p).write_text(text, encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    os.makedirs(args.out, exist_ok=True)
+    text = report.to_text()
+    _atomic_file(out_path, lambda p: Path(p).write_text(text, encoding="utf-8"))
     if not report.bias.defined.any():
         print("warning: no sample has comparable other-group evidence; "
               "all bias entries are undefined", file=sys.stderr)
@@ -118,16 +105,11 @@ def _format_row(dataset, i):
 
 
 def cmd_explain(args) -> int:
-    try:
-        dataset = _load(args)
-    except _LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not 0 <= args.index < dataset.n:
-        print(f"error: sample index {args.index} out of range", file=sys.stderr)
-        return 1
+    dataset = _load(args)
+    i = args.index
+    if not 0 <= i < dataset.n:
+        raise ValueError(f"sample index {i} out of range")
     report, normalized, _ = _attribute_from_args(args, dataset, top_k=0)
-    record = report.records[args.index]
     feature_names = list(dataset.schema.numerical_names) + list(dataset.schema.categorical_names)
     header = ["row", "index"] + feature_names + [
         dataset.schema.group_name, dataset.schema.label_name,
@@ -135,16 +117,17 @@ def cmd_explain(args) -> int:
     ]
     print("\t".join(header))
     query_cells = (
-        ["query", str(record.index)]
-        + _format_row(dataset, record.index)
-        + [str(record.group), str(record.label), f"{record.bias:.6f}", "-", "-"]
+        ["query", str(i)]
+        + _format_row(dataset, i)
+        + [str(int(dataset.groups[i])), str(int(dataset.labels[i])),
+           f"{report.bias.values[i]:.6f}", "-", "-"]
     )
     print("\t".join(query_cells))
-    if not record.defined:
+    if not report.bias.defined[i]:
         print("no comparable other-group evidence", file=sys.stderr)
         return 3
     explanations = bias_contributions(
-        normalized, report.similarity, report.credibility, args.index, args.topk)
+        normalized, report.similarity, report.credibility, i, args.topk)
     for rank, e in enumerate(explanations, start=1):
         cells = (
             [f"expl{rank}", str(e.index)]
@@ -162,32 +145,21 @@ def cmd_explain(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
-    try:
-        dataset = _load(args)
-        train_idx, _, test_idx = stratified_split(dataset, seed=args.seed)[0]
-    except _LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = _load(args)
+    train_idx, _, test_idx = stratified_split(dataset, seed=args.seed)[0]
     train_raw = dataset.subset(train_idx)
     test_raw = dataset.subset(test_idx)
 
     report, train, params = _attribute_from_args(args, train_raw, top_k=0)
     test = apply_normalization(test_raw, params)
 
-    try:
-        if args.strategy == "rem":
-            plan = plan_removal(train, report.bias, args.budget, tie_label=args.tie_label)
-        else:
-            plan = synthesize_fair_samples(
-                train, report.bias, report.similarity, args.budget,
-                n_nb=args.neighbors, rng_seed=args.seed, tie_label=args.tie_label,
-            )
-    except ClassBalanceTieError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.strategy == "rem":
+        plan = plan_removal(train, report.bias, args.budget, tie_label=args.tie_label)
+    else:
+        plan = synthesize_fair_samples(
+            train, report.bias, report.similarity, args.budget,
+            n_nb=args.neighbors, rng_seed=args.seed, tie_label=args.tie_label,
+        )
 
     edited = apply_plan(train, plan)
     clf_before = train_classifier(encode_features(train), train.labels)
@@ -195,18 +167,14 @@ def cmd_mitigate(args) -> int:
     before = evaluate_classifier(clf_before, test)
     after = evaluate_classifier(clf_after, test)
 
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        edited_raw = invert_normalization(edited, params)
-        _atomic_file(os.path.join(args.out, "edited_dataset.csv"),
-                     lambda p: save_dataset(edited_raw, p))
-        _atomic_file(os.path.join(args.out, "plan.txt"),
-                     lambda p: write_plan(plan, train, p))
-        _atomic_file(os.path.join(args.out, "metrics_before.txt"), before.write)
-        _atomic_file(os.path.join(args.out, "metrics_after.txt"), after.write)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    os.makedirs(args.out, exist_ok=True)
+    edited_raw = invert_normalization(edited, params)
+    _atomic_file(os.path.join(args.out, "edited_dataset.csv"),
+                 lambda p: save_dataset(edited_raw, p))
+    _atomic_file(os.path.join(args.out, "plan.txt"),
+                 lambda p: write_plan(plan, train, p))
+    _atomic_file(os.path.join(args.out, "metrics_before.txt"), before.write)
+    _atomic_file(os.path.join(args.out, "metrics_after.txt"), after.write)
 
     if args.control == "random":
         rng = np.random.default_rng(args.seed)
@@ -270,8 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error it raises ends here with its exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ClassBalanceTieError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (OSError, ValueError) as exc:  # I/O, schema, data and option values
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

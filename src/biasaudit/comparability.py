@@ -65,39 +65,36 @@ def is_comparable(num_a, cat_a, num_b, cat_b, cfg: ComparabilityConfig) -> bool:
     return int((cat_a != cat_b).sum()) <= cfg.t_d
 
 
+_BLOCK_ROWS = 512
+
+
 def _check_normalized(numericals):
     if numericals.size and (numericals.min() < -1e-12 or numericals.max() > 1 + 1e-12):
         raise ValueError("numerical features must be normalized to [0, 1] first")
 
 
-def build_comparability_graph(
-    d: Dataset,
-    cfg: ComparabilityConfig,
-    block_size: int = 512,
-    prefilter: bool = True,
-) -> ComparabilityGraph:
+def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> ComparabilityGraph:
     """Evaluate the predicate over all pairs and assemble the graph.
 
-    Rows are processed in blocks so the n x n comparison never fully
-    materializes. When `prefilter` is set and numerical features exist,
-    rows are sorted on the first numerical feature and each block is
-    only compared against the candidate window whose gap on that
-    feature can still satisfy t_r; the exact predicate is applied inside
-    the window, so the result is identical either way.
+    Rows are processed in blocks of `_BLOCK_ROWS` so the n x n comparison
+    never fully materializes. With numerical features, rows are sorted on
+    the first one and each block is only compared against the candidate
+    window whose gap on that feature can still satisfy t_r; the exact
+    predicate is applied inside the window. Without numerical features
+    every block is compared against all rows.
     """
     _check_normalized(d.numericals)
     n = d.n
     n_r, n_d = d.n_numerical, d.n_categorical
 
-    use_prefilter = prefilter and n_r > 0
-    order = np.argsort(d.numericals[:, 0], kind="stable") if use_prefilter else np.arange(n)
+    order = np.argsort(d.numericals[:, 0], kind="stable") if n_r else np.arange(n)
     num = d.numericals[order]
     cat = d.categoricals[order]
-    key = num[:, 0] if use_prefilter else None
+    key = num[:, 0] if n_r else None
 
     pairs_i, pairs_j = [], []
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         if key is not None:
             lo = int(np.searchsorted(key, key[start] - cfg.t_r, side="left"))
             hi = int(np.searchsorted(key, key[stop - 1] + cfg.t_r, side="right"))
@@ -120,7 +117,7 @@ def build_comparability_graph(
 
     i = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=int)
     j = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=int)
-    # a pair can surface from both endpoints' blocks under the prefilter
+    # a pair can surface from both endpoints' windows
     unique = np.unique(i * n + j)
     i, j = unique // n, unique % n
     rows = np.concatenate([i, j])

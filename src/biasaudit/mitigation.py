@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import BiasVector
+from .attribution import Estimate
 from .data import Dataset
 from .similarity import SimilarityMatrix
 
@@ -91,7 +91,7 @@ def select_edit_subgroup(d: Dataset, strategy: str, tie_label: int | None = None
     return SubgroupSelector(target_label=target_label, target_group=target_group, strategy=strategy)
 
 
-def plan_removal(d: Dataset, b: BiasVector, k: int, tie_label: int | None = None) -> RemovalPlan:
+def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) -> RemovalPlan:
     """Select the top-k candidates by bias score from the removal cell.
 
     Undefined bias ranks as zero; ties break by ascending index. A
@@ -128,7 +128,7 @@ def mix_rows(d: Dataset, seed_idx: int, target_idx: int, lam: float, rng):
 
 def synthesize_fair_samples(
     d: Dataset,
-    b: BiasVector,
+    b: Estimate,
     q: SimilarityMatrix,
     m: int,
     n_nb: int = 5,

@@ -15,7 +15,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 500
     l2: float = 1e-4
-    seed: int = 0  # kept for provenance; zero init makes training seed-free
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ def save_classifier(clf: Classifier, path) -> None:
         fh.write(f"learning_rate = {clf.config.learning_rate!r}\n")
         fh.write(f"epochs = {clf.config.epochs}\n")
         fh.write(f"l2 = {clf.config.l2!r}\n")
-        fh.write(f"seed = {clf.config.seed}\n")
         fh.write(f"intercept = {clf.intercept!r}\n")
         fh.write("weights = " + " ".join(repr(float(v)) for v in clf.weights) + "\n")
 
@@ -101,7 +99,6 @@ def load_classifier(path) -> Classifier:
         learning_rate=float(entries["learning_rate"]),
         epochs=int(entries["epochs"]),
         l2=float(entries["l2"]),
-        seed=int(entries["seed"]),
     )
     weights = np.array([float(v) for v in entries["weights"].split()]) if entries["weights"] else np.zeros(0)
     return Classifier(

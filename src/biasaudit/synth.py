@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import BIAS_THRESHOLD, BiasVector
+from .attribution import BIAS_THRESHOLD, Estimate
 from .data import Dataset, FeatureSchema
 
 
@@ -102,7 +102,7 @@ def reference_labels(d: Dataset, cfg: SynthConfig):
     return _rule_labels(d.numericals, cfg)
 
 
-def detection_accuracy(b: BiasVector, truth, groups, threshold: float = BIAS_THRESHOLD) -> float:
+def detection_accuracy(b: Estimate, truth, groups, threshold: float = BIAS_THRESHOLD) -> float:
     """Accuracy of the bias > threshold detector against ground truth, target group only.
 
     Undefined bias counts as not biased.

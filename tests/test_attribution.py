@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from biasaudit.attribution import (
-    CredibilityVector,
+    Estimate,
+    Explanation,
     UndefinedBiasError,
     _explanations,
     attribute,
@@ -103,7 +102,7 @@ class TestBias:
         # contributors: (cred 1.0, sim 0.4, opposite label), (cred 0.5, sim 0.2, same label)
         d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 0], [0, 1, 1])
         q = sim([[1.0, 0.4, 0.2], [0.4, 1.0, 0.0], [0.2, 0.0, 1.0]])
-        c = CredibilityVector(values=[1.0, 1.0, 0.5], defined=[True, True, True])
+        c = Estimate(values=[1.0, 1.0, 0.5], defined=[True, True, True])
         b = estimate_bias(d, q, c)
         assert b.values[0] == pytest.approx(0.8, abs=1e-12)
 
@@ -118,7 +117,7 @@ class TestBias:
     def test_undefined_credibility_contributes_zero_weight(self):
         d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 1], [0, 1, 1])
         q = sim([[1.0, 0.4, 0.4], [0.4, 1.0, 0.0], [0.4, 0.0, 1.0]])
-        c = CredibilityVector(values=[1.0, np.nan, 1.0], defined=[True, False, True])
+        c = Estimate(values=[1.0, np.nan, 1.0], defined=[True, False, True])
         b = estimate_bias(d, q, c)
         # only sample 2 carries weight
         assert b.values[0] == pytest.approx(1.0)
@@ -131,11 +130,11 @@ class TestBias:
         j = int(np.nonzero(d.groups != d.groups[i])[0][0])
         zeroed = cred.copy()
         zeroed[j] = 0.0
-        b_zeroed = estimate_bias(d, q, CredibilityVector(zeroed, np.ones(12, bool)))
+        b_zeroed = estimate_bias(d, q, Estimate(zeroed, np.ones(12, bool)))
         keep = np.array([k for k in range(12) if k != j])
         d_del = d.subset(keep)
         q_del = sim(q.matrix[np.ix_(keep, keep)])
-        b_del = estimate_bias(d_del, q_del, CredibilityVector(cred[keep], np.ones(11, bool)))
+        b_del = estimate_bias(d_del, q_del, Estimate(cred[keep], np.ones(11, bool)))
         assert b_zeroed.values[0] == pytest.approx(b_del.values[0], abs=1e-12)
 
     def test_matches_grid_argmin(self):
@@ -181,7 +180,7 @@ class TestContributions:
     def setup_method(self):
         self.d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 0], [0, 1, 1])
         self.q = sim([[1.0, 0.4, 0.2], [0.4, 1.0, 0.0], [0.2, 0.0, 1.0]])
-        self.c = CredibilityVector(values=[1.0, 1.0, 0.5], defined=[True, True, True])
+        self.c = Estimate(values=[1.0, 1.0, 0.5], defined=[True, True, True])
 
     def test_two_contributor_ranking(self):
         top = bias_contributions(self.d, self.q, self.c, 0, 2)
@@ -202,7 +201,7 @@ class TestContributions:
     def test_zero_bias_means_zero_contributions(self):
         d = make_dataset([0.0, 0.0], [], [1, 1], [0, 1])
         q = sim([[1.0, 0.5], [0.5, 1.0]])
-        c = CredibilityVector([1.0, 1.0], [True, True])
+        c = Estimate([1.0, 1.0], [True, True])
         top = bias_contributions(d, q, c, 0, 5)
         assert len(top) == 1 and top[0].contribution == 0.0
 
@@ -228,7 +227,7 @@ class TestContributions:
     def test_ties_break_by_ascending_index(self):
         d = make_dataset([0.0] * 4, [], [0, 1, 1, 1], [0, 1, 1, 1])
         q = sim(np.full((4, 4), 0.25) + np.diag([0.5] * 4))
-        c = CredibilityVector([1.0] * 4, [True] * 4)
+        c = Estimate([1.0] * 4, [True] * 4)
         top = bias_contributions(d, q, c, 0, 3)
         assert [e.index for e in top] == [1, 2, 3]
 
@@ -265,10 +264,17 @@ class TestAttributeEndToEnd:
         r1 = attribute(d, ComparabilityConfig(0.3, 1))
         r2 = attribute(d, ComparabilityConfig(0.3, 1))
         assert np.array_equal(r1.bias.values, r2.bias.values, equal_nan=True)
-        assert r1.records == r2.records
+        assert r1.to_text() == r2.to_text()
+        assert all(np.array_equal(a, b) for a, b in zip(r1.explained, r2.explained))
         # top_k=0 skips the explanations and changes nothing else
         r0 = attribute(d, ComparabilityConfig(0.3, 1), top_k=0)
-        assert r0.records == tuple(replace(r, explanations=()) for r in r1.records)
+        assert len(r1.explained[0]) > 0
+        assert all(len(col) == 0 for col in r0.explained)
+        for est in ("credibility", "bias"):
+            for part in ("values", "defined"):
+                assert np.array_equal(getattr(getattr(r0, est), part),
+                                      getattr(getattr(r1, est), part), equal_nan=True)
+        assert all(r0.explanations(i) == () for i in range(d.n))
 
     def test_adjacency_similarity_variant(self):
         rng = np.random.default_rng(7)
@@ -300,8 +306,8 @@ class TestReportSerialization:
         first = lines[1].split("\t")
         assert first[0] == "0" and first[1] == "0" and first[2] == "0"
         # six fractional digits, bit-exact rendering
-        assert first[3] == f"{report.records[0].credibility:.6f}"
-        assert first[4] == f"{report.records[0].bias:.6f}"
+        assert first[3] == f"{report.credibility.values[0]:.6f}"
+        assert first[4] == f"{report.bias.values[0]:.6f}"
         assert first[5] in ("0", "1")
         path = tmp_path / "report.txt"
         report.write(path)
@@ -320,8 +326,8 @@ class TestReportSerialization:
         rng = np.random.default_rng(9)
         d = random_dataset(rng, 20, n_num=1, n_cat=0)
         report = attribute(d, ComparabilityConfig(0.5, 2), top_k=10)
-        for rec in report.records:
-            contrs = [e.contribution for e in rec.explanations]
+        for i in range(d.n):
+            contrs = [e.contribution for e in report.explanations(i)]
             assert contrs == sorted(contrs, reverse=True)
 
 
@@ -365,11 +371,11 @@ class TestBatchedKernel:
             report = attribute(d, ComparabilityConfig(0.1, 2), damping=0.5, top_k=k,
                                similarity=similarity)
             qm = report.similarity.rows(np.arange(d.n))
-            for i, rec in enumerate(report.records):
+            for i in range(d.n):
                 expected = reference_contributions(d, qm, report.credibility, i, k)
-                assert rec.defined == (expected is not None)
+                assert report.bias.defined[i] == (expected is not None)
                 # a dense row sum and a sparse one may differ in the last bit
-                assert_matches_reference(rec.explanations, expected or [],
+                assert_matches_reference(report.explanations(i), expected or [],
                                          exact=similarity == "rwr")
 
     @settings(max_examples=60, deadline=None)
@@ -379,21 +385,25 @@ class TestBatchedKernel:
         d = random_dataset(rng, n, n_num=1, n_cat=0)
         raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
         qm = np.triu(raw) + np.triu(raw, 1).T
-        c = CredibilityVector(values=rng.choice([0.5, 1.0], size=n),
-                              defined=rng.random(n) < 0.7)
+        c = Estimate(values=rng.choice([0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
         for q in (sim(qm), SimilarityMatrix(matrix=sparse.csr_matrix(qm), damping=None)):
             for k in (1, 5, n):
-                batched = _explanations(d, q, c, np.arange(n), k)
+                defined, columns = _explanations(d, q, c, np.arange(n), k)
+                assert np.all(np.diff(columns[0]) >= 0)  # sorted by row
                 for i in range(n):
                     expected = reference_contributions(d, qm, c, i, k)
                     if expected is None:
-                        assert i not in batched
+                        assert i not in defined and i not in columns[0]
                         with pytest.raises(UndefinedBiasError):
                             bias_contributions(d, q, c, i, k)
                         continue
+                    assert i in defined
+                    mine = columns[0] == i
+                    batched = tuple(Explanation(*e) for e in
+                                    zip(*(col[mine].tolist() for col in columns[1:])))
                     # dyadic entries sum exactly in any order
-                    assert_matches_reference(batched[i], expected, exact=True)
-                    assert bias_contributions(d, q, c, i, k) == batched[i]
+                    assert_matches_reference(batched, expected, exact=True)
+                    assert bias_contributions(d, q, c, i, k) == batched
 
     def test_adjacency_report_keeps_q_sparse(self):
         rng = np.random.default_rng(10)
@@ -402,3 +412,48 @@ class TestBatchedKernel:
         q = attribute(d, cfg, similarity="adjacency").similarity.matrix
         assert sparse.issparse(q)
         assert q.nnz == build_comparability_graph(d, cfg).adjacency.nnz
+
+
+# Two grid-valued numericals and one categorical: ties, exact-threshold
+# gaps and isolated vertices.
+mixed_samples = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]), st.sampled_from([0.0, 0.05, 0.5]),
+              st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1, max_size=24,
+)
+
+
+def mixed_dataset(rows):
+    x1, x2, cat, s, y = (np.array(col) for col in zip(*rows))
+    return make_dataset(np.column_stack([x1, x2]), cat, y, s)
+
+
+def assert_same_estimate(got, values, defined):
+    assert np.array_equal(got.defined, defined)
+    assert np.allclose(got.values, values, rtol=0.0, atol=1e-12, equal_nan=True)
+
+
+class TestAttributeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_samples, st.sampled_from(["rwr", "adjacency"]), st.data())
+    def test_permuting_rows_permutes_estimates(self, rows, similarity, data):
+        d = mixed_dataset(rows)
+        perm = np.array(data.draw(st.permutations(range(d.n))), dtype=int)
+        cfg = ComparabilityConfig(0.1, 1)
+        base = attribute(d, cfg, damping=0.5, top_k=0, similarity=similarity)
+        moved = attribute(d.subset(perm), cfg, damping=0.5, top_k=0, similarity=similarity)
+        for name in ("credibility", "bias"):
+            est = getattr(base, name)
+            assert_same_estimate(getattr(moved, name), est.values[perm], est.defined[perm])
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_samples, st.sampled_from(["rwr", "adjacency"]))
+    def test_swapping_group_codes_changes_nothing(self, rows, similarity):
+        d = mixed_dataset(rows)
+        swapped = make_dataset(d.numericals, d.categoricals, d.labels, 1 - d.groups)
+        cfg = ComparabilityConfig(0.1, 1)
+        base = attribute(d, cfg, damping=0.5, top_k=0, similarity=similarity)
+        other = attribute(swapped, cfg, damping=0.5, top_k=0, similarity=similarity)
+        for name in ("credibility", "bias"):
+            est = getattr(base, name)
+            assert_same_estimate(getattr(other, name), est.values, est.defined)

@@ -89,6 +89,18 @@ class TestAttribute:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "bias_report.txt").exists()
 
+    @pytest.mark.parametrize("option", [["--tr", "0"], ["--td", "-1"], ["--damping", "1.0"]],
+                             ids=["tr-0", "td-negative", "damping-1"])
+    def test_invalid_option_value_exits_one_without_output(self, option, tmp_path, capsys):
+        data_path, schema_path = write_csv(
+            tmp_path, "x,s,y\n0.0,0,1\n0.01,0,0\n0.02,1,1\n0.03,1,0\n")
+        out = tmp_path / "out"
+        code = main(["attribute", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out)] + option)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "bias_report.txt").exists()
+
     def test_disconnected_groups_warns_and_succeeds(self, tmp_path, capsys):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.0,0,1\n0.01,0,0\n5.0,1,1\n5.01,1,0\n")
@@ -229,6 +241,19 @@ class TestMitigate:
         plan_lines = (out / "plan.txt").read_text().splitlines()
         assert len(plan_lines) == 1 + 20
         assert (out / "metrics_control.txt").exists()
+
+    def test_failed_control_write_exits_one(self, synth_inputs, tmp_path, capsys):
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        (out / "metrics_control.txt").mkdir(parents=True)
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "rem", "--budget", "5",
+                     "--control", "random"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "metrics_control.txt" in captured.err
+        assert captured.out == ""
+        assert not list(out.glob("*.tmp"))
 
     def test_augmentation_deterministic(self, synth_inputs, tmp_path):
         data_path, schema_path, _, biased = synth_inputs

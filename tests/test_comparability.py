@@ -13,6 +13,17 @@ from util import make_dataset, random_dataset
 CFG = ComparabilityConfig(t_r=0.1, t_d=2)
 
 
+def oracle_adjacency(d, cfg):
+    """The inclusive predicate over all pairs at once, self-loops removed."""
+    ok = np.ones((d.n, d.n), dtype=bool)
+    for f in range(d.n_numerical):
+        ok &= np.abs(d.numericals[:, f, None] - d.numericals[None, :, f]) <= cfg.t_r
+    differing = (d.categoricals[:, None, :] != d.categoricals[None, :, :]).sum(axis=2)
+    ok &= differing <= cfg.t_d
+    np.fill_diagonal(ok, False)
+    return ok
+
+
 class TestIsComparable:
     def test_identical_vectors_always_comparable(self):
         num = np.array([0.2, 0.9])
@@ -92,14 +103,21 @@ class TestBuildGraph:
         assert np.array_equal(dense, dense.T)
         assert not dense.diagonal().any()
 
-    def test_prefilter_and_block_size_do_not_change_result(self):
+    def test_matches_vectorized_oracle_across_blocks(self):
+        # n > 1024 crosses several row blocks; grid values on the first
+        # feature put sort-key ties and exact-threshold gaps on block edges
         rng = np.random.default_rng(5)
-        d = random_dataset(rng, 70, n_num=3, n_cat=1)
-        reference = build_comparability_graph(d, CFG, prefilter=False).adjacency.toarray()
-        for block in (1, 7, 64, 1024):
-            for pre in (False, True):
-                got = build_comparability_graph(d, CFG, block_size=block, prefilter=pre)
-                assert np.array_equal(got.adjacency.toarray(), reference)
+        numerical = random_dataset(rng, 1300, n_num=3, n_cat=1)
+        grid = make_dataset(
+            np.column_stack([rng.choice(np.arange(21) / 20, 1300), numerical.numericals[:, 1:]]),
+            numerical.categoricals, numerical.labels, numerical.groups)
+        categorical_only = random_dataset(rng, 1100, n_num=0, n_cat=3)
+        for d, cfg in ((numerical, CFG), (grid, CFG), (categorical_only, ComparabilityConfig(0.1, 1))):
+            expected = oracle_adjacency(d, cfg)
+            assert expected.any() and not expected.all()
+            got = build_comparability_graph(d, cfg)
+            assert np.array_equal(got.adjacency.toarray(), expected)
+            assert np.array_equal(got.degree, expected.sum(axis=1))
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(6)

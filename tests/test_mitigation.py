@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasaudit.attribution import BiasVector, attribute
+from biasaudit.attribution import Estimate, attribute
 from biasaudit.comparability import ComparabilityConfig
 from biasaudit.mitigation import (
     ClassBalanceTieError,
@@ -29,7 +29,7 @@ def bias_of(values, defined=None):
     values = np.asarray(values, dtype=float)
     if defined is None:
         defined = ~np.isnan(values)
-    return BiasVector(values=np.where(defined, values, np.nan), defined=defined)
+    return Estimate(values=np.where(defined, values, np.nan), defined=defined)
 
 
 class TestSelectEditSubgroup:
@@ -109,7 +109,7 @@ def mixup_fixture(n=40, seed=0):
     d = make_dataset(d.numericals, d.categoricals, labels, d.groups)
     raw = rng.random((n, n)) * 0.5 + 0.25
     q = SimilarityMatrix(matrix=(raw + raw.T) / 2, damping=0.1)
-    b = BiasVector(values=rng.random(n), defined=np.ones(n, dtype=bool))
+    b = Estimate(values=rng.random(n), defined=np.ones(n, dtype=bool))
     return d, q, b
 
 
@@ -186,7 +186,7 @@ class TestSynthesizeFairSamples:
 
     def test_all_zero_weights_rejected(self):
         d, q, b = mixup_fixture()
-        ones = BiasVector(values=np.ones(d.n), defined=np.ones(d.n, dtype=bool))
+        ones = Estimate(values=np.ones(d.n), defined=np.ones(d.n, dtype=bool))
         with pytest.raises(ValueError, match="weights"):
             synthesize_fair_samples(d, ones, q, m=3, rng_seed=0)
 
@@ -200,7 +200,7 @@ class TestSynthesizeFairSamples:
         q[0, 1] = q[1, 0] = 0.0
         np.fill_diagonal(q, 0.5)
         sim = SimilarityMatrix(matrix=q, damping=0.1)
-        b = BiasVector(values=np.zeros(6), defined=np.ones(6, dtype=bool))
+        b = Estimate(values=np.zeros(6), defined=np.ones(6, dtype=bool))
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)
 
@@ -211,7 +211,7 @@ class TestSynthesizeFairSamples:
         values = np.ones(d.n)  # weight 0 everywhere ...
         defined = np.ones(d.n, dtype=bool)
         defined[pool[0]] = False  # ... except one undefined candidate with weight 1
-        b = BiasVector(values=np.where(defined, values, np.nan), defined=defined)
+        b = Estimate(values=np.where(defined, values, np.nan), defined=defined)
         plan = synthesize_fair_samples(d, b, q, m=5, rng_seed=0)
         assert all(s.seed_index == pool[0] for s in plan.samples)
 

@@ -113,3 +113,17 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.weights, clf.weights)
     assert loaded.intercept == clf.intercept
     assert loaded.config == clf.config
+
+
+def test_load_accepts_old_files_with_a_seed_line(tmp_path):
+    path = tmp_path / "old_model.txt"
+    path.write_text("learning_rate = 0.2\nepochs = 50\nl2 = 0.001\nseed = 7\n"
+                    "intercept = 0.25\nweights = 1.0 -2.5\n", encoding="utf-8")
+    clf = load_classifier(path)
+    assert clf.config == TrainConfig(learning_rate=0.2, epochs=50, l2=1e-3)
+    assert clf.intercept == 0.25
+    assert clf.weights.tolist() == [1.0, -2.5]
+    resaved = tmp_path / "new_model.txt"
+    save_classifier(clf, resaved)
+    assert "seed" not in resaved.read_text(encoding="utf-8")
+    assert load_classifier(resaved).config == clf.config

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasaudit.attribution import BiasVector
+from biasaudit.attribution import Estimate
 from biasaudit.data import load_dataset, load_schema, save_dataset, save_schema
 from biasaudit.synth import (
     SynthConfig,
@@ -123,7 +123,7 @@ class TestDetectionAccuracy:
     @staticmethod
     def vector(values):
         values = np.asarray(values, dtype=float)
-        return BiasVector(values=values, defined=~np.isnan(values))
+        return Estimate(values=values, defined=~np.isnan(values))
 
     def test_exact_indicator_scores_one(self):
         truth = np.array([True, False, True, False])

@@ -75,7 +75,6 @@ from .model import (
     train_classifier,
 )
 from .similarity import (
-    NormalizedAdjacency,
     SimilarityMatrix,
     adjacency_similarity,
     rwr_proximity,

@@ -3,7 +3,9 @@
 Two samples are comparable when every numerical feature differs by at
 most ``t_r`` (inclusive, in normalized units) and at most ``t_d``
 categorical features differ. The graph over all comparable pairs is
-symmetric, boolean, and stored sparse with self-loops removed.
+symmetric, boolean, and stored sparse with self-loops removed. It is
+built in one forward sweep over the rows sorted on the first numerical
+feature, which tests each pair once.
 """
 
 from __future__ import annotations
@@ -76,12 +78,15 @@ def _check_normalized(numericals):
 def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> ComparabilityGraph:
     """Evaluate the predicate over all pairs and assemble the graph.
 
-    Rows are processed in blocks of `_BLOCK_ROWS` so the n x n comparison
-    never fully materializes. With numerical features, rows are sorted on
-    the first one and each block is only compared against the candidate
-    window whose gap on that feature can still satisfy t_r; the exact
-    predicate is applied inside the window. Without numerical features
-    every block is compared against all rows.
+    Rows are sorted on the first numerical feature (kept in input order
+    without numericals) and processed in blocks of `_BLOCK_ROWS`, so the
+    n x n comparison never fully materializes. Each block is compared only
+    with itself and the rows after it, so every pair is tested once, in
+    the block of its earlier row. With numerical features the forward
+    window ends where the gap on the sort key, computed by the same
+    subtraction as the predicate, exceeds t_r; the exact predicate is
+    applied inside the window. Without numerical features the window runs
+    to the last row.
     """
     _check_normalized(d.numericals)
     n = d.n
@@ -90,36 +95,30 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     order = np.argsort(d.numericals[:, 0], kind="stable") if n_r else np.arange(n)
     num = d.numericals[order]
     cat = d.categoricals[order]
-    key = num[:, 0] if n_r else None
 
     pairs_i, pairs_j = [], []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        if key is not None:
-            lo = int(np.searchsorted(key, key[start] - cfg.t_r, side="left"))
-            hi = int(np.searchsorted(key, key[stop - 1] + cfg.t_r, side="right"))
-        else:
-            lo, hi = 0, n
-        ok = np.ones((stop - start, hi - lo), dtype=bool)
+        hi = n
+        if n_r:
+            # rounding is monotone, so no later row outside this window is
+            # within t_r of any row of the block
+            gap = num[stop:, 0] - num[stop - 1, 0]
+            hi = stop + int(np.searchsorted(gap, cfg.t_r, side="right"))
+        ok = np.arange(start, stop)[:, None] < np.arange(start, hi)
         for f in range(n_r):
-            ok &= np.abs(num[start:stop, f][:, None] - num[None, lo:hi, f]) <= cfg.t_r
+            ok &= np.abs(num[start:stop, f][:, None] - num[None, start:hi, f]) <= cfg.t_r
         if n_d:
-            differing = np.zeros((stop - start, hi - lo), dtype=np.int32)
+            differing = np.zeros((stop - start, hi - start), dtype=np.int32)
             for f in range(n_d):
-                differing += cat[start:stop, f][:, None] != cat[None, lo:hi, f]
+                differing += cat[start:stop, f][:, None] != cat[None, start:hi, f]
             ok &= differing <= cfg.t_d
         bi, bj = np.nonzero(ok)
-        gi = order[bi + start]
-        gj = order[bj + lo]
-        keep = gi < gj  # store each pair once; mirrored below
-        pairs_i.append(gi[keep])
-        pairs_j.append(gj[keep])
+        pairs_i.append(order[bi + start])
+        pairs_j.append(order[bj + start])
 
     i = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=int)
     j = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=int)
-    # a pair can surface from both endpoints' windows
-    unique = np.unique(i * n + j)
-    i, j = unique // n, unique % n
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     adjacency = sparse.csr_matrix(

@@ -75,10 +75,8 @@ def prediction_consistency(clf: Classifier, data) -> float:
     return float((labels == labels_flipped).mean())
 
 
-def entropy_index(benefits, alpha: int = 2) -> float:
+def entropy_index(benefits) -> float:
     """Generalized entropy of a nonnegative benefit vector (alpha = 2)."""
-    if alpha != 2:
-        raise ValueError("only alpha = 2 is supported")
     benefits = np.asarray(benefits, dtype=float)
     mu = benefits.mean()
     if mu == 0.0:
@@ -180,13 +178,13 @@ class EvaluationResult:
             fh.write(self.to_text())
 
 
-def evaluate_classifier(clf: Classifier, d: Dataset, eo_reduction: str = "mean") -> EvaluationResult:
+def evaluate_classifier(clf: Classifier, d: Dataset) -> EvaluationResult:
     """Score a trained classifier on a dataset across the full metric suite."""
     dm = encode_features(d)
     scores, labels = predict(clf, dm)
     acc, roc, ap = utility_metrics(scores, d.labels)
     try:
-        eo = equalized_odds(labels, d.labels, d.groups, reduction=eo_reduction)
+        eo = equalized_odds(labels, d.labels, d.groups)
     except ValueError:
         eo = float("nan")
     try:

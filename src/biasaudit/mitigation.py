@@ -145,6 +145,8 @@ def synthesize_fair_samples(
     probability lam and the target's otherwise. Synthetics inherit the
     seed's label and group.
     """
+    if m < 0:
+        raise ValueError("budget must be non-negative")
     if n_nb < 1:
         raise ValueError("neighborhood size must be at least 1")
     selector = select_edit_subgroup(d, "augmentation", tie_label)

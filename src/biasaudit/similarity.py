@@ -1,7 +1,7 @@
 """Global sample proximity from the comparability graph via random walk with restart.
 
-The graph adjacency A is symmetrically normalized,
-W = D^(-1/2) A D^(-1/2), and the proximity matrix solves
+The graph adjacency A is symmetrically normalized into a plain CSR
+matrix W = D^(-1/2) A D^(-1/2), and the proximity matrix solves
 
     Q = (1 - p) (I - p W)^(-1),
 
@@ -23,24 +23,11 @@ from .comparability import ComparabilityGraph
 
 
 @dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically normalized adjacency; rows of isolated vertices are zero."""
-
-    matrix: sparse.csr_matrix
-    degree: np.ndarray
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class SimilarityMatrix:
     """Proximity Q: a read-only dense array from the walk, or a CSR matrix
-    from the adjacency bypass (`damping` is None for the bypass)."""
+    from the adjacency bypass."""
 
     matrix: np.ndarray | sparse.csr_matrix
-    damping: float | None
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
@@ -60,17 +47,17 @@ class SimilarityMatrix:
         return block.toarray() if sparse.issparse(block) else block
 
 
-def symmetric_normalize(g: ComparabilityGraph) -> NormalizedAdjacency:
-    """Compute W = D^(-1/2) A D^(-1/2) with zero rows for degree-0 vertices."""
+def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
+    """Compute W = D^(-1/2) A D^(-1/2) as CSR, with zero rows for degree-0 vertices."""
     inv_sqrt = np.zeros(g.n)
     nonzero = g.degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(g.degree[nonzero])
     scale = sparse.diags(inv_sqrt)
     w = scale @ g.adjacency.astype(float) @ scale
-    return NormalizedAdjacency(matrix=w.tocsr(), degree=g.degree)
+    return w.tocsr()
 
 
-def rwr_proximity(w: NormalizedAdjacency, damping: float = 0.1) -> SimilarityMatrix:
+def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> SimilarityMatrix:
     """Solve Q = (1 - p)(I - p W)^(-1) for the damping factor p.
 
     W has spectral radius <= 1, so I - pW is symmetric positive definite
@@ -80,22 +67,22 @@ def rwr_proximity(w: NormalizedAdjacency, damping: float = 0.1) -> SimilarityMat
 
     Parameters
     ----------
-    w : NormalizedAdjacency
-        Symmetrically normalized graph; spectral radius <= 1.
+    w : sparse.csr_matrix
+        Symmetrically normalized adjacency; spectral radius <= 1.
     damping : float
         Walk continuation probability p, 0 <= p < 1. p = 0 gives Q = I.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    q = w.matrix.toarray(order="F")
+    q = w.toarray(order="F")
     q *= -damping
-    q[np.diag_indices(w.n)] += 1.0
+    q[np.diag_indices(w.shape[0])] += 1.0
     q = linalg.inv(q, overwrite_a=True, check_finite=False)
     q *= 1.0 - damping
     np.clip(q, 0.0, 1.0, out=q)
     # The system is symmetric, so Q is too; its transpose is a C-ordered
     # view of the same array, which keeps per-sample row reads contiguous.
-    return SimilarityMatrix(matrix=q.T, damping=damping)
+    return SimilarityMatrix(matrix=q.T)
 
 
 def adjacency_similarity(g: ComparabilityGraph) -> SimilarityMatrix:
@@ -111,4 +98,4 @@ def adjacency_similarity(g: ComparabilityGraph) -> SimilarityMatrix:
     nonzero = g.degree > 0
     inv_deg[nonzero] = 1.0 / g.degree[nonzero]
     q = sparse.diags(inv_deg) @ g.adjacency.astype(float)
-    return SimilarityMatrix(matrix=q.tocsr(), damping=None)
+    return SimilarityMatrix(matrix=q.tocsr())

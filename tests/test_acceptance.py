@@ -60,7 +60,7 @@ def random_graph_dataset(rng, n):
     raw = rng.random((n, n))
     q = (raw + raw.T) / 2
     np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, SimilarityMatrix(matrix=q, damping=0.5)
+    return d, SimilarityMatrix(matrix=q)
 
 
 def grid_scan_minimizer(weights, targets):
@@ -122,7 +122,7 @@ def test_criterion_3_rwr_backend_agreement():
         w = symmetric_normalize(g)
         for p in (0.1, 0.5, 0.9):
             q = rwr_proximity(w, damping=p).matrix
-            oracle = np.linalg.solve(np.eye(n) - p * w.matrix.toarray(), (1 - p) * np.eye(n))
+            oracle = np.linalg.solve(np.eye(n) - p * w.toarray(), (1 - p) * np.eye(n))
             worst = max(worst, float(np.abs(q - oracle).max()))
         q0 = rwr_proximity(w, damping=0.0).matrix
         assert np.array_equal(q0, np.eye(n))

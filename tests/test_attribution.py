@@ -21,7 +21,7 @@ from util import make_dataset, random_dataset
 
 
 def sim(matrix):
-    return SimilarityMatrix(matrix=np.asarray(matrix, dtype=float), damping=0.5)
+    return SimilarityMatrix(matrix=np.asarray(matrix, dtype=float))
 
 
 def path3_dataset(labels, groups):
@@ -288,7 +288,7 @@ class TestAttributeEndToEnd:
         d = random_dataset(rng, 25)
         cfg = ComparabilityConfig(0.4, 2)
         report = attribute(d, cfg)
-        w = symmetric_normalize(build_comparability_graph(d, cfg)).matrix.toarray()
+        w = symmetric_normalize(build_comparability_graph(d, cfg)).toarray()
         oracle = sim(np.linalg.solve(np.eye(d.n) - 0.1 * w, 0.9 * np.eye(d.n)))
         expected = estimate_bias(d, oracle, estimate_credibility(d, oracle))
         assert np.array_equal(report.bias.defined, expected.defined)
@@ -386,7 +386,7 @@ class TestBatchedKernel:
         raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
         qm = np.triu(raw) + np.triu(raw, 1).T
         c = Estimate(values=rng.choice([0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
-        for q in (sim(qm), SimilarityMatrix(matrix=sparse.csr_matrix(qm), damping=None)):
+        for q in (sim(qm), SimilarityMatrix(matrix=sparse.csr_matrix(qm))):
             for k in (1, 5, n):
                 defined, columns = _explanations(d, q, c, np.arange(n), k)
                 assert np.all(np.diff(columns[0]) >= 0)  # sorted by row

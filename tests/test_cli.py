@@ -255,6 +255,17 @@ class TestMitigate:
         assert captured.out == ""
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("strategy", ["rem", "aug"])
+    def test_negative_budget_exits_one_without_output(self, synth_inputs, tmp_path,
+                                                       capsys, strategy):
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", strategy, "--budget", "-5"])
+        assert code == 1
+        assert "budget must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_augmentation_deterministic(self, synth_inputs, tmp_path):
         data_path, schema_path, _, biased = synth_inputs
         outs = []

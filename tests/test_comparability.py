@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biasaudit import comparability
 from biasaudit.comparability import (
     ComparabilityConfig,
     build_comparability_graph,
@@ -11,6 +16,10 @@ from biasaudit.comparability import (
 from util import make_dataset, random_dataset
 
 CFG = ComparabilityConfig(t_r=0.1, t_d=2)
+
+# fl(B - A) == 0.1, yet B > fl(A + 0.1) and fl(B - 0.1) > A: a window bound
+# that adds or subtracts t_r on the sort key misses this pair.
+A, B = 0.017872895843332494, 0.1178728958433325
 
 
 def oracle_adjacency(d, cfg):
@@ -118,6 +127,43 @@ class TestBuildGraph:
             got = build_comparability_graph(d, cfg)
             assert np.array_equal(got.adjacency.toarray(), expected)
             assert np.array_equal(got.degree, expected.sum(axis=1))
+
+    def test_exact_threshold_pair_across_a_block_edge(self):
+        edge = comparability._BLOCK_ROWS
+        d = make_dataset(np.r_[np.zeros(edge - 1), A, B], [],
+                         np.zeros(edge + 1, dtype=int), np.zeros(edge + 1, dtype=int))
+        cfg = ComparabilityConfig(t_r=0.1, t_d=0)
+        assert is_comparable([A], [], [B], [], cfg)
+        g = build_comparability_graph(d, cfg)
+        assert g.adjacency[edge - 1, edge]
+        assert np.array_equal(g.adjacency.toarray(), oracle_adjacency(d, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_oracle_at_any_block_size(self, data):
+        # Grid values put ties and gaps at, just under and just over the
+        # thresholds; tiny blocks put block edges at every offset.
+        n = data.draw(st.integers(1, 20))
+        n_r = data.draw(st.integers(0, 3))
+        n_d = data.draw(st.integers(0 if n_r else 1, 3))  # a schema has a feature
+        grid = st.sampled_from([0.0, A, 0.1, B, 0.2, 0.3, 0.4, 1.0])
+        num = np.array(data.draw(st.lists(grid, min_size=n * n_r, max_size=n * n_r)))
+        num = num.reshape(n, n_r)
+        if n_r and data.draw(st.booleans()):
+            num[:, 0] = 0.5
+        cat = data.draw(st.lists(st.integers(0, 2), min_size=n * n_d, max_size=n * n_d))
+        cat = np.array(cat, dtype=int).reshape(n, n_d)
+        d = make_dataset(num, cat, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+        cfg = ComparabilityConfig(data.draw(st.sampled_from([0.1, 0.3])),
+                                  data.draw(st.integers(0, n_d + 1)))
+        block = data.draw(st.sampled_from([1, 3, 7, 512]))
+        with mock.patch.object(comparability, "_BLOCK_ROWS", block):
+            g = build_comparability_graph(d, cfg)
+        expected = np.array([[i != j and is_comparable(num[i], cat[i], num[j], cat[j], cfg)
+                              for j in range(n)] for i in range(n)])
+        assert np.array_equal(g.adjacency.toarray(), expected)
+        assert np.array_equal(g.degree, expected.sum(axis=1))
+        assert g.edge_count == expected.sum() // 2
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(6)

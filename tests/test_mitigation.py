@@ -108,7 +108,7 @@ def mixup_fixture(n=40, seed=0):
     labels[: n // 2] = 0  # make positives the minority
     d = make_dataset(d.numericals, d.categoricals, labels, d.groups)
     raw = rng.random((n, n)) * 0.5 + 0.25
-    q = SimilarityMatrix(matrix=(raw + raw.T) / 2, damping=0.1)
+    q = SimilarityMatrix(matrix=(raw + raw.T) / 2)
     b = Estimate(values=rng.random(n), defined=np.ones(n, dtype=bool))
     return d, q, b
 
@@ -184,6 +184,11 @@ class TestSynthesizeFairSamples:
         assert plan.samples == ()
         assert apply_plan(d, plan).equals(d)
 
+    def test_negative_budget_rejected(self):
+        d, q, b = mixup_fixture()
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            synthesize_fair_samples(d, b, q, m=-5, rng_seed=0)
+
     def test_all_zero_weights_rejected(self):
         d, q, b = mixup_fixture()
         ones = Estimate(values=np.ones(d.n), defined=np.ones(d.n, dtype=bool))
@@ -199,7 +204,7 @@ class TestSynthesizeFairSamples:
         q = np.full((6, 6), 0.2)
         q[0, 1] = q[1, 0] = 0.0
         np.fill_diagonal(q, 0.5)
-        sim = SimilarityMatrix(matrix=q, damping=0.1)
+        sim = SimilarityMatrix(matrix=q)
         b = Estimate(values=np.zeros(6), defined=np.ones(6, dtype=bool))
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)

@@ -30,19 +30,19 @@ def random_graph(rng, n, p_edge=0.1):
 
 class TestSymmetricNormalize:
     def test_path_graph_hand_values(self):
-        w = symmetric_normalize(PATH3).matrix.toarray()
+        w = symmetric_normalize(PATH3).toarray()
         assert w[0, 1] == pytest.approx(0.7071067811865475, abs=1e-12)
         assert w[0, 2] == 0.0
         assert np.allclose(w, w.T)
 
     def test_complete_graph_k3(self):
-        w = symmetric_normalize(K3).matrix.toarray()
+        w = symmetric_normalize(K3).toarray()
         off = w[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.5)
 
     def test_isolated_vertex_zero_row(self):
         g = graph_from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        w = symmetric_normalize(g).matrix.toarray()
+        w = symmetric_normalize(g).toarray()
         assert np.array_equal(w[2], np.zeros(3))
         assert np.array_equal(w[:, 2], np.zeros(3))
 
@@ -67,7 +67,7 @@ class TestRwrProximity:
         w = symmetric_normalize(g)
         p = 0.37
         q = rwr_proximity(w, damping=p).matrix
-        oracle = (1 - p) * np.linalg.inv(np.eye(30) - p * w.matrix.toarray())
+        oracle = (1 - p) * np.linalg.inv(np.eye(30) - p * w.toarray())
         assert np.abs(q - oracle).max() < 1e-10
 
     def test_isolated_vertex_rows(self):
@@ -82,7 +82,7 @@ class TestRwrProximity:
             g = random_graph(rng, 80, 0.08)
             w = symmetric_normalize(g)
             q = rwr_proximity(w, damping=p).matrix
-            oracle = np.linalg.solve(np.eye(80) - p * w.matrix.toarray(), (1 - p) * np.eye(80))
+            oracle = np.linalg.solve(np.eye(80) - p * w.toarray(), (1 - p) * np.eye(80))
             assert np.abs(q - oracle).max() < 1e-8
 
     def test_entries_in_unit_interval_and_diagonal_floor(self):
@@ -125,9 +125,6 @@ class TestAdjacencySimilarity:
         g = graph_from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         q = adjacency_similarity(g).matrix.toarray()
         assert np.array_equal(q[2], np.zeros(3))
-
-    def test_damping_marked_absent(self):
-        assert adjacency_similarity(PATH3).damping is None
 
     def test_stays_sparse_with_the_graph_entries(self):
         rng = np.random.default_rng(5)

@@ -15,15 +15,12 @@ from biasaudit import (
     RemovalPlan,
     apply_plan,
     attribute,
-    build_comparability_graph,
     encode_features,
     evaluate_classifier,
     generate_base,
     inject_group_bias,
     plan_removal,
-    rwr_proximity,
     stratified_split,
-    symmetric_normalize,
     synthesize_fair_samples,
     train_classifier,
 )
@@ -52,9 +49,6 @@ comparability = ComparabilityConfig(t_r=0.1, t_d=2)
 report = attribute(train, comparability, damping=0.1, top_k=0)
 budget = int(truth[train_idx].sum())
 
-graph = build_comparability_graph(train, comparability)
-proximity = rwr_proximity(symmetric_normalize(graph), damping=0.1)
-
 
 def evaluate(train_set, label):
     clf = train_classifier(encode_features(train_set), train_set.labels)
@@ -77,7 +71,7 @@ ctrl_idx = tuple(int(i) for i in np.sort(rng.choice(train.n, size=budget, replac
 evaluate(apply_plan(train, RemovalPlan(indices=ctrl_idx, budget=budget)), "random removal")
 
 # augmentation: mixup synthetics seeded from low-bias minority samples
-augmentation = synthesize_fair_samples(train, report.bias, proximity,
+augmentation = synthesize_fair_samples(train, report.bias, report.similarity,
                                        m=budget, n_nb=5, rng_seed=0)
 evaluate(apply_plan(train, augmentation), "mixup augmentation")
 

@@ -22,7 +22,6 @@ from .comparability import (
     ComparabilityConfig,
     ComparabilityGraph,
     build_comparability_graph,
-    export_edges,
     is_comparable,
 )
 from .data import (
@@ -59,7 +58,6 @@ from .mitigation import (
     AugmentationPlan,
     ClassBalanceTieError,
     RemovalPlan,
-    SubgroupSelector,
     apply_plan,
     plan_removal,
     select_edit_subgroup,
@@ -68,10 +66,7 @@ from .mitigation import (
 )
 from .model import (
     Classifier,
-    TrainConfig,
-    load_classifier,
     predict,
-    save_classifier,
     train_classifier,
 )
 from .similarity import (

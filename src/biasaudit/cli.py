@@ -203,7 +203,6 @@ def _add_common(parser):
                         help="walk continuation probability (default 0.1)")
     parser.add_argument("--similarity", choices=("rwr", "adjacency"), default="rwr")
     parser.add_argument("--topk", type=int, default=5, help="explanations per sample")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mit.add_argument("--strategy", choices=("rem", "aug"), required=True)
     p_mit.add_argument("--budget", type=int, required=True, help="samples to remove or add")
     p_mit.add_argument("--neighbors", type=int, default=5, help="mixup neighborhood size")
+    p_mit.add_argument("--seed", type=int, default=0, help="split, mixup and control seed")
     p_mit.add_argument("--control", choices=("none", "random"), default="none",
                        help="also evaluate a random-removal control at the same budget")
     p_mit.add_argument("--tie-label", type=int, choices=(0, 1), default=None, dest="tie_label",

@@ -126,11 +126,3 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     )
     degree = np.asarray(adjacency.sum(axis=1)).ravel().astype(int)
     return ComparabilityGraph(n=n, adjacency=adjacency, degree=degree)
-
-
-def export_edges(g: ComparabilityGraph, path) -> None:
-    """Write the edge list as '<i> <j>' lines, 0-based, each edge once."""
-    coo = sparse.triu(g.adjacency, k=1).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in zip(coo.row, coo.col):
-            fh.write(f"{i} {j}\n")

@@ -84,9 +84,9 @@ class Dataset:
         lab = np.asarray(self.labels, dtype=int)
         grp = np.asarray(self.groups, dtype=int)
         n = len(lab)
-        if num.size == 0:
+        if num.size == 0 and num.shape != (n, len(self.schema.numerical_names)):
             num = num.reshape(n, 0)
-        if cat.size == 0:
+        if cat.size == 0 and cat.shape != (n, len(self.schema.categorical_names)):
             cat = cat.reshape(n, 0)
         if not (num.shape[0] == cat.shape[0] == len(grp) == n):
             raise ValidationError("column lengths disagree")
@@ -169,23 +169,19 @@ class NormalizationParams:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense model-input matrix with column provenance.
+    """Dense model-input matrix.
 
-    `columns` holds one descriptor per matrix column:
-    ("num", feature), ("cat", feature, category_token), or ("group", name).
     `group_col` is the index of the sensitive-attribute column, or None
     when the matrix was built without it.
     """
 
     matrix: np.ndarray
-    columns: tuple
     group_col: int | None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "columns", tuple(self.columns))
 
 
 def _map_binary(tokens, declared_one, column, path):
@@ -194,6 +190,10 @@ def _map_binary(tokens, declared_one, column, path):
         if len(distinct) > 2:
             raise ValidationError(
                 f"{path}: column {column!r} has {len(distinct)} distinct values, expected binary"
+            )
+        if declared_one not in distinct:
+            raise ValidationError(
+                f"{path}: declared token {declared_one!r} never appears in column {column!r}"
             )
         return np.array([1 if t == declared_one else 0 for t in tokens], dtype=int)
     out = np.empty(len(tokens), dtype=int)
@@ -387,19 +387,15 @@ def encode_features(d: Dataset, include_group: bool = True) -> DesignMatrix:
     column when `include_group` is set.
     """
     blocks = [d.numericals]
-    columns = [("num", name) for name in d.schema.numerical_names]
-    for j, name in enumerate(d.schema.categorical_names):
-        k = len(d.category_levels[j])
-        onehot = np.zeros((d.n, k))
+    for j in range(d.n_categorical):
+        onehot = np.zeros((d.n, len(d.category_levels[j])))
         onehot[np.arange(d.n), d.categoricals[:, j]] = 1.0
         blocks.append(onehot)
-        columns += [("cat", name, tok) for tok in d.category_levels[j]]
     group_col = None
     if include_group:
         blocks.append(d.groups.reshape(-1, 1).astype(float))
         group_col = sum(b.shape[1] for b in blocks) - 1
-        columns.append(("group", d.schema.group_name))
-    return DesignMatrix(np.hstack(blocks), columns, group_col)
+    return DesignMatrix(np.hstack(blocks), group_col)
 
 
 def stratified_split(d: Dataset, seed: int, folds: int = 5):

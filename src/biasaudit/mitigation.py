@@ -6,6 +6,9 @@ synthetic samples built by neighborhood mixup between low-bias seeds of
 the (minority label, group) cell and their most similar same-group
 same-label neighbors. Both directions counter class imbalance at the
 same time as unfairness.
+
+Plans are columns: the removed indices, or the synthetic rows as one
+`Dataset` with the seed, target and lam arrays they were mixed from.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ class ClassBalanceTieError(ValueError):
 
 
 @dataclass(frozen=True)
-class SubgroupSelector:
-    target_label: int
-    target_group: int
-    strategy: str  # "removal" | "augmentation"
-
-
-@dataclass(frozen=True)
 class RemovalPlan:
     indices: tuple
     budget: int
@@ -41,25 +37,25 @@ class RemovalPlan:
             raise ValueError("removal indices must be unique")
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
-    numericals: tuple
-    categoricals: tuple
-    label: int
-    group: int
-    seed_index: int
-    target_index: int
-    lam: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationPlan:
-    samples: tuple
+    """The m synthetic rows as one `Dataset` in normalized units, plus
+    each row's provenance: its seed, its mixup target and its weight lam."""
+
+    rows: Dataset
+    seeds: np.ndarray
+    targets: np.ndarray
+    lams: np.ndarray
     budget: int
     n_neighbors: int
 
+    # perfbench/traced.py counts the synthetic rows as `len(plan.samples)`.
+    @property
+    def samples(self):
+        return self.seeds
 
-def select_edit_subgroup(d: Dataset, strategy: str, tie_label: int | None = None) -> SubgroupSelector:
+
+def select_edit_subgroup(d: Dataset, strategy: str, tie_label: int | None = None) -> tuple:
     """Pick the (label, group) cell to edit from the class distribution.
 
     Removal targets the majority label; if that is the positive class
@@ -79,16 +75,12 @@ def select_edit_subgroup(d: Dataset, strategy: str, tie_label: int | None = None
             raise ClassBalanceTieError(
                 "label counts are tied; pass an explicit tie_label override"
             )
-        target_label = int(tie_label)
+        label = int(tie_label)
     elif strategy == "removal":
-        target_label = 1 if n_pos > n_neg else 0
+        label = 1 if n_pos > n_neg else 0
     else:
-        target_label = 1 if n_pos < n_neg else 0
-    if strategy == "removal":
-        target_group = 1 if target_label == 1 else 0
-    else:
-        target_group = 0 if target_label == 1 else 1
-    return SubgroupSelector(target_label=target_label, target_group=target_group, strategy=strategy)
+        label = 1 if n_pos < n_neg else 0
+    return label, (label if strategy == "removal" else 1 - label)
 
 
 def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) -> RemovalPlan:
@@ -99,10 +91,8 @@ def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) 
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    selector = select_edit_subgroup(d, "removal", tie_label)
-    candidates = np.nonzero(
-        (d.labels == selector.target_label) & (d.groups == selector.target_group)
-    )[0]
+    label, group = select_edit_subgroup(d, "removal", tie_label)
+    candidates = np.nonzero((d.labels == label) & (d.groups == group))[0]
     scores = np.where(b.defined, b.values, 0.0)[candidates]
     order = np.lexsort((candidates, -scores))
     if k > len(candidates):
@@ -114,16 +104,18 @@ def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) 
     return RemovalPlan(indices=tuple(int(i) for i in chosen), budget=k)
 
 
-def mix_rows(d: Dataset, seed_idx: int, target_idx: int, lam: float, rng):
-    """Blend one seed/target row pair: linear on numericals, Bernoulli on categoricals.
+def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
+    """Blend seed/target row pairs: linear on numericals, a pick per categorical.
 
-    Each categorical feature takes the seed's value with probability
-    `lam`, so lam=1 reproduces the seed exactly and lam=0 the target.
+    Row r is lams[r] * seed + (1 - lams[r]) * target on the numericals
+    and takes the seed's value of categorical f where take_seed[r, f]
+    holds, the target's otherwise. Label and group come from the seed.
     """
-    numericals = lam * d.numericals[seed_idx] + (1.0 - lam) * d.numericals[target_idx]
-    take_seed = rng.random(d.n_categorical) < lam
-    categoricals = np.where(take_seed, d.categoricals[seed_idx], d.categoricals[target_idx])
-    return numericals, categoricals
+    lam = np.asarray(lams, dtype=float).reshape(-1, 1)
+    numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
+    categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])
+    return Dataset(d.schema, numericals, categoricals, d.labels[seeds], d.groups[seeds],
+                   d.category_levels)
 
 
 def synthesize_fair_samples(
@@ -149,8 +141,8 @@ def synthesize_fair_samples(
         raise ValueError("budget must be non-negative")
     if n_nb < 1:
         raise ValueError("neighborhood size must be at least 1")
-    selector = select_edit_subgroup(d, "augmentation", tie_label)
-    same_cell = (d.labels == selector.target_label) & (d.groups == selector.target_group)
+    label, group = select_edit_subgroup(d, "augmentation", tie_label)
+    same_cell = (d.labels == label) & (d.groups == group)
     pool = np.flatnonzero(same_cell)
     if len(pool) == 0:
         raise ValueError("augmentation candidate pool is empty")
@@ -163,8 +155,6 @@ def synthesize_fair_samples(
         mask = same_cell & (sims > 0.0)
         mask[seed_idx] = False
         nbrs = np.nonzero(mask)[0]
-        if len(nbrs) == 0:
-            return nbrs
         order = np.lexsort((nbrs, -sims[nbrs]))
         return nbrs[order][:n_nb]
 
@@ -173,9 +163,10 @@ def synthesize_fair_samples(
 
     rng = np.random.default_rng(rng_seed)
     prob = weights / weights.sum()
-    samples = []
+    seeds, targets, lams = [], [], []
+    take_seed = np.zeros((m, d.n_categorical), dtype=bool)
     attempts = 0
-    while len(samples) < m:
+    while len(seeds) < m:
         attempts += 1
         if attempts > max(1000, 100 * m):
             raise RuntimeError("seed resampling did not terminate")
@@ -187,21 +178,13 @@ def synthesize_fair_samples(
                 stacklevel=2,
             )
             continue
-        target_idx = int(nbrs[rng.integers(len(nbrs))])
-        lam = float(rng.uniform())
-        mixed_num, mixed_cat = mix_rows(d, seed_idx, target_idx, lam, rng)
-        samples.append(
-            SyntheticSample(
-                numericals=tuple(float(v) for v in mixed_num),
-                categoricals=tuple(int(v) for v in mixed_cat),
-                label=int(d.labels[seed_idx]),
-                group=int(d.groups[seed_idx]),
-                seed_index=seed_idx,
-                target_index=target_idx,
-                lam=lam,
-            )
-        )
-    return AugmentationPlan(samples=tuple(samples), budget=m, n_neighbors=n_nb)
+        targets.append(int(nbrs[rng.integers(len(nbrs))]))
+        lams.append(float(rng.uniform()))
+        take_seed[len(seeds)] = rng.random(d.n_categorical) < lams[-1]
+        seeds.append(seed_idx)
+    seeds, targets, lams = np.array(seeds, dtype=int), np.array(targets, dtype=int), np.array(lams)
+    return AugmentationPlan(rows=mix_rows(d, seeds, targets, lams, take_seed), seeds=seeds,
+                            targets=targets, lams=lams, budget=m, n_neighbors=n_nb)
 
 
 def apply_plan(d: Dataset, plan) -> Dataset:
@@ -214,16 +197,14 @@ def apply_plan(d: Dataset, plan) -> Dataset:
         keep[idx] = False
         return d.subset(np.nonzero(keep)[0])
     if isinstance(plan, AugmentationPlan):
-        for s in plan.samples:
-            if not (0 <= s.seed_index < d.n and 0 <= s.target_index < d.n):
-                raise IndexError("synthetic sample provenance index out of range")
-        if not plan.samples:
-            return d.subset(np.arange(d.n))
-        new_num = np.vstack([d.numericals] + [np.array(s.numericals).reshape(1, -1) for s in plan.samples])
-        new_cat = np.vstack([d.categoricals] + [np.array(s.categoricals, dtype=int).reshape(1, -1) for s in plan.samples]) if d.n_categorical else np.zeros((d.n + len(plan.samples), 0), dtype=int)
-        new_lab = np.concatenate([d.labels, [s.label for s in plan.samples]])
-        new_grp = np.concatenate([d.groups, [s.group for s in plan.samples]])
-        return Dataset(d.schema, new_num, new_cat, new_lab, new_grp, d.category_levels)
+        provenance = np.concatenate([plan.seeds, plan.targets])
+        if provenance.size and (provenance.min() < 0 or provenance.max() >= d.n):
+            raise IndexError("synthetic sample provenance index out of range")
+        r = plan.rows
+        return Dataset(d.schema, np.vstack([d.numericals, r.numericals]),
+                       np.vstack([d.categoricals, r.categoricals]),
+                       np.concatenate([d.labels, r.labels]),
+                       np.concatenate([d.groups, r.groups]), d.category_levels)
     raise TypeError(f"unknown plan type {type(plan).__name__}")
 
 
@@ -244,8 +225,10 @@ def write_plan(plan, d: Dataset, path) -> None:
         )
         fh.write(f"# augmentation plan\tbudget={plan.budget}\tneighbors={plan.n_neighbors}\n")
         fh.write("# " + ",".join(cols) + "\n")
-        for s in plan.samples:
-            row = [f"{v:.6f}" for v in s.numericals]
-            row += [d.category_levels[j][c] for j, c in enumerate(s.categoricals)]
-            row += [str(s.group), str(s.label), str(s.seed_index), str(s.target_index), f"{s.lam:.6f}"]
+        r = plan.rows
+        for i in range(r.n):
+            row = [f"{v:.6f}" for v in r.numericals[i]]
+            row += [d.category_levels[j][c] for j, c in enumerate(r.categoricals[i])]
+            row += [str(r.groups[i]), str(r.labels[i]), str(plan.seeds[i]),
+                    str(plan.targets[i]), f"{plan.lams[i]:.6f}"]
             fh.write(",".join(row) + "\n")

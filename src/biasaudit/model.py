@@ -1,4 +1,5 @@
-"""Deterministic logistic regression trained by full-batch gradient descent."""
+"""Deterministic logistic regression trained by full-batch gradient descent
+with the fixed step size, epoch count and L2 weight below."""
 
 from __future__ import annotations
 
@@ -9,19 +10,15 @@ from scipy.special import expit
 
 from .data import DesignMatrix
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2: float = 1e-4
+LEARNING_RATE = 0.1
+EPOCHS = 500
+L2 = 1e-4
 
 
 @dataclass(frozen=True)
 class Classifier:
     weights: np.ndarray
     intercept: float
-    config: TrainConfig
     loss_history: tuple
 
     def __post_init__(self):
@@ -45,11 +42,11 @@ def loss_and_gradient(w, b, X, y, l2):
     return loss, grad_w, grad_b
 
 
-def train_classifier(X, y, cfg: TrainConfig = TrainConfig()) -> Classifier:
+def train_classifier(X, y) -> Classifier:
     """Fit by full-batch gradient descent from zero initialization.
 
-    Deterministic given (X, y, cfg); the recorded loss history is
-    non-increasing for the default configuration.
+    Deterministic given (X, y); the recorded loss history is
+    non-increasing.
     """
     mat = _as_matrix(X)
     y = np.asarray(y, dtype=float)
@@ -60,13 +57,13 @@ def train_classifier(X, y, cfg: TrainConfig = TrainConfig()) -> Classifier:
     w = np.zeros(mat.shape[1])
     b = 0.0
     history = []
-    for _ in range(cfg.epochs):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, mat, y, cfg.l2)
+    for _ in range(EPOCHS):
+        loss, grad_w, grad_b = loss_and_gradient(w, b, mat, y, L2)
         history.append(loss)
-        w = w - cfg.learning_rate * grad_w
-        b = b - cfg.learning_rate * grad_b
-    history.append(loss_and_gradient(w, b, mat, y, cfg.l2)[0])
-    return Classifier(weights=w, intercept=float(b), config=cfg, loss_history=tuple(history))
+        w = w - LEARNING_RATE * grad_w
+        b = b - LEARNING_RATE * grad_b
+    history.append(loss_and_gradient(w, b, mat, y, L2)[0])
+    return Classifier(weights=w, intercept=float(b), loss_history=tuple(history))
 
 
 def predict(clf: Classifier, X):
@@ -78,32 +75,3 @@ def predict(clf: Classifier, X):
         )
     scores = expit(mat @ clf.weights + clf.intercept)
     return scores, (scores >= 0.5).astype(int)
-
-
-def save_classifier(clf: Classifier, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"learning_rate = {clf.config.learning_rate!r}\n")
-        fh.write(f"epochs = {clf.config.epochs}\n")
-        fh.write(f"l2 = {clf.config.l2!r}\n")
-        fh.write(f"intercept = {clf.intercept!r}\n")
-        fh.write("weights = " + " ".join(repr(float(v)) for v in clf.weights) + "\n")
-
-
-def load_classifier(path) -> Classifier:
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            entries[key.strip()] = value.strip()
-    cfg = TrainConfig(
-        learning_rate=float(entries["learning_rate"]),
-        epochs=int(entries["epochs"]),
-        l2=float(entries["l2"]),
-    )
-    weights = np.array([float(v) for v in entries["weights"].split()]) if entries["weights"] else np.zeros(0)
-    return Classifier(
-        weights=weights,
-        intercept=float(entries["intercept"]),
-        config=cfg,
-        loss_history=(),
-    )

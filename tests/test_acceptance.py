@@ -222,15 +222,13 @@ def test_criterion_6_augmentation_coherence():
     bias = estimate_bias(d, q, cred)
     minority_before = d.labels.mean()
     plan = synthesize_fair_samples(d, bias, q, m=30, n_nb=5, rng_seed=5)
-    box_ok = True
-    cat_ok = True
-    for s in plan.samples:
-        lo = np.minimum(d.numericals[s.seed_index], d.numericals[s.target_index])
-        hi = np.maximum(d.numericals[s.seed_index], d.numericals[s.target_index])
-        arr = np.array(s.numericals)
-        box_ok &= bool(((arr >= lo - 1e-12) & (arr <= hi + 1e-12)).all())
-        for f, v in enumerate(s.categoricals):
-            cat_ok &= v in (d.categoricals[s.seed_index, f], d.categoricals[s.target_index, f])
+    lo = np.minimum(d.numericals[plan.seeds], d.numericals[plan.targets])
+    hi = np.maximum(d.numericals[plan.seeds], d.numericals[plan.targets])
+    arr = plan.rows.numericals
+    box_ok = bool(((arr >= lo - 1e-12) & (arr <= hi + 1e-12)).all())
+    cat = plan.rows.categoricals
+    cat_ok = bool(((cat == d.categoricals[plan.seeds])
+                   | (cat == d.categoricals[plan.targets])).all())
     augmented = apply_plan(d, plan)
     balance_ok = augmented.labels.mean() > minority_before
     check(6, f"synthetics stay in the seed-target box ({box_ok}), categorical values come "

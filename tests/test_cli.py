@@ -101,6 +101,21 @@ class TestAttribute:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "bias_report.txt").exists()
 
+    def test_absent_declared_token_exits_one_without_output(self, tmp_path, capsys):
+        data_path = tmp_path / "census.csv"
+        data_path.write_text("x,sex,income\n0.0,Male,>50K\n0.01,Female,<=50K\n"
+                             "0.02,Male,<=50K\n0.03,Female,>50K\n", encoding="utf-8")
+        schema_path = tmp_path / "census_schema.txt"
+        schema_path.write_text("numerical = x\nlabel = income\ngroup = sex\n"
+                               "favorable = >50K\nprivileged = male\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["attribute", "--input", str(data_path), "--schema", str(schema_path),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'male'" in err and "'sex'" in err
+        assert not out.exists()
+
     def test_disconnected_groups_warns_and_succeeds(self, tmp_path, capsys):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.0,0,1\n0.01,0,0\n5.0,1,1\n5.01,1,0\n")
@@ -318,6 +333,19 @@ class TestMitigate:
                          "--out", str(tmp_path / "out"), "--strategy", "rem",
                          "--budget", "1", "--tr", "1.0", "--tie-label", "1"])
         assert code == 0
+
+
+def test_seed_is_a_mitigate_option_only(synth_inputs, tmp_path):
+    data_path, schema_path, _, _ = synth_inputs
+    files = ["--input", data_path, "--schema", schema_path]
+    for argv in (["attribute", *files, "--out", str(tmp_path / "att"), "--seed", "0"],
+                 ["explain", *files, "--index", "0", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code = main(["mitigate", *files, "--out", str(tmp_path / "mit"),
+                 "--strategy", "rem", "--budget", "0", "--seed", "0"])
+    assert code == 0
 
 
 def test_console_entry_point(tmp_path):

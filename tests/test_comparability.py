@@ -9,7 +9,6 @@ from biasaudit import comparability
 from biasaudit.comparability import (
     ComparabilityConfig,
     build_comparability_graph,
-    export_edges,
     is_comparable,
 )
 
@@ -183,13 +182,6 @@ class TestBuildGraph:
         d = make_dataset(np.zeros((3, 0)), [[0], [0], [1]], [0, 1, 0], [0, 1, 0])
         g = build_comparability_graph(d, ComparabilityConfig(t_r=0.1, t_d=0))
         assert g.degree[0] == 1 and g.degree[2] == 0
-
-    def test_export_edges(self, tmp_path):
-        d = make_dataset([0.0, 0.1, 0.2], [], [0, 1, 0], [0, 1, 0])
-        g = build_comparability_graph(d, CFG)
-        path = tmp_path / "edges.txt"
-        export_edges(g, path)
-        assert path.read_text().splitlines() == ["0 1", "1 2"]
 
 
 def test_config_validation():

@@ -89,6 +89,17 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="distinct"):
             load_dataset(f, schema)
 
+    @pytest.mark.parametrize("favorable, privileged, token, column", [
+        (">50K", "male", "male", "sex"), (">50k", "Male", ">50k", "income")])
+    def test_absent_declared_token_rejected(self, tmp_path, favorable, privileged,
+                                            token, column):
+        schema = FeatureSchema(("age",), (), "income", "sex",
+                               favorable=favorable, privileged=privileged)
+        f = write_csv(tmp_path / "d.csv",
+                      "age,sex,income\n30,Male,>50K\n40,Female,<=50K\n")
+        with pytest.raises(ValidationError, match=f"{token!r}.*{column!r}"):
+            load_dataset(f, schema)
+
     def test_save_load_round_trip(self, tmp_path):
         f = write_csv(tmp_path / "d.csv",
                       "age,job,sex,income\n1.5,A,0,1\n2.25,B,1,0\n3,A,0,1\n")
@@ -178,16 +189,12 @@ class TestEncodeFeatures:
         d = make_dataset(rng.random((30, 1)), rng.integers(0, 4, size=(30, 2)),
                          rng.integers(0, 2, 30), rng.integers(0, 2, 30))
         dm = encode_features(d)
-        for name in d.schema.categorical_names:
-            cols = [i for i, c in enumerate(dm.columns) if c[0] == "cat" and c[1] == name]
-            assert np.allclose(dm.matrix[:, cols].sum(axis=1), 1.0)
-
-    def test_column_metadata_covers_each_pair_once(self):
-        d = make_dataset([0.5, 0.1], [[0], [2]], [0, 1], [0, 1],
-                         levels=(("a", "b", "c"),))
-        dm = encode_features(d)
-        pairs = [c[1:] for c in dm.columns if c[0] == "cat"]
-        assert pairs == [("c0", "a"), ("c0", "b"), ("c0", "c")]
+        offset = d.n_numerical
+        for j in range(d.n_categorical):
+            block = dm.matrix[:, offset:offset + len(d.category_levels[j])]
+            assert np.allclose(block.sum(axis=1), 1.0)
+            assert np.array_equal(block[np.arange(d.n), d.categoricals[:, j]], np.ones(d.n))
+            offset += block.shape[1]
 
 
 class TestStratifiedSplit:

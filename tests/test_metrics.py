@@ -16,14 +16,14 @@ from biasaudit.metrics import (
     utility_metrics,
 )
 from biasaudit.metrics import _average_ranks
-from biasaudit.model import Classifier, TrainConfig, predict, train_classifier
+from biasaudit.model import Classifier, predict, train_classifier
 
 from util import make_dataset, random_dataset
 
 
 def clf_with(weights, intercept):
     return Classifier(weights=np.asarray(weights, dtype=float), intercept=float(intercept),
-                      config=TrainConfig(), loss_history=())
+                      loss_history=())
 
 
 class TestDemographicParity:

@@ -34,26 +34,21 @@ def bias_of(values, defined=None):
 
 class TestSelectEditSubgroup:
     def test_majority_positive_removal(self):
-        sel = select_edit_subgroup(labeled_dataset(0.7), "removal")
-        assert (sel.target_label, sel.target_group) == (1, 1)
+        assert select_edit_subgroup(labeled_dataset(0.7), "removal") == (1, 1)
 
     def test_minority_positive_augmentation(self):
-        sel = select_edit_subgroup(labeled_dataset(0.2), "augmentation")
-        assert (sel.target_label, sel.target_group) == (1, 0)
+        assert select_edit_subgroup(labeled_dataset(0.2), "augmentation") == (1, 0)
 
     def test_majority_negative_removal(self):
-        sel = select_edit_subgroup(labeled_dataset(0.2), "removal")
-        assert (sel.target_label, sel.target_group) == (0, 0)
+        assert select_edit_subgroup(labeled_dataset(0.2), "removal") == (0, 0)
 
     def test_minority_negative_augmentation(self):
-        sel = select_edit_subgroup(labeled_dataset(0.7), "augmentation")
-        assert (sel.target_label, sel.target_group) == (0, 1)
+        assert select_edit_subgroup(labeled_dataset(0.7), "augmentation") == (0, 1)
 
     def test_exact_tie_demands_override(self):
         with pytest.raises(ClassBalanceTieError, match="tie_label"):
             select_edit_subgroup(labeled_dataset(0.5), "removal")
-        sel = select_edit_subgroup(labeled_dataset(0.5), "removal", tie_label=1)
-        assert (sel.target_label, sel.target_group) == (1, 1)
+        assert select_edit_subgroup(labeled_dataset(0.5), "removal", tie_label=1) == (1, 1)
 
     def test_single_label_rejected(self):
         with pytest.raises(ValueError, match="both labels"):
@@ -79,8 +74,8 @@ class TestPlanRemoval:
         d = labeled_dataset(0.7)
         with pytest.warns(UserWarning, match="truncated"):
             plan = plan_removal(d, bias_of(np.zeros(10)), 50)
-        sel = select_edit_subgroup(d, "removal")
-        expected = ((d.labels == sel.target_label) & (d.groups == sel.target_group)).sum()
+        label, group = select_edit_subgroup(d, "removal")
+        expected = ((d.labels == label) & (d.groups == group)).sum()
         assert len(plan.indices) == expected
 
     def test_undefined_ranks_as_zero(self):
@@ -113,46 +108,50 @@ def mixup_fixture(n=40, seed=0):
     return d, q, b
 
 
+def mix_one(d, seed, target, lam, rng):
+    """One mixed row; each categorical takes the seed's value with probability lam."""
+    rows = mix_rows(d, [seed], [target], [lam], rng.random((1, d.n_categorical)) < lam)
+    return rows.numericals[0], rows.categoricals[0]
+
+
 class TestSynthesizeFairSamples:
     def test_budget_and_inheritance(self):
         d, q, b = mixup_fixture()
-        sel = select_edit_subgroup(d, "augmentation")
+        label, group = select_edit_subgroup(d, "augmentation")
         plan = synthesize_fair_samples(d, b, q, m=8, n_nb=5, rng_seed=1)
-        assert len(plan.samples) == 8
-        for s in plan.samples:
-            assert s.label == d.labels[s.seed_index] == sel.target_label
-            assert s.group == d.groups[s.seed_index] == sel.target_group
+        assert plan.rows.n == len(plan.seeds) == len(plan.targets) == len(plan.lams) == 8
+        assert np.array_equal(plan.rows.labels, d.labels[plan.seeds])
+        assert np.array_equal(plan.rows.groups, d.groups[plan.seeds])
+        assert (plan.rows.labels == label).all() and (plan.rows.groups == group).all()
 
     def test_numericals_inside_seed_target_box(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=20, rng_seed=2)
-        for s in plan.samples:
-            lo = np.minimum(d.numericals[s.seed_index], d.numericals[s.target_index])
-            hi = np.maximum(d.numericals[s.seed_index], d.numericals[s.target_index])
-            assert (np.array(s.numericals) >= lo - 1e-12).all()
-            assert (np.array(s.numericals) <= hi + 1e-12).all()
+        lo = np.minimum(d.numericals[plan.seeds], d.numericals[plan.targets])
+        hi = np.maximum(d.numericals[plan.seeds], d.numericals[plan.targets])
+        assert (plan.rows.numericals >= lo - 1e-12).all()
+        assert (plan.rows.numericals <= hi + 1e-12).all()
 
     def test_categoricals_from_seed_or_target(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=20, rng_seed=3)
-        for s in plan.samples:
-            for f, v in enumerate(s.categoricals):
-                assert v in (d.categoricals[s.seed_index, f], d.categoricals[s.target_index, f])
+        cat = plan.rows.categoricals
+        assert ((cat == d.categoricals[plan.seeds]) | (cat == d.categoricals[plan.targets])).all()
 
     def test_mixup_is_linear_interpolation(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=10, rng_seed=4)
-        for s in plan.samples:
-            expected = s.lam * d.numericals[s.seed_index] + (1 - s.lam) * d.numericals[s.target_index]
-            assert np.allclose(s.numericals, expected)
+        lam = plan.lams[:, None]
+        expected = lam * d.numericals[plan.seeds] + (1 - lam) * d.numericals[plan.targets]
+        assert np.allclose(plan.rows.numericals, expected)
 
     def test_mixup_endpoints(self):
         d, _, _ = mixup_fixture()
         rng = np.random.default_rng(0)
-        num, cat = mix_rows(d, 3, 7, 1.0, rng)  # lam=1: the seed exactly
+        num, cat = mix_one(d, 3, 7, 1.0, rng)  # lam=1: the seed exactly
         assert np.array_equal(num, d.numericals[3])
         assert np.array_equal(cat, d.categoricals[3])
-        num, cat = mix_rows(d, 3, 7, 0.0, rng)  # lam=0: the target exactly
+        num, cat = mix_one(d, 3, 7, 0.0, rng)  # lam=0: the target exactly
         assert np.array_equal(num, d.numericals[7])
         assert np.array_equal(cat, d.categoricals[7])
 
@@ -161,27 +160,29 @@ class TestSynthesizeFairSamples:
         rng = np.random.default_rng(1)
         # seed value 0.2, target 0.6 at lam=0.25 -> 0.25*0.2 + 0.75*0.6 = 0.5
         d2 = make_dataset([[0.2], [0.6]], [], [0, 1], [0, 1])
-        num, _ = mix_rows(d2, 0, 1, 0.25, rng)
+        num, _ = mix_one(d2, 0, 1, 0.25, rng)
         assert num[0] == pytest.approx(0.5)
 
     def test_target_is_same_group_same_label(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=15, rng_seed=5)
-        for s in plan.samples:
-            assert d.groups[s.target_index] == d.groups[s.seed_index]
-            assert d.labels[s.target_index] == d.labels[s.seed_index]
-            assert s.target_index != s.seed_index
+        assert np.array_equal(d.groups[plan.targets], d.groups[plan.seeds])
+        assert np.array_equal(d.labels[plan.targets], d.labels[plan.seeds])
+        assert (plan.targets != plan.seeds).all()
 
     def test_reproducible(self):
         d, q, b = mixup_fixture()
         p1 = synthesize_fair_samples(d, b, q, m=12, rng_seed=9)
         p2 = synthesize_fair_samples(d, b, q, m=12, rng_seed=9)
-        assert p1 == p2
+        assert p1.rows.equals(p2.rows)
+        for column in ("seeds", "targets", "lams"):
+            assert np.array_equal(getattr(p1, column), getattr(p2, column))
+        assert (p1.budget, p1.n_neighbors) == (p2.budget, p2.n_neighbors)
 
     def test_zero_budget_empty_plan(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=0, rng_seed=0)
-        assert plan.samples == ()
+        assert plan.rows.n == 0 and plan.seeds.size == 0
         assert apply_plan(d, plan).equals(d)
 
     def test_negative_budget_rejected(self):
@@ -211,14 +212,14 @@ class TestSynthesizeFairSamples:
 
     def test_undefined_bias_gets_full_weight(self):
         d, q, _ = mixup_fixture()
-        sel = select_edit_subgroup(d, "augmentation")
-        pool = np.nonzero((d.labels == sel.target_label) & (d.groups == sel.target_group))[0]
+        label, group = select_edit_subgroup(d, "augmentation")
+        pool = np.nonzero((d.labels == label) & (d.groups == group))[0]
         values = np.ones(d.n)  # weight 0 everywhere ...
         defined = np.ones(d.n, dtype=bool)
         defined[pool[0]] = False  # ... except one undefined candidate with weight 1
         b = Estimate(values=np.where(defined, values, np.nan), defined=defined)
         plan = synthesize_fair_samples(d, b, q, m=5, rng_seed=0)
-        assert all(s.seed_index == pool[0] for s in plan.samples)
+        assert (plan.seeds == pool[0]).all()
 
 
 class TestApplyPlan:
@@ -240,9 +241,8 @@ class TestApplyPlan:
         out = apply_plan(d, plan)
         assert out.n == 23
         assert np.array_equal(out.numericals[:20], d.numericals)
-        for offset, s in enumerate(plan.samples):
-            assert np.allclose(out.numericals[20 + offset], s.numericals)
-            assert out.labels[20 + offset] == s.label
+        assert np.allclose(out.numericals[20:], plan.rows.numericals)
+        assert np.array_equal(out.labels[20:], plan.rows.labels)
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(7)
@@ -250,10 +250,16 @@ class TestApplyPlan:
         with pytest.raises(IndexError):
             apply_plan(d, RemovalPlan(indices=(9,), budget=1))
 
+    def test_augmentation_provenance_out_of_range_rejected(self):
+        d, q, b = mixup_fixture(n=20)
+        plan = synthesize_fair_samples(d, b, q, m=3, rng_seed=7)
+        with pytest.raises(IndexError, match="provenance"):
+            apply_plan(d.subset(np.arange(int(plan.targets.max()))), plan)
+
     def test_removal_changes_only_selected_cell(self):
         d = labeled_dataset(0.7, n=20)
         b = bias_of(np.linspace(0, 1, 20))
-        sel = select_edit_subgroup(d, "removal")
+        cell = select_edit_subgroup(d, "removal")
         plan = plan_removal(d, b, 3)
         out = apply_plan(d, plan)
 
@@ -262,9 +268,8 @@ class TestApplyPlan:
                     for y in (0, 1) for s in (0, 1)}
 
         before, after = cell_counts(d), cell_counts(out)
-        for cell in before:
-            expected = before[cell] - (3 if cell == (sel.target_label, sel.target_group) else 0)
-            assert after[cell] == expected
+        for c in before:
+            assert after[c] == before[c] - (3 if c == cell else 0)
 
     def test_balance_direction(self):
         d = labeled_dataset(0.7, n=20)

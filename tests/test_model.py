@@ -3,11 +3,8 @@ import pytest
 
 from biasaudit.model import (
     Classifier,
-    TrainConfig,
-    load_classifier,
     loss_and_gradient,
     predict,
-    save_classifier,
     train_classifier,
 )
 
@@ -75,15 +72,13 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_weights_score_half_label_one(self):
-        clf = Classifier(weights=np.zeros(2), intercept=0.0,
-                         config=TrainConfig(), loss_history=())
+        clf = Classifier(weights=np.zeros(2), intercept=0.0, loss_history=())
         scores, labels = predict(clf, np.ones((3, 2)))
         assert np.allclose(scores, 0.5)
         assert np.array_equal(labels, [1, 1, 1])
 
     def test_monotone_in_positive_weight_feature(self):
-        clf = Classifier(weights=np.array([2.0]), intercept=-1.0,
-                         config=TrainConfig(), loss_history=())
+        clf = Classifier(weights=np.array([2.0]), intercept=-1.0, loss_history=())
         scores, _ = predict(clf, np.linspace(0, 1, 9).reshape(-1, 1))
         assert (np.diff(scores) > 0).all()
 
@@ -96,34 +91,6 @@ class TestPredict:
         assert (labels == y).mean() > 0.9
 
     def test_dimension_mismatch_rejected(self):
-        clf = Classifier(weights=np.zeros(3), intercept=0.0,
-                         config=TrainConfig(), loss_history=())
+        clf = Classifier(weights=np.zeros(3), intercept=0.0, loss_history=())
         with pytest.raises(ValueError, match="feature count"):
             predict(clf, np.zeros((2, 2)))
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(20, 3))
-    y = rng.integers(0, 2, size=20)
-    clf = train_classifier(X, y, TrainConfig(learning_rate=0.2, epochs=50, l2=1e-3))
-    path = tmp_path / "model.txt"
-    save_classifier(clf, path)
-    loaded = load_classifier(path)
-    assert np.array_equal(loaded.weights, clf.weights)
-    assert loaded.intercept == clf.intercept
-    assert loaded.config == clf.config
-
-
-def test_load_accepts_old_files_with_a_seed_line(tmp_path):
-    path = tmp_path / "old_model.txt"
-    path.write_text("learning_rate = 0.2\nepochs = 50\nl2 = 0.001\nseed = 7\n"
-                    "intercept = 0.25\nweights = 1.0 -2.5\n", encoding="utf-8")
-    clf = load_classifier(path)
-    assert clf.config == TrainConfig(learning_rate=0.2, epochs=50, l2=1e-3)
-    assert clf.intercept == 0.25
-    assert clf.weights.tolist() == [1.0, -2.5]
-    resaved = tmp_path / "new_model.txt"
-    save_classifier(clf, resaved)
-    assert "seed" not in resaved.read_text(encoding="utf-8")
-    assert load_classifier(resaved).config == clf.config

@@ -70,7 +70,7 @@ print(f"\ncomparability graph: {graph.edge_count} edges, degrees {graph.degree.t
 # ---------------------------------------------------------------------------
 proximity = rwr_proximity(symmetric_normalize(graph), damping=0.1)
 print("proximity of applicant 0 to the others:",
-      np.round(proximity.matrix[0], 3))
+      np.round(proximity.rows([0])[0], 3))
 
 # ---------------------------------------------------------------------------
 # Step 3: credibility and bias in one call. The denied protected

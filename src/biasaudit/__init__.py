@@ -70,7 +70,7 @@ from .model import (
     train_classifier,
 )
 from .similarity import (
-    SimilarityMatrix,
+    Proximity,
     adjacency_similarity,
     rwr_proximity,
     symmetric_normalize,

@@ -13,14 +13,14 @@ other-group samples carrying the opposite label:
 
 Both are the closed-form minimizers of the corresponding weighted local
 regressions on label indicators. Every sum runs over (group, label)
-cells, so both estimates read Q only through Q @ V, where V holds the
-four cell indicator columns (scaled by credibility for the bias). A
-zero denominator means there is no evidence to estimate from; the entry
-is flagged undefined rather than raised. Each defined bias value decomposes exactly into per-contributor
-shares, which are the explanation unit.
+cells, so both estimates are ratios within rows of Q @ V (`Proximity.apply`;
+a row factor of Q cancels), where V holds the four cell indicator columns
+(scaled by credibility for the bias). A zero denominator means there is no
+evidence to estimate from; the entry is flagged undefined rather than raised.
+Each defined bias value decomposes exactly into per-contributor shares.
 
 All explanations come from one batched ranking kernel. Candidate
-(row, contributor, share) triplets are read from the storage of Q: the
+(row, contributor, share) triplets are read from the rows of Q: the
 stored entries of a sparse Q, or blocks of dense rows cut to the
 other-group columns and shrunk to each row's k best by `np.partition`.
 One lexsort over (row, share descending, index ascending) then keeps
@@ -39,7 +39,7 @@ from scipy import sparse
 
 from .comparability import ComparabilityConfig, build_comparability_graph
 from .data import Dataset
-from .similarity import SimilarityMatrix, adjacency_similarity, rwr_proximity, symmetric_normalize
+from .similarity import Proximity, adjacency_similarity, rwr_proximity, symmetric_normalize
 
 BIAS_THRESHOLD = 0.5
 
@@ -88,7 +88,7 @@ class BiasReport:
     credibility: Estimate
     bias: Estimate
     explained: tuple
-    similarity: SimilarityMatrix = field(repr=False)
+    similarity: Proximity = field(repr=False)
 
     def explanations(self, i: int) -> tuple:
         """Sample i's top-k explanations; empty when its bias is undefined."""
@@ -116,17 +116,17 @@ class BiasReport:
             fh.write(self.to_text())
 
 
-def _cell_mass(d: Dataset, q: SimilarityMatrix, weight) -> np.ndarray:
-    """Q @ V: column 2*g + y is sample i's proximity mass on the cell (g, y),
-    each sample j counted with `weight` (a scalar or one value per sample)."""
+def _cell_mass(d: Dataset, q: Proximity, weight) -> np.ndarray:
+    """Q @ V (up to a row factor): column 2*g + y is sample i's mass on the
+    cell (g, y), each j counted with `weight` (a scalar or one per sample)."""
     v = np.zeros((d.n, 4))
     v[np.arange(d.n), 2 * d.groups + d.labels] = weight
-    return np.asarray(q.matrix @ v)
+    return q.apply(v)
 
 
-def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> Estimate:
+def estimate_credibility(d: Dataset, q: Proximity) -> Estimate:
     """Closed-form credibility over same-group proximity mass, self term included."""
-    if q.matrix.shape != (d.n, d.n):
+    if q.n != d.n:
         raise ValueError("similarity matrix does not match dataset size")
     mass = _cell_mass(d, q, 1.0)
     rows, cell = np.arange(d.n), 2 * d.groups
@@ -138,7 +138,7 @@ def estimate_credibility(d: Dataset, q: SimilarityMatrix) -> Estimate:
     return Estimate(values=values, defined=defined)
 
 
-def estimate_bias(d: Dataset, q: SimilarityMatrix, c: Estimate) -> Estimate:
+def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     """Closed-form bias over credibility-weighted other-group proximity mass.
 
     Undefined credibility entries contribute zero weight; a sample with
@@ -176,7 +176,7 @@ def _k_best_mask(key, k):
 
 def _stored_candidates(d, q, cred, rows, k):
     """Candidates from the stored entries of a sparse Q: every contributor."""
-    block = q.matrix[rows]
+    block = q.csr_rows(rows)
     row = np.repeat(rows, np.diff(block.indptr))
     col, sim = block.indices, block.data
     w = sim * cred[col]
@@ -215,7 +215,7 @@ def _dense_candidates(d, q, cred, rows, k):
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
-def _explanations(d: Dataset, q: SimilarityMatrix, c: Estimate, rows, k: int):
+def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
     """The batched kernel. Returns the rows of `rows` with credible
     other-group proximity mass, and the columns (row, index, contribution,
     credibility, similarity) of their top-k explanations, sorted by row."""
@@ -228,7 +228,7 @@ def _explanations(d: Dataset, q: SimilarityMatrix, c: Estimate, rows, k: int):
 
 
 def bias_contributions(
-    d: Dataset, q: SimilarityMatrix, c: Estimate, i: int, k: int
+    d: Dataset, q: Proximity, c: Estimate, i: int, k: int
 ) -> tuple:
     """Top-k contributors to sample i's bias, sorted by share descending.
 
@@ -254,13 +254,11 @@ def attribute(
     """Run the full attribution pipeline on a normalized dataset.
 
     Stages: comparability graph -> symmetric normalization -> proximity
-    (`similarity`="rwr" solves the walk exactly; "adjacency" uses the
-    row-normalized graph directly) -> credibility -> bias -> top-`top_k`
-    explanations of every defined sample (`top_k` <= 0 skips them).
-    The explanations of all defined samples come from one call of the
-    batched ranking kernel, whose cost follows the stored entries of Q.
-    The report keeps the proximity so later stages can reuse it.
-    Deterministic throughout.
+    ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
+    explanations of every defined sample (`top_k` <= 0 skips them) from one
+    call of the batched kernel, which reads every row of Q: it inverts the
+    walk, after the estimates, so they do not depend on `top_k`. The report
+    keeps Q for later stages. Deterministic throughout.
     """
     graph = build_comparability_graph(d, cfg)
     if similarity == "rwr":
@@ -273,6 +271,7 @@ def attribute(
     bias = estimate_bias(d, q, cred)
     explained = (np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 3
     if top_k > 0:
+        q = q.inverted()
         _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k)
     return BiasReport(groups=d.groups, labels=d.labels, credibility=cred, bias=bias,
                       explained=explained, similarity=q)

@@ -8,8 +8,8 @@ explain:   additionally 3 when the queried sample has no comparable
            other-group evidence.
 mitigate:  additionally 4 on an exact class tie without --tie-label.
 
-`mitigate --strategy aug` ranks mixup neighbours with the proximity
-that attribution already computed; the graph and Q are built once.
+Up to --damping 0.2 only `attribute --topk > 0` inverts the walk
+proximity Q; `explain` and `mitigate --strategy aug` solve the rows they read.
 All report files are written atomically (temp file then rename).
 """
 

@@ -13,6 +13,7 @@ Plans are columns: the removed indices, or the synthetic rows as one
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .attribution import Estimate
 from .data import Dataset
-from .similarity import SimilarityMatrix
+from .similarity import Proximity
 
 
 class ClassBalanceTieError(ValueError):
@@ -121,7 +122,7 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
 def synthesize_fair_samples(
     d: Dataset,
     b: Estimate,
-    q: SimilarityMatrix,
+    q: Proximity,
     m: int,
     n_nb: int = 5,
     rng_seed: int = 0,
@@ -135,7 +136,7 @@ def synthesize_fair_samples(
     same-group, same-label samples; numericals interpolate linearly with
     weight lam ~ U(0, 1), each categorical takes the seed's value with
     probability lam and the target's otherwise. Synthetics inherit the
-    seed's label and group.
+    seed's label and group. Q is read one row per distinct seed drawn.
     """
     if m < 0:
         raise ValueError("budget must be non-negative")
@@ -150,15 +151,16 @@ def synthesize_fair_samples(
     if weights.sum() <= 0.0:
         raise ValueError("all candidate weights are zero")
 
+    @functools.cache
     def neighbor_pool(seed_idx):
-        sims = q.rows([seed_idx])[0]
+        sims = q.rows([seed_idx], entrywise=False)[0]  # ranks the largest in under half the steps
         mask = same_cell & (sims > 0.0)
         mask[seed_idx] = False
         nbrs = np.nonzero(mask)[0]
         order = np.lexsort((nbrs, -sims[nbrs]))
         return nbrs[order][:n_nb]
 
-    if not any(len(neighbor_pool(s)) and w > 0 for s, w in zip(pool, weights)):
+    if not any(w > 0 and len(neighbor_pool(s)) for s, w in zip(pool.tolist(), weights)):
         raise ValueError("no candidate has a comparable same-group neighbor")
 
     rng = np.random.default_rng(rng_seed)

@@ -1,15 +1,16 @@
 """Global sample proximity from the comparability graph via random walk with restart.
 
 The graph adjacency A is symmetrically normalized into a plain CSR
-matrix W = D^(-1/2) A D^(-1/2), and the proximity matrix solves
+matrix W = D^(-1/2) A D^(-1/2), and the proximity matrix is
 
     Q = (1 - p) (I - p W)^(-1),
 
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
-mass on the diagonal and therefore more locality. I - pW is symmetric
-positive definite, so Q comes from one exact in-place inversion. A cheap
-bypass uses the row-normalized adjacency D^-1 A directly (no walk); it
-stays a sparse matrix, so it costs O(edges) memory rather than O(n^2).
+mass on the diagonal and therefore more locality. Q is an operator:
+up to p = 0.2 the walk solves `apply(V)` = Q @ V and `rows(idx)` on the
+sparse W; above it, or for every row, I - pW is inverted once. A cheap
+bypass uses the row-normalized adjacency D^-1 A directly (no walk); its
+`apply` leaves out the 1/degree row factor, which the estimates cancel.
 """
 
 from __future__ import annotations
@@ -21,30 +22,94 @@ from scipy import linalg, sparse
 
 from .comparability import ComparabilityGraph
 
+_TOL = 1e-14  # largest relative fixed-point update
+_WALK_MAX_DAMPING = 0.2  # above it ~150 solved rows (mitigate, n = 2,400) cost more than inverting
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Proximity Q: a read-only dense array from the walk, or a CSR matrix
-    from the adjacency bypass."""
 
-    matrix: np.ndarray | sparse.csr_matrix
+def _walk(w: sparse.csr_matrix, damping: float, b, entrywise: bool = True) -> np.ndarray:
+    """(1 - p)(I - pW)^(-1) B, B >= 0, by the fixed point X <- (1 - p)B + pWX, rising
+    as W >= 0 (p = 0 returns B). It stops once each entry's update is below `_TOL` of
+    the entry, so far, tiny entries are reached and accurate; with `entrywise=False`,
+    of the column's largest once the support is stable: fewer steps, ranks the largest."""
+    b = (1.0 - damping) * b
+    x, support = b, np.count_nonzero(b)
+    while True:
+        nxt = b + damping * (w @ x)
+        grown = np.count_nonzero(nxt)
+        ref = nxt if entrywise else nxt.max(axis=0, initial=0.0)
+        if grown == support and (nxt - x <= _TOL * ref).all():
+            return nxt
+        x, support = nxt, grown
+
+
+def _inverse(w: sparse.csr_matrix, damping: float) -> np.ndarray:
+    """Every row of Q by one exact in-place inversion of the SPD I - pW,
+    clipped to [0, 1]; the n x n result is the only dense allocation."""
+    q = w.toarray(order="F")
+    q *= -damping
+    q[np.diag_indices(w.shape[0])] += 1.0
+    q = linalg.inv(q, overwrite_a=True, check_finite=False)
+    q *= 1.0 - damping
+    np.clip(q, 0.0, 1.0, out=q)
+    return q.T  # Q is symmetric; the transpose is C-ordered, so rows read contiguously
+
+
+@dataclass(frozen=True, eq=False)
+class Proximity:
+    """Q as an operator. Either stored, Q = diag(scale) @ `matrix` (a read-only
+    dense array, or CSR: the bypass keeps its 0/1 adjacency, scale = 1/degree),
+    or the walk on `w` with `damping`, solved on demand until `inverted`."""
+
+    matrix: np.ndarray | sparse.csr_matrix | None = None
+    scale: np.ndarray | None = None
+    w: sparse.csr_matrix | None = None
+    damping: float = 0.0
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
-            mat = sparse.csr_matrix(self.matrix, dtype=float)
-        else:
-            mat = np.asarray(self.matrix, dtype=float)
-            mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+            object.__setattr__(self, "matrix", sparse.csr_matrix(self.matrix, dtype=float))
+        elif self.matrix is not None:
+            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+            self.matrix.setflags(write=False)
 
     @property
-    def n(self):
-        return self.matrix.shape[0]
+    def n(self) -> int:
+        return (self.w if self.matrix is None else self.matrix).shape[0]
 
-    def rows(self, idx) -> np.ndarray:
-        """Rows Q[idx] as a dense (len(idx), n) array."""
-        block = self.matrix[np.asarray(idx, dtype=int)]
-        return block.toarray() if sparse.issparse(block) else block
+    def apply(self, v) -> np.ndarray:
+        """Q @ V, for a stored Q without the row factor `scale`."""
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():
+            raise ValueError("V must be finite")
+        if self.matrix is not None:
+            return np.asarray(self.matrix @ v)
+        if (v < 0.0).any():  # by linearity, one walk per sign keeps every entry accurate
+            return self.apply(np.maximum(v, 0.0)) - self.apply(np.maximum(-v, 0.0))
+        return _walk(self.w, self.damping, v)
+
+    def csr_rows(self, idx) -> sparse.csr_matrix:
+        """Rows Q[idx] of a CSR `matrix`, with only its stored entries."""
+        block = self.matrix[idx]
+        if self.scale is not None:
+            block.data *= np.repeat(self.scale[idx], np.diff(block.indptr))
+        return block
+
+    def rows(self, idx, entrywise: bool = True) -> np.ndarray:
+        """Rows Q[idx] as a dense (len(idx), n) array; a solved row is
+        accurate in every entry, or with `entrywise=False` in its largest."""
+        idx = np.asarray(idx, dtype=int)
+        if self.matrix is None:
+            e = np.zeros((self.n, len(idx)))
+            e[idx, np.arange(len(idx))] = 1.0
+            return _walk(self.w, self.damping, e, entrywise).T  # Q is symmetric
+        if sparse.issparse(self.matrix):
+            return self.csr_rows(idx).toarray()
+        return self.matrix[idx] if self.scale is None else self.matrix[idx] * self.scale[idx, None]
+
+    def inverted(self) -> Proximity:
+        """Q with every row stored, for callers that read them all: the walk
+        inverted once, exactly; a stored Q as it is."""
+        return Proximity(matrix=_inverse(self.w, self.damping)) if self.matrix is None else self
 
 
 def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
@@ -57,45 +122,19 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
     return w.tocsr()
 
 
-def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> SimilarityMatrix:
-    """Solve Q = (1 - p)(I - p W)^(-1) for the damping factor p.
-
-    W has spectral radius <= 1, so I - pW is symmetric positive definite
-    and is inverted exactly, in place: the n x n result is the only dense
-    array the solve allocates. Entries are clipped to [0, 1] to remove
-    rounding outside the unit interval.
-
-    Parameters
-    ----------
-    w : sparse.csr_matrix
-        Symmetrically normalized adjacency; spectral radius <= 1.
-    damping : float
-        Walk continuation probability p, 0 <= p < 1. p = 0 gives Q = I.
-    """
+def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
+    """Q = (1 - p)(I - p W)^(-1) for W from `symmetric_normalize` (spectral
+    radius <= 1) and the damping factor p, 0 <= p < 1 (p = 0 gives Q = I):
+    up to p = 0.2 the walk, solved on demand, above it inverted once."""
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    q = w.toarray(order="F")
-    q *= -damping
-    q[np.diag_indices(w.shape[0])] += 1.0
-    q = linalg.inv(q, overwrite_a=True, check_finite=False)
-    q *= 1.0 - damping
-    np.clip(q, 0.0, 1.0, out=q)
-    # The system is symmetric, so Q is too; its transpose is a C-ordered
-    # view of the same array, which keeps per-sample row reads contiguous.
-    return SimilarityMatrix(matrix=q.T)
+    q = Proximity(w=w, damping=damping)
+    return q.inverted() if damping > _WALK_MAX_DAMPING else q
 
 
-def adjacency_similarity(g: ComparabilityGraph) -> SimilarityMatrix:
-    """Row-normalized adjacency D^-1 A as a similarity, bypassing the walk.
-
-    Intended for data large enough that solving for Q is not worth it:
-    the result stays CSR with exactly the graph's stored entries, so it
-    takes O(edges) memory and is never densified. Isolated vertices get
-    an all-zero row (their own diagonal included), so downstream
-    estimates may come back undefined for them.
-    """
-    inv_deg = np.zeros(g.n)
-    nonzero = g.degree > 0
-    inv_deg[nonzero] = 1.0 / g.degree[nonzero]
-    q = sparse.diags(inv_deg) @ g.adjacency.astype(float)
-    return SimilarityMatrix(matrix=q.tocsr())
+def adjacency_similarity(g: ComparabilityGraph) -> Proximity:
+    """Row-normalized adjacency D^-1 A, bypassing the walk, for data too large
+    to solve Q: the 0/1 adjacency stays CSR, O(edges) memory. Isolated vertices
+    get an all-zero row (diagonal included), so their estimates may be undefined."""
+    inv_deg = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)
+    return Proximity(matrix=g.adjacency, scale=inv_deg)

@@ -36,7 +36,7 @@ from biasaudit.mitigation import (
     synthesize_fair_samples,
 )
 from biasaudit.model import predict, train_classifier
-from biasaudit.similarity import SimilarityMatrix, rwr_proximity, symmetric_normalize
+from biasaudit.similarity import Proximity, rwr_proximity, symmetric_normalize
 from biasaudit.synth import (
     SynthConfig,
     detection_accuracy,
@@ -60,7 +60,7 @@ def random_graph_dataset(rng, n):
     raw = rng.random((n, n))
     q = (raw + raw.T) / 2
     np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, SimilarityMatrix(matrix=q)
+    return d, Proximity(matrix=q)
 
 
 def grid_scan_minimizer(weights, targets):
@@ -96,12 +96,12 @@ def test_criterion_2_closed_form_matches_grid_argmin():
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         for i in range(n):
-            w_cred = np.where(d.groups == d.groups[i], q.matrix[i], 0.0)
+            w_cred = np.where(d.groups == d.groups[i], q.rows([i])[0], 0.0)
             t_cred = (d.labels == d.labels[i]).astype(float)
             if w_cred.sum() > 0:
                 if abs(cred.values[i] - grid_scan_minimizer(w_cred, t_cred)) > 1e-3:
                     failures += 1
-            w_bias = np.where(d.groups != d.groups[i], q.matrix[i] * cred.values, 0.0)
+            w_bias = np.where(d.groups != d.groups[i], q.rows([i])[0] * cred.values, 0.0)
             t_bias = (d.labels != d.labels[i]).astype(float)
             if bias.defined[i]:
                 if abs(bias.values[i] - grid_scan_minimizer(w_bias, t_bias)) > 1e-3:
@@ -120,12 +120,15 @@ def test_criterion_3_rwr_backend_agreement():
         g = ComparabilityGraph(n=n, adjacency=sparse.csr_matrix(dense_adj),
                                degree=dense_adj.sum(axis=1).astype(int))
         w = symmetric_normalize(g)
+        every = np.arange(n)
         for p in (0.1, 0.5, 0.9):
-            q = rwr_proximity(w, damping=p).matrix
             oracle = np.linalg.solve(np.eye(n) - p * w.toarray(), (1 - p) * np.eye(n))
-            worst = max(worst, float(np.abs(q - oracle).max()))
-        q0 = rwr_proximity(w, damping=0.0).matrix
-        assert np.array_equal(q0, np.eye(n))
+            walk = Proximity(w=w, damping=p)  # solved at every damping, and inverted
+            for q in (walk.rows(every), walk.inverted().rows(every)):
+                worst = max(worst, float(np.abs(q - oracle).max()))
+        solved = rwr_proximity(w, damping=0.0)
+        for q0 in (solved.rows(every), solved.inverted().rows(every)):
+            assert np.array_equal(q0, np.eye(n))
     check(3, f"proximity agrees with the dense solve oracle within 1e-8 "
              f"(worst {worst:.2e}), damping 0 gives the identity exactly", worst < 1e-8)
 
@@ -142,12 +145,15 @@ def test_criterion_4_contribution_decomposition():
         q = rwr_proximity(symmetric_normalize(graph), damping=0.1)
         cred = estimate_credibility(data, q)
         bias = estimate_bias(data, q, cred)
-        for i in range(data.n):
-            if not bias.defined[i]:
-                continue
-            total = sum(e.contribution for e in bias_contributions(data, q, cred, i, data.n))
-            worst = max(worst, abs(total - bias.values[i]))
-            checked += 1
+        # the shares from solved rows, and from the inverse as `attribute` reads them
+        for rows_of in (q, q.inverted()):
+            for i in range(data.n):
+                if not bias.defined[i]:
+                    continue
+                total = sum(e.contribution
+                            for e in bias_contributions(data, rows_of, cred, i, data.n))
+                worst = max(worst, abs(total - bias.values[i]))
+                checked += 1
     for _ in range(10):
         d, q = random_graph_dataset(rng, 30)
         cred = estimate_credibility(d, q)

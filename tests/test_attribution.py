@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,14 @@ from biasaudit.attribution import (
     estimate_bias,
     estimate_credibility,
 )
-from biasaudit.comparability import ComparabilityConfig, build_comparability_graph
-from biasaudit.similarity import SimilarityMatrix, symmetric_normalize
+from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
+from biasaudit.similarity import Proximity, adjacency_similarity, symmetric_normalize
 
 from util import make_dataset, random_dataset
 
 
 def sim(matrix):
-    return SimilarityMatrix(matrix=np.asarray(matrix, dtype=float))
+    return Proximity(matrix=np.asarray(matrix, dtype=float))
 
 
 def path3_dataset(labels, groups):
@@ -80,12 +82,29 @@ class TestCredibility:
         assert np.isnan(c.values[0])
         assert c.defined[1]
 
+    @pytest.mark.parametrize("k, m", [(113, 3), (83, 5), (1, 1)])
+    def test_adjacency_credibility_is_correctly_rounded(self, k, m):
+        # a star: sample 0 has 128 same-group neighbours, k of them sharing
+        # its label, and m other-group ones, so its credibility is k/128
+        n = 1 + 128 + m
+        adj = sparse.lil_matrix((n, n), dtype=bool)
+        adj[0, 1:] = True
+        adj[1:, 0] = True
+        adj = adj.tocsr()
+        g = ComparabilityGraph(n=n, adjacency=adj,
+                               degree=np.asarray(adj.sum(axis=1)).ravel().astype(int))
+        groups = np.r_[0, np.zeros(128, int), np.ones(m, int)]
+        labels = np.r_[1, np.ones(k, int), np.zeros(128 - k + m, int)]
+        d = make_dataset(np.zeros(n), [], labels, groups)
+        c = estimate_credibility(d, adjacency_similarity(g))
+        assert Fraction(c.values[0]) == Fraction(k, 128)
+
     def test_matches_grid_argmin(self):
         rng = np.random.default_rng(0)
         d, q = random_instance(rng, 20)
         c = estimate_credibility(d, q)
         for i in range(d.n):
-            weights = np.where(d.groups == d.groups[i], q.matrix[i], 0.0)
+            weights = np.where(d.groups == d.groups[i], q.rows([i])[0], 0.0)
             targets = (d.labels == d.labels[i]).astype(float)
             assert abs(c.values[i] - grid_argmin(weights, targets)) <= 1e-3
 
@@ -133,7 +152,7 @@ class TestBias:
         b_zeroed = estimate_bias(d, q, Estimate(zeroed, np.ones(12, bool)))
         keep = np.array([k for k in range(12) if k != j])
         d_del = d.subset(keep)
-        q_del = sim(q.matrix[np.ix_(keep, keep)])
+        q_del = sim(q.rows(keep)[:, keep])
         b_del = estimate_bias(d_del, q_del, Estimate(cred[keep], np.ones(11, bool)))
         assert b_zeroed.values[0] == pytest.approx(b_del.values[0], abs=1e-12)
 
@@ -145,7 +164,7 @@ class TestBias:
         for i in range(d.n):
             if not b.defined[i]:
                 continue
-            weights = np.where(d.groups != d.groups[i], q.matrix[i] * c.values, 0.0)
+            weights = np.where(d.groups != d.groups[i], q.rows([i])[0] * c.values, 0.0)
             targets = (d.labels != d.labels[i]).astype(float)
             assert abs(b.values[i] - grid_argmin(weights, targets)) <= 1e-3
 
@@ -386,7 +405,7 @@ class TestBatchedKernel:
         raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
         qm = np.triu(raw) + np.triu(raw, 1).T
         c = Estimate(values=rng.choice([0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
-        for q in (sim(qm), SimilarityMatrix(matrix=sparse.csr_matrix(qm))):
+        for q in (sim(qm), Proximity(matrix=sparse.csr_matrix(qm))):
             for k in (1, 5, n):
                 defined, columns = _explanations(d, q, c, np.arange(n), k)
                 assert np.all(np.diff(columns[0]) >= 0)  # sorted by row

@@ -335,6 +335,40 @@ class TestMitigate:
         assert code == 0
 
 
+def test_only_explained_attribute_inverts_the_walk(synth_inputs, tmp_path, monkeypatch):
+    # Up to damping 0.2 the dense all-rows inversion is for `attribute
+    # --topk > 0` alone: everything else reads Q through solves on the sparse W.
+    from biasaudit import similarity
+
+    inverse = similarity._inverse
+
+    def refused(*args, **kwargs):
+        raise AssertionError("unexpected solver")
+
+    monkeypatch.setattr(similarity, "_inverse", refused)
+    data_path, schema_path, _, _ = synth_inputs
+    files = ["--input", data_path, "--schema", schema_path]
+    for argv in (["mitigate", *files, "--out", str(tmp_path / "mit"),
+                  "--strategy", "aug", "--budget", "5"],
+                 ["explain", *files, "--index", "3"],
+                 ["attribute", *files, "--out", str(tmp_path / "att0"), "--topk", "0"]):
+        assert main(argv) == 0
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "_inverse", counted)
+    assert main(["attribute", *files, "--out", str(tmp_path / "att5"), "--topk", "5"]) == 0
+    assert len(calls) == 1
+    # above damping 0.2 every command inverts once instead of walking
+    monkeypatch.setattr(similarity, "_walk", refused)
+    assert main(["explain", *files, "--index", "3", "--damping", "0.9"]) == 0
+    assert len(calls) == 2
+
+
 def test_seed_is_a_mitigate_option_only(synth_inputs, tmp_path):
     data_path, schema_path, _, _ = synth_inputs
     files = ["--input", data_path, "--schema", schema_path]
@@ -380,3 +414,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_sparse_solvers_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; "
+         "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

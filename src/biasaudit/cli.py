@@ -8,8 +8,9 @@ explain:   additionally 3 when the queried sample has no comparable
            other-group evidence.
 mitigate:  additionally 4 on an exact class tie without --tie-label.
 
-Up to --damping 0.2 only `attribute --topk > 0` inverts the walk
-proximity Q; `explain` and `mitigate --strategy aug` solve the rows they read.
+Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
+--topk > 0` solves its cross-group block once, and `explain` and `mitigate
+--strategy aug` solve the rows they read.
 All report files are written atomically (temp file then rename).
 """
 

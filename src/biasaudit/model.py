@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import DesignMatrix
 
@@ -33,6 +32,8 @@ def _as_matrix(X):
 
 def loss_and_gradient(w, b, X, y, l2):
     """L2-regularized mean cross-entropy and its gradient (intercept unpenalized)."""
+    from scipy.special import expit
+
     z = X @ w + b
     # log(1 + exp(z)) - y*z, computed stably
     loss = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w)
@@ -68,6 +69,8 @@ def train_classifier(X, y) -> Classifier:
 
 def predict(clf: Classifier, X):
     """Return (scores, hard labels); label 1 iff score >= 0.5."""
+    from scipy.special import expit
+
     mat = _as_matrix(X)
     if mat.shape[1] != len(clf.weights):
         raise ValueError(

@@ -8,9 +8,11 @@ matrix W = D^(-1/2) A D^(-1/2), and the proximity matrix is
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
 mass on the diagonal and therefore more locality. Q is an operator:
 up to p = 0.2 the walk solves `apply(V)` = Q @ V and `rows(idx)` on the
-sparse W; above it, or for every row, I - pW is inverted once. A cheap
-bypass uses the row-normalized adjacency D^-1 A directly (no walk); its
-`apply` leaves out the 1/degree row factor, which the estimates cancel.
+sparse W, and `cross_block` solves the block Q[G0, G1] between two groups
+once, by block Cholesky, without forming Q; above p = 0.2, I - pW is
+inverted once. A cheap bypass uses the row-normalized adjacency D^-1 A
+directly (no walk); its `apply` leaves out the 1/degree row factor, which
+the estimates cancel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 
 from .comparability import ComparabilityGraph
 
@@ -42,16 +44,55 @@ def _walk(w: sparse.csr_matrix, damping: float, b, entrywise: bool = True) -> np
         x, support = nxt, grown
 
 
+def _eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
+    """I - pW of a square block of W, dense and F-ordered for LAPACK."""
+    m = w.toarray(order="F")
+    m *= -damping
+    m[np.diag_indices(m.shape[0])] += 1.0
+    return m
+
+
 def _inverse(w: sparse.csr_matrix, damping: float) -> np.ndarray:
     """Every row of Q by one exact in-place inversion of the SPD I - pW,
     clipped to [0, 1]; the n x n result is the only dense allocation."""
-    q = w.toarray(order="F")
-    q *= -damping
-    q[np.diag_indices(w.shape[0])] += 1.0
-    q = linalg.inv(q, overwrite_a=True, check_finite=False)
+    from scipy import linalg
+
+    q = linalg.inv(_eye_minus(w, damping), overwrite_a=True, check_finite=False)
     q *= 1.0 - damping
     np.clip(q, 0.0, 1.0, out=q)
     return q.T  # Q is symmetric; the transpose is C-ordered, so rows read contiguously
+
+
+def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.ndarray:
+    """Q[first, ~first], exactly, by block elimination on the SPD M = I - pW
+    (eigenvalues in [1 - p, 1 + p]): M[first, first] = LL^T, Z = L^-1 pW[first, ~first],
+    the Schur complement S = M[~first, ~first] - Z^T Z = KK^T, and then
+    Q[first, ~first] = (1 - p) L^-T Z S^-1, clipped to [0, 1] as `_inverse` is.
+    About 0.7 n^3 flops against 2 n^3 for the inverse, fewer when the larger
+    side is eliminated first, as here. For two equal sides the peak is three
+    n/2 x n/2 arrays (L, Z, K), and the result is Z's."""
+    from scipy.linalg import blas, lapack
+
+    if np.count_nonzero(first) < len(first) / 2:
+        return _cross_block(w, damping, ~first).T
+    g0, g1 = np.flatnonzero(first), np.flatnonzero(~first)
+    if not len(g0) or not len(g1):
+        return np.zeros((len(g0), len(g1)))
+    top = w[g0]
+    chol_a, bad_a = lapack.dpotrf(_eye_minus(top[:, g0], damping), lower=1, clean=0,
+                                  overwrite_a=1)
+    z = blas.dtrsm(damping, chol_a, top[:, g1].toarray(order="F"), lower=1, overwrite_b=1)
+    s = blas.dsyrk(-1.0, z, beta=1.0, c=_eye_minus(w[g1][:, g1], damping), trans=1,
+                   lower=1, overwrite_c=1)
+    chol_s, bad_s = lapack.dpotrf(s, lower=1, clean=0, overwrite_a=1)
+    if bad_a or bad_s:
+        raise ValueError("I - pW is not positive definite")
+    x = blas.dtrsm(1.0, chol_a, z, lower=1, trans_a=1, overwrite_b=1)  # L^-T Z
+    del chol_a
+    x = blas.dtrsm(1.0, chol_s, x, side=1, lower=1, trans_a=1, overwrite_b=1)
+    x = blas.dtrsm(1.0 - damping, chol_s, x, side=1, lower=1, overwrite_b=1)
+    np.clip(x, 0.0, 1.0, out=x)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +146,11 @@ class Proximity:
         if sparse.issparse(self.matrix):
             return self.csr_rows(idx).toarray()
         return self.matrix[idx] if self.scale is None else self.matrix[idx] * self.scale[idx, None]
+
+    def cross_block(self, first) -> np.ndarray:
+        """Q[first, ~first] of the walk for a boolean mask `first`: every entry
+        between the two sides, solved at once without forming Q."""
+        return _cross_block(self.w, self.damping, np.asarray(first, dtype=bool))
 
     def inverted(self) -> Proximity:
         """Q with every row stored, for callers that read them all: the walk

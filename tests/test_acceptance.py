@@ -154,6 +154,13 @@ def test_criterion_4_contribution_decomposition():
                             for e in bias_contributions(data, rows_of, cred, i, data.n))
                 worst = max(worst, abs(total - bias.values[i]))
                 checked += 1
+        # every share `attribute` reports, read from the cross-group block
+        report = attribute(data, ComparabilityConfig(0.1, 2), damping=0.1, top_k=data.n)
+        totals = np.bincount(report.explained[0], weights=report.explained[2], minlength=data.n)
+        ok = report.bias.defined
+        assert np.array_equal(ok, bias.defined)
+        worst = max(worst, float(np.abs(totals[ok] - report.bias.values[ok]).max(initial=0.0)))
+        checked += int(ok.sum())
     for _ in range(10):
         d, q = random_graph_dataset(rng, 30)
         cred = estimate_credibility(d, q)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -16,8 +16,10 @@ from biasaudit.attribution import (
     estimate_bias,
     estimate_credibility,
 )
+from biasaudit import similarity as similarity_module
 from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
 from biasaudit.similarity import Proximity, adjacency_similarity, symmetric_normalize
+from biasaudit.synth import SynthConfig, generate_base, inject_individual_bias
 
 from util import make_dataset, random_dataset
 
@@ -313,6 +315,33 @@ class TestAttributeEndToEnd:
         assert np.array_equal(report.bias.defined, expected.defined)
         assert np.allclose(report.bias.values, expected.values, atol=1e-8, equal_nan=True)
 
+    @pytest.mark.parametrize("damping", [0.1, 0.5])  # the cross-group block; the stored inverse
+    def test_explanations_meet_the_dense_solve_contract(self, damping):
+        # Shares within 1e-9 of a dense solve's; indices as the solve ranks
+        # them wherever neighbouring shares differ by more than that.
+        cfg = SynthConfig(n_per_group=400, seed=1)
+        d = inject_individual_bias(generate_base(cfg), cfg)[0]
+        graph_cfg, k = ComparabilityConfig(0.1, 2), 5
+        report = attribute(d, graph_cfg, damping=damping, top_k=k)
+        w = symmetric_normalize(build_comparability_graph(d, graph_cfg)).toarray()
+        oracle = np.linalg.solve(np.eye(d.n) - damping * w, (1 - damping) * np.eye(d.n))
+        cred = estimate_credibility(d, sim(oracle))
+        assert np.array_equal(np.unique(report.explained[0]),
+                              np.flatnonzero(estimate_bias(d, sim(oracle), cred).defined))
+        pinned = 0
+        for i in np.unique(report.explained[0]):
+            want = reference_contributions(d, oracle, cred, i, d.n)
+            got = report.explanations(i)
+            assert len(got) == min(k, len(want))
+            shares = np.array([e[1] for e in want[:k + 1]])
+            assert np.abs(np.array([e.contribution for e in got]) - shares[:len(got)]).max() <= 1e-9
+            gaps = np.abs(np.diff(shares)) > 1e-9
+            apart = np.r_[True, gaps][:len(got)] & np.r_[gaps, True][:len(got)]
+            assert [e.index for e, a in zip(got, apart) if a] == \
+                [e[0] for e, a in zip(want, apart) if a]
+            pinned += apart.sum()
+        assert pinned > 0
+
 
 class TestReportSerialization:
     def test_line_format_and_rendering(self, tmp_path):
@@ -351,16 +380,32 @@ class TestReportSerialization:
 
 
 def reference_contributions(d, qm, c, i, k):
-    """Brute-force top-k of row i over one dense row; None when undefined."""
+    """Brute-force top-k of row i over its other-group entries of a dense
+    Q, the entries the kernel reads; None when undefined."""
     cred = np.where(c.defined, c.values, 0.0)
-    weights = np.where(d.groups != d.groups[i], qm[i] * cred, 0.0)
+    other = np.flatnonzero(d.groups != d.groups[i])
+    weights = qm[i, other] * cred[other]
     den = weights.sum()
     if den <= 0.0:
         return None
-    shares = np.where(d.labels != d.labels[i], weights, 0.0) / den
-    contributors = np.nonzero(weights > 0.0)[0]
+    shares = np.where(d.labels[other] != d.labels[i], weights, 0.0) / den
+    contributors = np.flatnonzero(weights > 0.0)
     top = contributors[np.lexsort((contributors, -shares[contributors]))][: max(k, 0)]
-    return [(int(j), float(shares[j]), float(cred[j]), float(qm[i, j])) for j in top]
+    return [(int(other[j]), float(shares[j]), float(cred[other[j]]), float(qm[i, other[j]]))
+            for j in top]
+
+
+def kernel_entries(d, q):
+    """Q as the batched kernel reads it in `attribute`: a walk's cross-group
+    block (the same-group entries left 0), or every row of a stored Q."""
+    if q.matrix is not None:
+        return q.rows(np.arange(d.n))
+    first = d.groups == 0
+    block = q.cross_block(first)
+    qm = np.zeros((d.n, d.n))
+    qm[np.ix_(first, ~first)] = block
+    qm[np.ix_(~first, first)] = block.T
+    return qm
 
 
 def assert_matches_reference(found, expected, exact):
@@ -382,14 +427,16 @@ grid_samples = st.lists(
 
 class TestBatchedKernel:
     @settings(max_examples=60, deadline=None)
-    @given(grid_samples, st.sampled_from(["rwr", "adjacency"]))
-    def test_attribute_matches_per_row_reference(self, rows, similarity):
+    @given(grid_samples, st.sampled_from(["rwr", "adjacency"]), st.sampled_from([0.1, 0.5]))
+    # a fancy-indexed column cut is F-ordered: its row sums took another order
+    @example([(0.0, 0, 0)] * 16 + [(0.0, 1, 0), (0.0, 1, 1)], "rwr", 0.5)
+    def test_attribute_matches_per_row_reference(self, rows, similarity, damping):
         x, s, y = (list(col) for col in zip(*rows))
         d = make_dataset(x, [], y, s)
         for k in (1, 5, d.n):
-            report = attribute(d, ComparabilityConfig(0.1, 2), damping=0.5, top_k=k,
+            report = attribute(d, ComparabilityConfig(0.1, 2), damping=damping, top_k=k,
                                similarity=similarity)
-            qm = report.similarity.rows(np.arange(d.n))
+            qm = kernel_entries(d, report.similarity)
             for i in range(d.n):
                 expected = reference_contributions(d, qm, report.credibility, i, k)
                 assert report.bias.defined[i] == (expected is not None)
@@ -423,6 +470,21 @@ class TestBatchedKernel:
                     # dyadic entries sum exactly in any order
                     assert_matches_reference(batched, expected, exact=True)
                     assert bias_contributions(d, q, c, i, k) == batched
+
+    def test_nothing_explained_solves_nothing(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("unexpected solve")
+
+        monkeypatch.setattr(similarity_module, "_cross_block", refused)
+        one_group = make_dataset([0.0, 0.05, 0.1], [], [0, 1, 1], [1, 1, 1])
+        apart = make_dataset([0.0, 0.05, 0.9, 0.95], [], [1, 0, 1, 0], [0, 0, 1, 1])
+        for d in (one_group, apart):
+            report = attribute(d, ComparabilityConfig(0.1, 2), damping=0.1, top_k=5)
+            assert not report.bias.defined.any()
+            assert all(len(col) == 0 for col in report.explained)
+        with pytest.raises(AssertionError, match="unexpected solve"):  # the patch is live
+            attribute(make_dataset([0.0, 0.05], [], [0, 1], [0, 1]), ComparabilityConfig(0.1, 2),
+                      damping=0.1, top_k=5)
 
     def test_adjacency_report_keeps_q_sparse(self):
         rng = np.random.default_rng(10)

@@ -335,17 +335,18 @@ class TestMitigate:
         assert code == 0
 
 
-def test_only_explained_attribute_inverts_the_walk(synth_inputs, tmp_path, monkeypatch):
-    # Up to damping 0.2 the dense all-rows inversion is for `attribute
-    # --topk > 0` alone: everything else reads Q through solves on the sparse W.
+def test_only_explained_attribute_factors_the_walk(synth_inputs, tmp_path, monkeypatch):
+    # Up to damping 0.2 nothing inverts Q, and only `attribute --topk > 0`
+    # factors the cross-group block, once: everything else solves on the sparse W.
     from biasaudit import similarity
 
-    inverse = similarity._inverse
+    inverse, cross_block = similarity._inverse, similarity._cross_block
 
     def refused(*args, **kwargs):
         raise AssertionError("unexpected solver")
 
     monkeypatch.setattr(similarity, "_inverse", refused)
+    monkeypatch.setattr(similarity, "_cross_block", refused)
     data_path, schema_path, _, _ = synth_inputs
     files = ["--input", data_path, "--schema", schema_path]
     for argv in (["mitigate", *files, "--out", str(tmp_path / "mit"),
@@ -356,17 +357,20 @@ def test_only_explained_attribute_inverts_the_walk(synth_inputs, tmp_path, monke
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inverse(*args, **kwargs)
+    def counted(solve):
+        def solver(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return solver
 
-    monkeypatch.setattr(similarity, "_inverse", counted)
+    monkeypatch.setattr(similarity, "_cross_block", counted(cross_block))
     assert main(["attribute", *files, "--out", str(tmp_path / "att5"), "--topk", "5"]) == 0
-    assert len(calls) == 1
+    assert calls == ["_cross_block"]
     # above damping 0.2 every command inverts once instead of walking
+    monkeypatch.setattr(similarity, "_inverse", counted(inverse))
     monkeypatch.setattr(similarity, "_walk", refused)
     assert main(["explain", *files, "--index", "3", "--damping", "0.9"]) == 0
-    assert len(calls) == 2
+    assert calls == ["_cross_block", "_inverse"]
 
 
 def test_seed_is_a_mitigate_option_only(synth_inputs, tmp_path):
@@ -428,6 +432,26 @@ def test_cli_import_leaves_sparse_solvers_unloaded():
         [sys.executable, "-c",
          "import sys, biasaudit.cli; "
          "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_dense_solvers_and_special_unloaded():
+    # scipy.linalg and scipy.special load only where they are used: the
+    # dense solves of Q and the classifier's logistic function.
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; "
+         "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 0, result.stderr

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from biasaudit.attribution import bias_contributions, estimate_bias, estimate_credibility
+from biasaudit.attribution import (
+    _explanations,
+    attribute,
+    bias_contributions,
+    estimate_bias,
+    estimate_credibility,
+)
 from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
 from biasaudit import similarity
 from biasaudit.similarity import (
@@ -210,6 +216,14 @@ class TestProximityOperator:
             assert np.array_equal(cred.defined, cred_oracle.defined)
             bias = estimate_bias(d, q, cred)
             assert np.array_equal(bias.defined, estimate_bias(d, exact, cred_oracle).defined)
+        # the cross-group block, also with one side empty; Q = I at p = 0
+        for first in (d.groups == 0, np.ones(g.n, dtype=bool)):
+            block = walk.cross_block(first)
+            want = oracle[np.ix_(first, ~first)]
+            assert block.shape == want.shape
+            assert np.abs(block - want).max(initial=0.0) <= 1e-8
+            assert np.array_equal(block > 0.0, want > 0.0)
+            assert p > 0.0 or not block.any()
 
         cred = estimate_credibility(d, walk)
         bias = estimate_bias(d, walk, cred)
@@ -254,6 +268,16 @@ class TestProximityOperator:
             for i in range(n):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, n))
                 assert abs(total - bias.values[i]) <= 1e-10
+        # every share from the cross-group block, and as `attribute` reports them
+        # (x = i / 64 with t_r = 1 / 64, exact in binary, builds the same path)
+        report = attribute(make_dataset(np.arange(n) / 64, [], labels, groups),
+                           ComparabilityConfig(1 / 64, 0), damping=p, top_k=n)
+        assert np.array_equal(report.bias.defined, bias.defined)
+        assert np.abs(report.bias.values - bias.values).max() <= 1e-10
+        for (rows, _, share, *_), values in (
+                (_explanations(d, q, cred, np.arange(n), n, block=True)[1], bias.values),
+                (report.explained, report.bias.values)):
+            assert np.abs(np.bincount(rows, weights=share, minlength=n) - values).max() <= 1e-10
 
     def test_signed_apply_matches_dense_oracle(self):
         rng = np.random.default_rng(11)

@@ -26,7 +26,6 @@ from .comparability import (
 )
 from .data import (
     Dataset,
-    DesignMatrix,
     FeatureSchema,
     NormalizationParams,
     ParseError,

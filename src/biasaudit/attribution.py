@@ -231,8 +231,9 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int, block: bo
     credibility, similarity) of their top-k explanations, sorted by row.
     `block` reads a walk's entries from one solve of its cross-group block,
     for callers that explain many rows."""
+    if k < 0:
+        raise ValueError("top_k must be non-negative")
     cred = np.where(c.defined, c.values, 0.0)
-    k = max(k, 0)
     rows = np.asarray(rows, dtype=int)
     if sparse.issparse(q.matrix):
         defined, row, col, share, sim = _stored_candidates(d, q, cred, rows)
@@ -250,8 +251,9 @@ def bias_contributions(
     A contributor is any other-group sample with positive weight
     c_j * Q[i, j]; over the full contributor list the shares sum to b_i
     exactly. Ties are broken by ascending sample index, and k beyond the
-    contributor count returns the full list. This is the one-row call of
-    the kernel that `attribute` runs over all samples at once.
+    contributor count returns the full list; a negative k is a ValueError.
+    This is the one-row call of the kernel that `attribute` runs over all
+    samples at once.
     """
     defined, columns = _explanations(d, q, c, [i], k)
     if not len(defined):
@@ -270,16 +272,19 @@ def attribute(
 
     Stages: comparability graph -> symmetric normalization -> proximity
     ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
-    explanations of every defined sample (`top_k` <= 0, or no defined
-    sample, skips them) from one call of the batched kernel. Under the walk
-    it reads the cross-group block Q[G0, G1], solved once after the
-    estimates, so they do not depend on `top_k`. The report keeps Q, the
-    operator, for later stages. Deterministic throughout.
+    explanations of every defined sample from one call of the batched
+    kernel (`top_k` = 0, or no defined sample, skips them; a negative
+    `top_k` is a ValueError). Under the walk it reads the cross-group block
+    Q[G0, G1], solved once after the estimates, so they do not depend on
+    `top_k`. The report keeps Q, the operator, for later stages.
+    Deterministic throughout.
 
     Explanation shares agree with those of a dense solve of Q within 1e-9;
     entries whose shares lie closer than that may come in either order, as
     any change of summation order can swap them.
     """
+    if top_k < 0:
+        raise ValueError("top_k must be non-negative")
     graph = build_comparability_graph(d, cfg)
     if similarity == "rwr":
         q = rwr_proximity(symmetric_normalize(graph), damping=damping)

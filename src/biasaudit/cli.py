@@ -11,7 +11,8 @@ mitigate:  additionally 4 on an exact class tie without --tie-label.
 Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
 --topk > 0` solves its cross-group block once, and `explain` and `mitigate
 --strategy aug` solve the rows they read.
-All report files are written atomically (temp file then rename).
+All report files are written atomically (temp file then rename), and
+`mitigate` computes every result, the control included, before the first.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def cmd_explain(args) -> int:
     i = args.index
     if not 0 <= i < dataset.n:
         raise ValueError(f"sample index {i} out of range")
+    if args.topk < 0:
+        raise ValueError("top_k must be non-negative")
     report, normalized, _ = _attribute_from_args(args, dataset, top_k=0)
     feature_names = list(dataset.schema.numerical_names) + list(dataset.schema.categorical_names)
     header = ["row", "index"] + feature_names + [
@@ -163,33 +166,28 @@ def cmd_mitigate(args) -> int:
         )
 
     edited = apply_plan(train, plan)
-    clf_before = train_classifier(encode_features(train), train.labels)
-    clf_after = train_classifier(encode_features(edited), edited.labels)
-    before = evaluate_classifier(clf_before, test)
-    after = evaluate_classifier(clf_after, test)
-
-    os.makedirs(args.out, exist_ok=True)
-    edited_raw = invert_normalization(edited, params)
-    _atomic_file(os.path.join(args.out, "edited_dataset.csv"),
-                 lambda p: save_dataset(edited_raw, p))
-    _atomic_file(os.path.join(args.out, "plan.txt"),
-                 lambda p: write_plan(plan, train, p))
-    _atomic_file(os.path.join(args.out, "metrics_before.txt"), before.write)
-    _atomic_file(os.path.join(args.out, "metrics_after.txt"), after.write)
-
+    train_sets = {"before": train, "after": edited}
     if args.control == "random":
         rng = np.random.default_rng(args.seed)
         size = min(args.budget, train.n)
         ctrl_idx = np.sort(rng.choice(train.n, size=size, replace=False))
         ctrl_plan = RemovalPlan(indices=tuple(int(i) for i in ctrl_idx), budget=args.budget)
-        ctrl_train = apply_plan(train, ctrl_plan)
-        clf_ctrl = train_classifier(encode_features(ctrl_train), ctrl_train.labels)
-        control = evaluate_classifier(clf_ctrl, test)
-        _atomic_file(os.path.join(args.out, "metrics_control.txt"), control.write)
+        train_sets["control"] = apply_plan(train, ctrl_plan)
+    results = {name: evaluate_classifier(train_classifier(encode_features(t), t.labels), test)
+               for name, t in train_sets.items()}
+    edited_raw = invert_normalization(edited, params)
+
+    os.makedirs(args.out, exist_ok=True)
+    _atomic_file(os.path.join(args.out, "edited_dataset.csv"),
+                 lambda p: save_dataset(edited_raw, p))
+    _atomic_file(os.path.join(args.out, "plan.txt"),
+                 lambda p: write_plan(plan, train, p))
+    for name, result in results.items():
+        _atomic_file(os.path.join(args.out, f"metrics_{name}.txt"), result.write)
 
     print(f"edited {train.n} -> {edited.n} training samples; reports in {args.out}")
-    print("before\t" + before.to_text().strip())
-    print("after\t" + after.to_text().strip())
+    print("before\t" + results["before"].to_text().strip())
+    print("after\t" + results["after"].to_text().strip())
     return 0
 
 

@@ -167,23 +167,6 @@ class NormalizationParams:
         object.__setattr__(self, "maxs", maxs)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Dense model-input matrix.
-
-    `group_col` is the index of the sensitive-attribute column, or None
-    when the matrix was built without it.
-    """
-
-    matrix: np.ndarray
-    group_col: int | None
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
 def _map_binary(tokens, declared_one, column, path):
     distinct = list(dict.fromkeys(tokens))
     if declared_one is not None:
@@ -379,23 +362,22 @@ def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     return Dataset(d.schema, raw, d.categoricals, d.labels, d.groups, d.category_levels)
 
 
-def encode_features(d: Dataset, include_group: bool = True) -> DesignMatrix:
-    """One-hot encode categoricals and assemble the model input matrix.
+def encode_features(d: Dataset) -> np.ndarray:
+    """One-hot encode categoricals and assemble the read-only model input matrix.
 
     Column order: numericals in schema order, then one one-hot block per
     categorical feature (category order = code order), then the group
-    column when `include_group` is set.
+    column last.
     """
     blocks = [d.numericals]
     for j in range(d.n_categorical):
         onehot = np.zeros((d.n, len(d.category_levels[j])))
         onehot[np.arange(d.n), d.categoricals[:, j]] = 1.0
         blocks.append(onehot)
-    group_col = None
-    if include_group:
-        blocks.append(d.groups.reshape(-1, 1).astype(float))
-        group_col = sum(b.shape[1] for b in blocks) - 1
-    return DesignMatrix(np.hstack(blocks), group_col)
+    blocks.append(d.groups.reshape(-1, 1).astype(float))
+    matrix = np.hstack(blocks)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def stratified_split(d: Dataset, seed: int, folds: int = 5):
@@ -409,28 +391,27 @@ def stratified_split(d: Dataset, seed: int, folds: int = 5):
     """
     if d.n < folds:
         raise ValidationError(f"need at least {folds} samples, got {d.n}")
-    strata_keys = [(int(y), int(s)) for y, s in zip(d.labels, d.groups)]
-    cells = {}
-    for i, key in enumerate(strata_keys):
-        cells.setdefault(key, []).append(i)
-    if any(0 < len(members) < folds for members in cells.values()):
+    cell = 2 * d.labels + d.groups
+    sizes = np.bincount(cell, minlength=4)
+    if ((sizes > 0) & (sizes < folds)).any():
         warnings.warn(
             "a (label, group) cell has fewer members than folds; "
             "degrading to label-only stratification",
             stacklevel=2,
         )
-        cells = {}
-        for i, y in enumerate(d.labels):
-            cells.setdefault(int(y), []).append(i)
+        cell = d.labels
+        sizes = np.bincount(cell)
 
+    # Each nonempty cell, in key order, is shuffled and dealt round-robin
+    # from fold 0.
     rng = np.random.default_rng(seed)
-    fold_members = [[] for _ in range(folds)]
-    for key in sorted(cells):
-        members = np.array(cells[key], dtype=int)
-        rng.shuffle(members)
-        for pos, idx in enumerate(members):
-            fold_members[pos % folds].append(int(idx))
-    fold_arrays = [np.array(sorted(m), dtype=int) for m in fold_members]
+    members = np.argsort(cell, kind="stable")
+    fold = np.empty(d.n, dtype=int)
+    for cell_members in np.split(members, np.cumsum(sizes)[:-1]):
+        if len(cell_members):
+            rng.shuffle(cell_members)
+            fold[cell_members] = np.arange(len(cell_members)) % folds
+    fold_arrays = [np.flatnonzero(fold == k) for k in range(folds)]
 
     partitions = []
     for k in range(folds):

@@ -1,19 +1,20 @@
 """Fairness and utility metrics for binary classifiers over two groups.
 
 Group fairness: demographic parity (positive-rate gap) and equalized
-odds (reduction over TPR/FPR gaps). Individual fairness: prediction
-consistency under flipping the sensitive input column. Both-at-once:
-generalized entropy of per-sample benefits. Utility: accuracy, ROC-AUC
-with half-credit ties, and average precision.
+odds (mean of the TPR and FPR gaps). Individual fairness: prediction
+consistency under flipping the group column, the last column of the
+`encode_features` matrix. Both-at-once: generalized entropy of
+per-sample benefits. Utility: accuracy, ROC-AUC with half-credit ties,
+and average precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, DesignMatrix, encode_features
+from .data import Dataset, encode_features
 from .model import Classifier, predict
 
 
@@ -29,48 +30,34 @@ def demographic_parity(pred_labels, groups) -> float:
     return float(abs(rate1 - rate0))
 
 
-def group_rates(pred_labels, true_labels, groups):
-    """Per-group (TPR, FPR); every (group, label) cell must be nonempty."""
+def equalized_odds(pred_labels, true_labels, groups) -> float:
+    """Mean of the absolute TPR and FPR gaps between the two groups; every
+    (group, label) cell must be nonempty."""
     pred_labels = np.asarray(pred_labels)
     true_labels = np.asarray(true_labels)
     groups = np.asarray(groups)
-    rates = {}
+    rates = np.empty((2, 2))  # positive prediction rate per [group, label]
     for g in (0, 1):
         for y in (0, 1):
-            if not ((groups == g) & (true_labels == y)).any():
+            cell = (groups == g) & (true_labels == y)
+            if not cell.any():
                 raise ValueError(f"empty (group={g}, label={y}) cell")
-        tpr = pred_labels[(groups == g) & (true_labels == 1)].mean()
-        fpr = pred_labels[(groups == g) & (true_labels == 0)].mean()
-        rates[g] = (float(tpr), float(fpr))
-    return rates
-
-
-def equalized_odds(pred_labels, true_labels, groups, reduction: str = "mean") -> float:
-    """Reduce the absolute TPR and FPR gaps; `reduction` is "mean" or "max"."""
-    rates = group_rates(pred_labels, true_labels, groups)
-    tpr_gap = abs(rates[1][0] - rates[0][0])
-    fpr_gap = abs(rates[1][1] - rates[0][1])
-    if reduction == "mean":
-        return (tpr_gap + fpr_gap) / 2.0
-    if reduction == "max":
-        return max(tpr_gap, fpr_gap)
-    raise ValueError(f"unknown reduction {reduction!r}")
+            rates[g, y] = pred_labels[cell].mean()
+    return float(np.abs(rates[1] - rates[0]).mean())
 
 
 def prediction_consistency(clf: Classifier, data) -> float:
     """Fraction of samples whose prediction survives flipping the group column.
 
-    `data` is a Dataset (encoded with the group column) or a
-    DesignMatrix that already contains one.
+    `data` is a Dataset or its `encode_features` matrix, whose last column
+    is the group.
     """
-    dm = encode_features(data) if isinstance(data, Dataset) else data
-    if dm.group_col is None:
-        raise ValueError("design matrix has no group column to flip")
-    if dm.matrix.shape[1] != len(clf.weights):
+    matrix = encode_features(data) if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    if matrix.shape[1] != len(clf.weights):
         raise ValueError("classifier was not trained with the group column")
-    _, labels = predict(clf, dm)
-    flipped = dm.matrix.copy()
-    flipped[:, dm.group_col] = 1.0 - flipped[:, dm.group_col]
+    _, labels = predict(clf, matrix)
+    flipped = matrix.copy()
+    flipped[:, -1] = 1.0 - flipped[:, -1]
     _, labels_flipped = predict(clf, flipped)
     return float((labels == labels_flipped).mean())
 
@@ -158,20 +145,12 @@ class EvaluationResult:
     pos_rate_protected: float
 
     def to_text(self) -> str:
-        fields = [
-            f"acc={self.acc:.6f}",
-            f"roc_auc={self.roc_auc:.6f}",
-            f"ap={self.ap:.6f}",
-            f"dp={self.dp:.6f}",
-            f"eo={self.eo:.6f}",
-            f"pc={self.pc:.6f}",
-            f"ge={self.ge:.6f}",
-            f"n_privileged={self.n_privileged}",
-            f"n_protected={self.n_protected}",
-            f"pos_rate_privileged={self.pos_rate_privileged:.6f}",
-            f"pos_rate_protected={self.pos_rate_protected:.6f}",
-        ]
-        return "\t".join(fields) + "\n"
+        """One line of tab-separated `name=value` pairs in field order;
+        floats with six decimals."""
+        return "\t".join(
+            f"{f.name}={format(getattr(self, f.name), '' if f.type == 'int' else '.6f')}"
+            for f in fields(self)
+        ) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -180,8 +159,8 @@ class EvaluationResult:
 
 def evaluate_classifier(clf: Classifier, d: Dataset) -> EvaluationResult:
     """Score a trained classifier on a dataset across the full metric suite."""
-    dm = encode_features(d)
-    scores, labels = predict(clf, dm)
+    matrix = encode_features(d)
+    scores, labels = predict(clf, matrix)
     acc, roc, ap = utility_metrics(scores, d.labels)
     try:
         eo = equalized_odds(labels, d.labels, d.groups)
@@ -197,7 +176,7 @@ def evaluate_classifier(clf: Classifier, d: Dataset) -> EvaluationResult:
         ap=ap,
         dp=dp,
         eo=eo,
-        pc=prediction_consistency(clf, dm),
+        pc=prediction_consistency(clf, matrix),
         ge=generalized_entropy(labels, d.labels),
         n_privileged=int((d.groups == 1).sum()),
         n_protected=int((d.groups == 0).sum()),

@@ -266,14 +266,14 @@ def test_criterion_7_metric_oracles():
         roc_ok &= abs(roc_auc(scores, labels) - oracle) <= 1e-12
 
     d = random_dataset(rng, 50, n_num=2, n_cat=1)
-    dm = encode_features(d)
-    clf = train_classifier(dm, d.labels)
+    matrix = encode_features(d)
+    clf = train_classifier(matrix, d.labels)
     pc = prediction_consistency(clf, d)
     unchanged = 0
     for i in range(d.n):
-        row = dm.matrix[i].copy()
+        row = matrix[i].copy()
         _, before = predict(clf, row.reshape(1, -1))
-        row[dm.group_col] = 1.0 - row[dm.group_col]
+        row[-1] = 1.0 - row[-1]
         _, after = predict(clf, row.reshape(1, -1))
         unchanged += int(before[0] == after[0])
     pc_ok = abs(pc - unchanged / d.n) <= 1e-12

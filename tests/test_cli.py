@@ -126,6 +126,17 @@ class TestAttribute:
         assert "undefined" in capsys.readouterr().err
         assert (out / "bias_report.txt").exists()
 
+    def test_negative_topk_exits_one_without_output(self, synth_inputs, tmp_path, capsys):
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["attribute", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--topk", "-3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-negative" in captured.err
+        assert captured.out == ""
+        assert not (out / "bias_report.txt").exists()
+
     def test_adjacency_similarity_variant(self, tmp_path):
         # identical rows -> complete graph; row-normalized bypass weighs the
         # four other-group rows (credibility 1/3 each) at 1/4 apiece, two of
@@ -221,6 +232,16 @@ class TestExplain:
         # one ranking call, over the one queried row
         assert ranked == ["bias_contributions", 1]
 
+    def test_negative_topk_exits_one_without_output(self, tmp_path, capsys):
+        data_path, schema_path = write_csv(
+            tmp_path, "x,s,y\n0.5,0,0\n0.5,1,1\n0.5,1,0\n")
+        code = main(["explain", "--input", data_path, "--schema", schema_path,
+                     "--index", "0", "--topk", "-3", "--tr", "1.0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-negative" in captured.err
+        assert captured.out == ""
+
     def test_index_out_of_range_exits_one(self, tmp_path):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.5,0,0\n0.5,1,1\n")
@@ -269,6 +290,21 @@ class TestMitigate:
         assert "error: " in captured.err and "metrics_control.txt" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*.tmp"))
+
+    def test_failed_control_training_leaves_no_output(self, synth_inputs, tmp_path, capsys):
+        # The random control removes every training row, so its model cannot
+        # be trained: no file may be written, the edited dataset included.
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="truncated"):
+            code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                         "--out", str(out), "--strategy", "rem", "--budget", "1000",
+                         "--control", "random"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: training labels contain a single class" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["rem", "aug"])
     def test_negative_budget_exits_one_without_output(self, synth_inputs, tmp_path,

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasaudit.data import (
     Dataset,
@@ -22,6 +26,36 @@ from util import make_dataset
 
 
 SCHEMA = FeatureSchema(("age",), ("job",), "income", "sex")
+
+
+def per_sample_split(d, seed, folds=5):
+    """Stratified k-fold built sample by sample with dicts and lists: the
+    oracle for `stratified_split`. Also returns whether it fell back to
+    label-only stratification."""
+    if d.n < folds:
+        raise ValidationError(f"need at least {folds} samples, got {d.n}")
+    cells = {}
+    for i, key in enumerate(zip(d.labels.tolist(), d.groups.tolist())):
+        cells.setdefault(key, []).append(i)
+    degraded = any(0 < len(members) < folds for members in cells.values())
+    if degraded:
+        cells = {}
+        for i, y in enumerate(d.labels.tolist()):
+            cells.setdefault(y, []).append(i)
+    rng = np.random.default_rng(seed)
+    fold_members = [[] for _ in range(folds)]
+    for key in sorted(cells):
+        members = np.array(cells[key], dtype=int)
+        rng.shuffle(members)
+        for pos, idx in enumerate(members):
+            fold_members[pos % folds].append(int(idx))
+    fold_arrays = [np.array(sorted(m), dtype=int) for m in fold_members]
+    partitions = []
+    for k in range(folds):
+        rest = [fold_arrays[j] for j in range(folds) if j not in (k, (k + 1) % folds)]
+        partitions.append((np.sort(np.concatenate(rest)), fold_arrays[(k + 1) % folds],
+                           fold_arrays[k]))
+    return partitions, degraded
 
 
 def write_csv(path, text):
@@ -164,34 +198,33 @@ class TestEncodeFeatures:
     def test_column_count(self):
         d = make_dataset([0.5, 0.1], [[1], [2]], [0, 1], [0, 1],
                          levels=(("a", "b", "c"),))
-        dm = encode_features(d)
-        assert dm.matrix.shape[1] == 1 + 3 + 1
+        matrix = encode_features(d)
+        assert matrix.shape[1] == 1 + 3 + 1
 
     def test_row_encoding(self):
         d = make_dataset([0.5], [[1]], [0], [0], levels=(("a", "b", "c"),))
-        dm = encode_features(d)
-        assert np.array_equal(dm.matrix[0], [0.5, 0, 1, 0, 0])
+        matrix = encode_features(d)
+        assert np.array_equal(matrix[0], [0.5, 0, 1, 0, 0])
 
     def test_no_categoricals(self):
         d = make_dataset([[0.5, 0.25]], [], [1], [1])
-        dm = encode_features(d)
-        assert dm.matrix.shape[1] == 2 + 1
-        assert dm.group_col == 2
+        matrix = encode_features(d)
+        assert matrix.shape[1] == 2 + 1
+        assert matrix[0, -1] == 1.0
 
-    def test_group_column_optional(self):
-        d = make_dataset([0.5], [[0]], [0], [1], levels=(("a",),))
-        dm = encode_features(d, include_group=False)
-        assert dm.group_col is None
-        assert dm.matrix.shape[1] == 2
+    def test_read_only(self):
+        matrix = encode_features(make_dataset([0.5], [], [0], [1]))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
     def test_onehot_blocks_sum_to_one(self):
         rng = np.random.default_rng(2)
         d = make_dataset(rng.random((30, 1)), rng.integers(0, 4, size=(30, 2)),
                          rng.integers(0, 2, 30), rng.integers(0, 2, 30))
-        dm = encode_features(d)
+        matrix = encode_features(d)
         offset = d.n_numerical
         for j in range(d.n_categorical):
-            block = dm.matrix[:, offset:offset + len(d.category_levels[j])]
+            block = matrix[:, offset:offset + len(d.category_levels[j])]
             assert np.allclose(block.sum(axis=1), 1.0)
             assert np.array_equal(block[np.arange(d.n), d.categoricals[:, j]], np.ones(d.n))
             offset += block.shape[1]
@@ -243,6 +276,31 @@ class TestStratifiedSplit:
         d = self.balanced(4)
         with pytest.raises(ValidationError):
             stratified_split(d, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=4, max_size=4),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 5]))
+    def test_matches_per_sample_reference(self, sizes, order_seed, seed, folds):
+        # sizes[2 * label + group] rows per (label, group) cell, in shuffled row order
+        cell = np.random.default_rng(order_seed).permutation(np.repeat(np.arange(4), sizes))
+        d = make_dataset(np.zeros(len(cell)), [], cell // 2, cell % 2)
+        if d.n < folds:
+            with pytest.raises(ValidationError):
+                per_sample_split(d, seed, folds)
+            with pytest.raises(ValidationError):
+                stratified_split(d, seed, folds)
+            return
+        expected, degraded = per_sample_split(d, seed, folds)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parts = stratified_split(d, seed, folds)
+        assert [str(w.message) for w in caught] == (
+            ["a (label, group) cell has fewer members than folds; "
+             "degrading to label-only stratification"] if degraded else [])
+        assert len(parts) == len(expected) == folds
+        for got, want in zip(parts, expected):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestDatasetInvariants:

@@ -1,12 +1,38 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from biasaudit.model import (
+    EPOCHS,
+    L2,
+    LEARNING_RATE,
     Classifier,
-    loss_and_gradient,
+    gradient,
     predict,
     train_classifier,
 )
+
+
+def loss(w, b, X, y, l2):
+    """L2-regularized mean cross-entropy; log(1 + exp(z)) - y*z, computed stably."""
+    z = X @ w + b
+    return np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w)
+
+
+def reference_descent(X, y):
+    """Gradient descent written out in full, recording the loss before every step
+    and after the last."""
+    w, b, history = np.zeros(X.shape[1]), 0.0, []
+    for _ in range(EPOCHS):
+        z = X @ w + b
+        history.append(loss(w, b, X, y, L2))
+        residual = expit(z) - y
+        grad_w = X.T @ residual / len(y) + L2 * w
+        grad_b = residual.mean()
+        w = w - LEARNING_RATE * grad_w
+        b = b - LEARNING_RATE * grad_b
+    history.append(loss(w, b, X, y, L2))
+    return w, b, np.array(history)
 
 
 class TestTraining:
@@ -31,17 +57,16 @@ class TestTraining:
         w = rng.normal(size=4)
         b = 0.3
         l2 = 1e-4
-        _, grad_w, grad_b = loss_and_gradient(w, b, X, y, l2)
+        grad_w, grad_b = gradient(w, b, X, y, l2)
         h = 1e-6
         for k in range(4):
             e = np.zeros(4)
             e[k] = h
-            hi = loss_and_gradient(w + e, b, X, y, l2)[0]
-            lo = loss_and_gradient(w - e, b, X, y, l2)[0]
+            hi = loss(w + e, b, X, y, l2)
+            lo = loss(w - e, b, X, y, l2)
             fd = (hi - lo) / (2 * h)
             assert abs(grad_w[k] - fd) <= 1e-5 * max(1.0, abs(fd))
-        fd_b = (loss_and_gradient(w, b + h, X, y, l2)[0]
-                - loss_and_gradient(w, b - h, X, y, l2)[0]) / (2 * h)
+        fd_b = (loss(w, b + h, X, y, l2) - loss(w, b - h, X, y, l2)) / (2 * h)
         assert abs(grad_b - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
 
     def test_deterministic_bitwise(self):
@@ -53,13 +78,17 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
-    def test_loss_non_increasing(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(50, 4))
-        y = rng.integers(0, 2, size=50)
-        clf = train_classifier(X, y)
-        hist = np.array(clf.loss_history)
-        assert (np.diff(hist) <= 1e-12).all()
+    def test_matches_reference_descent_with_non_increasing_loss(self):
+        for seed in (2, 7, 19):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(50, 4))
+            # noise labels, and separable ones whose weights keep growing
+            for y in (rng.integers(0, 2, size=50), (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)):
+                clf = train_classifier(X, y)
+                w, b, hist = reference_descent(X, y.astype(float))
+                assert np.array_equal(clf.weights, w)
+                assert clf.intercept == b
+                assert (np.diff(hist) <= 1e-12).all()
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single class"):
@@ -72,13 +101,13 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_weights_score_half_label_one(self):
-        clf = Classifier(weights=np.zeros(2), intercept=0.0, loss_history=())
+        clf = Classifier(weights=np.zeros(2), intercept=0.0)
         scores, labels = predict(clf, np.ones((3, 2)))
         assert np.allclose(scores, 0.5)
         assert np.array_equal(labels, [1, 1, 1])
 
     def test_monotone_in_positive_weight_feature(self):
-        clf = Classifier(weights=np.array([2.0]), intercept=-1.0, loss_history=())
+        clf = Classifier(weights=np.array([2.0]), intercept=-1.0)
         scores, _ = predict(clf, np.linspace(0, 1, 9).reshape(-1, 1))
         assert (np.diff(scores) > 0).all()
 
@@ -91,6 +120,6 @@ class TestPredict:
         assert (labels == y).mean() > 0.9
 
     def test_dimension_mismatch_rejected(self):
-        clf = Classifier(weights=np.zeros(3), intercept=0.0, loss_history=())
+        clf = Classifier(weights=np.zeros(3), intercept=0.0)
         with pytest.raises(ValueError, match="feature count"):
             predict(clf, np.zeros((2, 2)))

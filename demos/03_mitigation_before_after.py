@@ -8,6 +8,8 @@ cell, and appending mixup synthetics seeded from low-bias samples of
 the minority cell.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from biasaudit import (
@@ -24,7 +26,6 @@ from biasaudit import (
     synthesize_fair_samples,
     train_classifier,
 )
-from biasaudit.data import Dataset
 from biasaudit.synth import SynthConfig, reference_labels
 
 cfg = SynthConfig(n_per_group=500, group_shift=0.2, seed=0)
@@ -36,8 +37,7 @@ test = data.subset(test_idx)
 
 # grade fairness against the fair world: the reference rule the
 # generator used before injecting discrimination
-fair_test = Dataset(test.schema, test.numericals, test.categoricals,
-                    reference_labels(test, cfg), test.groups)
+fair_test = replace(test, labels=reference_labels(test, cfg))
 
 print(f"train {train.n} / test {test.n}; "
       f"{int(truth[train_idx].sum())} training samples carry injected bias")

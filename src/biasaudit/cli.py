@@ -7,6 +7,7 @@ attribute: 0 success, 1 I/O, schema or data error, or an invalid
 explain:   additionally 3 when the queried sample has no comparable
            other-group evidence.
 mitigate:  additionally 4 on an exact class tie without --tie-label.
+Any subcommand exits 2 on a usage error, e.g. --topk on `mitigate`.
 
 Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
 --topk > 0` solves its cross-group block once, and `explain` and `mitigate
@@ -72,7 +73,7 @@ def _load(args):
     return load_dataset(args.input, schema)
 
 
-def _attribute_from_args(args, dataset, top_k=None):
+def _attribute_from_args(args, dataset, top_k):
     cfg = ComparabilityConfig(t_r=args.tr, t_d=args.td)
     params = fit_normalization(dataset)
     normalized = apply_normalization(dataset, params)
@@ -80,14 +81,14 @@ def _attribute_from_args(args, dataset, top_k=None):
         normalized,
         cfg,
         damping=args.damping,
-        top_k=args.topk if top_k is None else top_k,
+        top_k=top_k,
         similarity=args.similarity,
     )
     return report, normalized, params
 
 
 def cmd_attribute(args) -> int:
-    report, _, _ = _attribute_from_args(args, _load(args))
+    report, _, _ = _attribute_from_args(args, _load(args), args.topk)
     out_path = os.path.join(args.out, "bias_report.txt")
     os.makedirs(args.out, exist_ok=True)
     text = report.to_text()
@@ -99,11 +100,12 @@ def cmd_attribute(args) -> int:
     return 0
 
 
-def _format_row(dataset, i):
-    feats = [format(v, ".6f") for v in dataset.numericals[i]]
-    feats += [dataset.category_levels[j][dataset.categoricals[i, j]]
-              for j in range(dataset.n_categorical)]
-    return feats
+def _format_row(dataset, tag, i, *scores):
+    """One `explain` line: tag, index, features, group, label, then the scores."""
+    cells = ([tag, str(i)] + [format(v, ".6f") for v in dataset.numericals[i]]
+             + dataset.subset([i]).decode_categoricals()[0].tolist()
+             + [str(dataset.groups[i]), str(dataset.labels[i]), *scores])
+    return "\t".join(cells)
 
 
 def cmd_explain(args) -> int:
@@ -114,37 +116,18 @@ def cmd_explain(args) -> int:
     if args.topk < 0:
         raise ValueError("top_k must be non-negative")
     report, normalized, _ = _attribute_from_args(args, dataset, top_k=0)
-    feature_names = list(dataset.schema.numerical_names) + list(dataset.schema.categorical_names)
-    header = ["row", "index"] + feature_names + [
-        dataset.schema.group_name, dataset.schema.label_name,
-        "bias/contrib", "credibility", "similarity",
-    ]
-    print("\t".join(header))
-    query_cells = (
-        ["query", str(i)]
-        + _format_row(dataset, i)
-        + [str(int(dataset.groups[i])), str(int(dataset.labels[i])),
-           f"{report.bias.values[i]:.6f}", "-", "-"]
-    )
-    print("\t".join(query_cells))
+    s = dataset.schema
+    print("\t".join(["row", "index", *s.numerical_names, *s.categorical_names, s.group_name,
+                     s.label_name, "bias/contrib", "credibility", "similarity"]))
+    print(_format_row(dataset, "query", i, f"{report.bias.values[i]:.6f}", "-", "-"))
     if not report.bias.defined[i]:
         print("no comparable other-group evidence", file=sys.stderr)
         return 3
     explanations = bias_contributions(
         normalized, report.similarity, report.credibility, i, args.topk)
     for rank, e in enumerate(explanations, start=1):
-        cells = (
-            [f"expl{rank}", str(e.index)]
-            + _format_row(dataset, e.index)
-            + [
-                str(int(dataset.groups[e.index])),
-                str(int(dataset.labels[e.index])),
-                f"{e.contribution:.6f}",
-                f"{e.credibility:.6f}",
-                f"{e.similarity:.6f}",
-            ]
-        )
-        print("\t".join(cells))
+        print(_format_row(dataset, f"expl{rank}", e.index, f"{e.contribution:.6f}",
+                          f"{e.credibility:.6f}", f"{e.similarity:.6f}"))
     return 0
 
 
@@ -169,7 +152,7 @@ def cmd_mitigate(args) -> int:
     train_sets = {"before": train, "after": edited}
     if args.control == "random":
         rng = np.random.default_rng(args.seed)
-        size = min(args.budget, train.n)
+        size = len(plan.indices) if args.strategy == "rem" else min(args.budget, train.n)
         ctrl_idx = np.sort(rng.choice(train.n, size=size, replace=False))
         ctrl_plan = RemovalPlan(indices=tuple(int(i) for i in ctrl_idx), budget=args.budget)
         train_sets["control"] = apply_plan(train, ctrl_plan)
@@ -181,7 +164,7 @@ def cmd_mitigate(args) -> int:
     _atomic_file(os.path.join(args.out, "edited_dataset.csv"),
                  lambda p: save_dataset(edited_raw, p))
     _atomic_file(os.path.join(args.out, "plan.txt"),
-                 lambda p: write_plan(plan, train, p))
+                 lambda p: write_plan(plan, p))
     for name, result in results.items():
         _atomic_file(os.path.join(args.out, f"metrics_{name}.txt"), result.write)
 
@@ -201,7 +184,6 @@ def _add_common(parser):
     parser.add_argument("--damping", type=float, default=0.1,
                         help="walk continuation probability (default 0.1)")
     parser.add_argument("--similarity", choices=("rwr", "adjacency"), default="rwr")
-    parser.add_argument("--topk", type=int, default=5, help="explanations per sample")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explain", help="print the top contributors to one sample's bias")
     _add_common(p_exp)
     p_exp.add_argument("--index", type=int, required=True, help="sample row to explain")
+    for p in (p_att, p_exp):
+        p.add_argument("--topk", type=int, default=5, help="explanations per sample")
     p_exp.set_defaults(func=cmd_explain)
 
     p_mit = sub.add_parser("mitigate", help="edit the training split and report before/after metrics")
@@ -229,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mit.add_argument("--neighbors", type=int, default=5, help="mixup neighborhood size")
     p_mit.add_argument("--seed", type=int, default=0, help="split, mixup and control seed")
     p_mit.add_argument("--control", choices=("none", "random"), default="none",
-                       help="also evaluate a random-removal control at the same budget")
+                       help="also evaluate a control that removes random rows: as many "
+                            "as the removal plan, or --budget under aug")
     p_mit.add_argument("--tie-label", type=int, choices=(0, 1), default=None, dest="tie_label",
                        help="target class override when label counts are exactly tied")
     p_mit.set_defaults(func=cmd_mitigate)

@@ -1,16 +1,20 @@
 """Tabular dataset loading, validation, normalization, encoding, and splitting.
 
 Datasets are immutable once constructed: every operation returns a new
-object. Numerical features are expected to be min-max scaled to [0, 1]
-before any graph or attribution step; `fit_normalization` /
-`apply_normalization` implement that scaling with train-only fitting.
+object, rebuilt with `dataclasses.replace`. Text is read and written a
+column at a time. Categorical, label and group cells share one token
+codec, and `save_dataset` writes each of those columns back in the
+tokens it was read from. Numerical features are expected to be min-max
+scaled to [0, 1] before any graph or attribution step;
+`fit_normalization` / `apply_normalization` implement that scaling with
+train-only fitting.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +68,9 @@ class Dataset:
 
     `category_levels[f][code]` is the original token of categorical
     feature f for integer code `code`; codes are assigned in first
-    appearance order when loading from text.
+    appearance order when loading from text. `label_tokens[code]` and
+    `group_tokens[code]` are the tokens the binary columns are written
+    back in.
     """
 
     schema: FeatureSchema
@@ -72,22 +78,18 @@ class Dataset:
     categoricals: np.ndarray
     labels: np.ndarray
     groups: np.ndarray
-    category_levels: tuple = field(default=None)
+    category_levels: tuple = None
+    label_tokens: tuple = ("0", "1")
+    group_tokens: tuple = ("0", "1")
 
     def __post_init__(self):
         num = np.asarray(self.numericals, dtype=float)
-        if num.ndim == 1 and num.size:
-            num = num.reshape(-1, 1)
         cat = np.asarray(self.categoricals, dtype=int)
-        if cat.ndim == 1 and cat.size:
-            cat = cat.reshape(-1, 1)
         lab = np.asarray(self.labels, dtype=int)
         grp = np.asarray(self.groups, dtype=int)
+        if num.ndim != 2 or cat.ndim != 2:
+            raise ValidationError("numerical and categorical columns must be 2-D arrays")
         n = len(lab)
-        if num.size == 0 and num.shape != (n, len(self.schema.numerical_names)):
-            num = num.reshape(n, 0)
-        if cat.size == 0 and cat.shape != (n, len(self.schema.categorical_names)):
-            cat = cat.reshape(n, 0)
         if not (num.shape[0] == cat.shape[0] == len(grp) == n):
             raise ValidationError("column lengths disagree")
         if num.shape[1] != len(self.schema.numerical_names):
@@ -97,21 +99,15 @@ class Dataset:
         for name, vec in ((self.schema.label_name, lab), (self.schema.group_name, grp)):
             if vec.size and not np.isin(vec, (0, 1)).all():
                 raise ValidationError(f"column {name!r} contains values outside {{0, 1}}")
-        levels = self.category_levels
-        if levels is None:
-            # default levels for programmatically built data: codes 0..max
-            levels = tuple(
-                tuple(str(c) for c in range(int(cat[:, j].max()) + 1 if n else 0))
-                for j in range(cat.shape[1])
-            )
+        if self.category_levels is None:  # programmatic data: codes 0..max are their tokens
+            levels = tuple(tuple(str(c) for c in range(int(col.max()) + 1 if n else 0))
+                           for col in cat.T)
         else:
-            levels = tuple(tuple(lv) for lv in levels)
-        for arr in (num, cat, lab, grp):
+            levels = tuple(tuple(lv) for lv in self.category_levels)
+        for name, arr in (("numericals", num), ("categoricals", cat), ("labels", lab),
+                          ("groups", grp)):
             arr.setflags(write=False)
-        object.__setattr__(self, "numericals", num)
-        object.__setattr__(self, "categoricals", cat)
-        object.__setattr__(self, "labels", lab)
-        object.__setattr__(self, "groups", grp)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "category_levels", levels)
 
     @property
@@ -129,19 +125,23 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Row subset in the given index order (duplicates allowed)."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            schema=self.schema,
-            numericals=self.numericals[idx],
-            categoricals=self.categoricals[idx],
-            labels=self.labels[idx],
-            groups=self.groups[idx],
-            category_levels=self.category_levels,
-        )
+        return replace(self, numericals=self.numericals[idx],
+                       categoricals=self.categoricals[idx],
+                       labels=self.labels[idx], groups=self.groups[idx])
+
+    def decode_categoricals(self) -> np.ndarray:
+        """The categorical codes as their tokens: an (n, n_categorical) object array."""
+        tokens = np.empty(self.categoricals.shape, dtype=object)
+        for j, levels in enumerate(self.category_levels):
+            tokens[:, j] = np.array(levels, dtype=object)[self.categoricals[:, j]]
+        return tokens
 
     def equals(self, other: "Dataset") -> bool:
         return (
             self.schema == other.schema
             and self.category_levels == other.category_levels
+            and self.label_tokens == other.label_tokens
+            and self.group_tokens == other.group_tokens
             and np.array_equal(self.numericals, other.numericals)
             and np.array_equal(self.categoricals, other.categoricals)
             and np.array_equal(self.labels, other.labels)
@@ -161,14 +161,29 @@ class NormalizationParams:
         maxs = np.asarray(self.maxs, dtype=float)
         if (maxs < mins).any():
             raise ValidationError("normalization max < min")
-        for arr in (mins, maxs):
+        for name, arr in (("mins", mins), ("maxs", maxs)):
             arr.setflags(write=False)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
+            object.__setattr__(self, name, arr)
 
 
-def _map_binary(tokens, declared_one, column, path):
-    distinct = list(dict.fromkeys(tokens))
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _encode(tokens):
+    """A column's distinct tokens in first-appearance order, and each cell's code."""
+    cells = tokens.tolist()
+    distinct = list(dict.fromkeys(cells))  # hashing: np.unique would sort str objects
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, cells), dtype=int, count=len(cells))
+
+
+def _binary(tokens, declared_one, column, path):
+    """A label or group column's (code 0, code 1) tokens and its codes.
+
+    A declared token is code 1, the other token (or "0" if none) code 0.
+    Without one, every token must read as the integer 0 or 1.
+    """
+    distinct, codes = _encode(tokens)
     if declared_one is not None:
         if len(distinct) > 2:
             raise ValidationError(
@@ -178,106 +193,117 @@ def _map_binary(tokens, declared_one, column, path):
             raise ValidationError(
                 f"{path}: declared token {declared_one!r} never appears in column {column!r}"
             )
-        return np.array([1 if t == declared_one else 0 for t in tokens], dtype=int)
-    out = np.empty(len(tokens), dtype=int)
-    for i, t in enumerate(tokens):
+        other = [t for t in distinct if t != declared_one] or ["0"]
+        return (other[0], declared_one), np.array([t == declared_one for t in distinct],
+                                                  dtype=int)[codes]
+    bits = []
+    for t in distinct:
         try:
-            v = int(t)
+            bits.append(int(t) if int(t) in (0, 1) else -1)
         except ValueError:
-            v = -1
-        if v not in (0, 1):
-            raise ValidationError(
-                f"{path}: column {column!r} value {t!r} at row {i} is outside {{0, 1}}"
-            )
-        out[i] = v
-    return out
+            bits.append(-1)
+    bits = np.array(bits, dtype=int)[codes]
+    bad = np.flatnonzero(bits < 0)
+    if bad.size:
+        r = bad[0]
+        raise ValidationError(
+            f"{path}: column {column!r} value {tokens[r]!r} at row {r} is outside {{0, 1}}"
+        )
+    return ("0", "1"), bits
 
 
-def load_dataset(path, schema: FeatureSchema, sep: str = ",") -> Dataset:
-    """Load a delimited text file with a header row under the given schema.
+def _floats(cells, column, path):
+    """Parse a numerical column as `float` does; every value must be finite."""
+    try:
+        values = cells.astype(float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for r, token in enumerate(cells):  # the column is bad: name its first bad cell
+        try:
+            if np.isfinite(float(token)):
+                continue
+            problem = "non-finite"
+        except ValueError:
+            problem = "non-numeric"
+        raise ParseError(f"{path}: {problem} value {token!r} in column {column!r} at row {r}")
+
+
+def load_dataset(path, schema: FeatureSchema) -> Dataset:
+    """Load a comma-separated text file with a header row under the given schema.
 
     Rows keep file order. Categorical codes are assigned per column in
-    first-appearance order. Missing cells are a hard error; there is no
+    first-appearance order. Each declared column must appear exactly
+    once in the header. Missing cells are a hard error; there is no
     imputation. Numerical cells must be finite (no nan or inf).
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=sep)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = [[cell.strip() for cell in row] for row in reader if row]
+        rows = [row for row in reader if row]
+    header = [h.strip() for h in header]
 
-    needed = (
-        list(schema.numerical_names)
-        + list(schema.categorical_names)
-        + [schema.label_name, schema.group_name]
-    )
-    col_index = {}
+    needed = [*schema.numerical_names, *schema.categorical_names,
+              schema.label_name, schema.group_name]
     for name in needed:
-        if name not in header:
+        count = header.count(name)
+        if count == 0:
             raise SchemaError(f"{path}: declared column {name!r} not found in header")
-        col_index[name] = header.index(name)
+        if count > 1:
+            raise SchemaError(f"{path}: declared column {name!r} appears {count} times in header")
 
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r} has {len(row)} fields, header has {len(header)}")
-        for name in needed:
-            if row[col_index[name]] == "":
-                raise ValidationError(f"{path}: missing value in column {name!r} at row {r}")
+    # Rows before the first ragged one, needed columns only, as stripped
+    # str objects: numpy's own string types would drop or strip NULs.
+    widths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    ragged = np.flatnonzero(widths != len(header))
+    n = ragged[0] if ragged.size else len(rows)
+    table = np.array(rows[:n], dtype=object).reshape(n, len(header))
+    cells = _strip(table[:, [header.index(name) for name in needed]])
 
-    n = len(rows)
-    numericals = np.zeros((n, len(schema.numerical_names)))
+    # The first bad row in file order; within a row, width before a missing cell.
+    missing = cells == ""
+    holes = np.flatnonzero(missing.any(axis=1))
+    if holes.size:
+        r = holes[0]
+        raise ValidationError(
+            f"{path}: missing value in column {needed[missing[r].argmax()]!r} at row {r}"
+        )
+    if ragged.size:
+        raise ParseError(f"{path}: row {n} has {widths[n]} fields, header has {len(header)}")
+
+    p, q = len(schema.numerical_names), len(schema.categorical_names)
+    numericals = np.empty((n, p))
     for j, name in enumerate(schema.numerical_names):
-        c = col_index[name]
-        for r, row in enumerate(rows):
-            try:
-                numericals[r, j] = float(row[c])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric value {row[c]!r} in column {name!r} at row {r}"
-                ) from None
-            if not np.isfinite(numericals[r, j]):
-                raise ParseError(
-                    f"{path}: non-finite value {row[c]!r} in column {name!r} at row {r}"
-                )
-
-    categoricals = np.zeros((n, len(schema.categorical_names)), dtype=int)
+        numericals[:, j] = _floats(cells[:, j], name, path)
+    categoricals = np.empty((n, q), dtype=int)
     levels = []
-    for j, name in enumerate(schema.categorical_names):
-        c = col_index[name]
-        seen = {}
-        for r, row in enumerate(rows):
-            tok = row[c]
-            if tok not in seen:
-                seen[tok] = len(seen)
-            categoricals[r, j] = seen[tok]
-        levels.append(tuple(seen))
-
-    labels = _map_binary([row[col_index[schema.label_name]] for row in rows],
-                         schema.favorable, schema.label_name, path)
-    groups = _map_binary([row[col_index[schema.group_name]] for row in rows],
-                         schema.privileged, schema.group_name, path)
-
-    return Dataset(schema, numericals, categoricals, labels, groups, tuple(levels))
+    for j in range(q):
+        distinct, categoricals[:, j] = _encode(cells[:, p + j])
+        levels.append(tuple(distinct))
+    label_tokens, labels = _binary(cells[:, -2], schema.favorable, schema.label_name, path)
+    group_tokens, groups = _binary(cells[:, -1], schema.privileged, schema.group_name, path)
+    return Dataset(schema, numericals, categoricals, labels, groups, tuple(levels),
+                   label_tokens, group_tokens)
 
 
-def save_dataset(d: Dataset, path, sep: str = ",") -> None:
-    """Write a dataset back to delimited text, decoding categorical codes."""
-    header = (
-        list(d.schema.numerical_names)
-        + list(d.schema.categorical_names)
-        + [d.schema.group_name, d.schema.label_name]
-    )
+def save_dataset(d: Dataset, path) -> None:
+    """Write a dataset as comma-separated text in its tokens, as `load_dataset` reads it."""
+    header = [*d.schema.numerical_names, *d.schema.categorical_names,
+              d.schema.group_name, d.schema.label_name]
+    table = np.hstack([
+        d.numericals.astype(object),  # Python floats, which csv writes as their repr
+        d.decode_categoricals(),
+        np.array(d.group_tokens, dtype=object)[d.groups, None],
+        np.array(d.label_tokens, dtype=object)[d.labels, None],
+    ])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=sep)
+        writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(d.n):
-            row = [repr(float(v)) for v in d.numericals[i]]
-            row += [d.category_levels[j][d.categoricals[i, j]] for j in range(d.n_categorical)]
-            row += [str(d.groups[i]), str(d.labels[i])]
-            writer.writerow(row)
+        writer.writerows(table.tolist())
 
 
 def load_schema(path) -> FeatureSchema:
@@ -307,14 +333,8 @@ def load_schema(path) -> FeatureSchema:
     for required in ("label", "group"):
         if required not in fields:
             raise SchemaError(f"{path}: missing {required!r} entry")
-    return FeatureSchema(
-        numerical_names=fields["numerical"],
-        categorical_names=fields["categorical"],
-        label_name=fields["label"],
-        group_name=fields["group"],
-        favorable=fields["favorable"],
-        privileged=fields["privileged"],
-    )
+    return FeatureSchema(fields["numerical"], fields["categorical"], fields["label"],
+                         fields["group"], fields["favorable"], fields["privileged"])
 
 
 def save_schema(schema: FeatureSchema, path) -> None:
@@ -333,10 +353,7 @@ def fit_normalization(train: Dataset) -> NormalizationParams:
     """Per-feature (min, max) over the training split only."""
     if train.n == 0:
         raise ValidationError("cannot fit normalization on an empty dataset")
-    return NormalizationParams(
-        mins=train.numericals.min(axis=0) if train.n_numerical else np.zeros(0),
-        maxs=train.numericals.max(axis=0) if train.n_numerical else np.zeros(0),
-    )
+    return NormalizationParams(train.numericals.min(axis=0), train.numericals.max(axis=0))
 
 
 def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -348,8 +365,7 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     safe = np.where(span > 0, span, 1.0)
     scaled = (d.numericals - params.mins) / safe
     scaled = np.where(span > 0, scaled, 0.0)
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(d.schema, scaled, d.categoricals, d.labels, d.groups, d.category_levels)
+    return replace(d, numericals=np.clip(scaled, 0.0, 1.0))
 
 
 def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -358,8 +374,7 @@ def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     Values that were clipped on the way in cannot be recovered; they map
     to the corresponding training extreme.
     """
-    raw = d.numericals * (params.maxs - params.mins) + params.mins
-    return Dataset(d.schema, raw, d.categoricals, d.labels, d.groups, d.category_levels)
+    return replace(d, numericals=d.numericals * (params.maxs - params.mins) + params.mins)
 
 
 def encode_features(d: Dataset) -> np.ndarray:
@@ -369,26 +384,27 @@ def encode_features(d: Dataset) -> np.ndarray:
     categorical feature (category order = code order), then the group
     column last.
     """
-    blocks = [d.numericals]
-    for j in range(d.n_categorical):
-        onehot = np.zeros((d.n, len(d.category_levels[j])))
-        onehot[np.arange(d.n), d.categoricals[:, j]] = 1.0
-        blocks.append(onehot)
-    blocks.append(d.groups.reshape(-1, 1).astype(float))
-    matrix = np.hstack(blocks)
+    onehots = [np.eye(len(levels))[d.categoricals[:, j]]
+               for j, levels in enumerate(d.category_levels)]
+    matrix = np.hstack([d.numericals, *onehots, d.groups.reshape(-1, 1).astype(float)])
     matrix.setflags(write=False)
     return matrix
 
 
-def stratified_split(d: Dataset, seed: int, folds: int = 5):
-    """Deterministic k-fold partitions stratified jointly on (label, group).
+# Folds of `stratified_split`; with fewer than three, a partition's train part
+# would hold no fold.
+_FOLDS = 5
 
-    Returns `folds` partitions; partition k uses fold k as test, fold
-    k+1 as validation, and the remaining folds as train (3/1/1 for the
-    default 5 folds). If any nonempty (label, group) cell has fewer
-    members than `folds`, a warning is emitted and stratification
-    degrades to label only.
+
+def stratified_split(d: Dataset, seed: int):
+    """Deterministic 5-fold partitions stratified jointly on (label, group).
+
+    Returns five partitions; partition k uses fold k as test, fold k+1
+    as validation, and the remaining three folds as train. If any
+    nonempty (label, group) cell has fewer members than folds, a
+    warning is emitted and stratification degrades to label only.
     """
+    folds = _FOLDS
     if d.n < folds:
         raise ValidationError(f"need at least {folds} samples, got {d.n}")
     cell = 2 * d.labels + d.groups
@@ -415,10 +431,7 @@ def stratified_split(d: Dataset, seed: int, folds: int = 5):
 
     partitions = []
     for k in range(folds):
-        test = fold_arrays[k]
-        valid = fold_arrays[(k + 1) % folds]
-        train = np.concatenate(
-            [fold_arrays[j] for j in range(folds) if j not in (k, (k + 1) % folds)]
-        )
-        partitions.append((np.sort(train), valid, test))
+        train = [fold_arrays[j] for j in range(folds) if j not in (k, (k + 1) % folds)]
+        partitions.append((np.sort(np.concatenate(train)), fold_arrays[(k + 1) % folds],
+                           fold_arrays[k]))
     return partitions

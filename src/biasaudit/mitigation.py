@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,8 +115,8 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
     lam = np.asarray(lams, dtype=float).reshape(-1, 1)
     numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
     categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])
-    return Dataset(d.schema, numericals, categoricals, d.labels[seeds], d.groups[seeds],
-                   d.category_levels)
+    return replace(d, numericals=numericals, categoricals=categoricals,
+                   labels=d.labels[seeds], groups=d.groups[seeds])
 
 
 def synthesize_fair_samples(
@@ -203,34 +203,34 @@ def apply_plan(d: Dataset, plan) -> Dataset:
         if provenance.size and (provenance.min() < 0 or provenance.max() >= d.n):
             raise IndexError("synthetic sample provenance index out of range")
         r = plan.rows
-        return Dataset(d.schema, np.vstack([d.numericals, r.numericals]),
-                       np.vstack([d.categoricals, r.categoricals]),
-                       np.concatenate([d.labels, r.labels]),
-                       np.concatenate([d.groups, r.groups]), d.category_levels)
+        return replace(d, numericals=np.vstack([d.numericals, r.numericals]),
+                       categoricals=np.vstack([d.categoricals, r.categoricals]),
+                       labels=np.concatenate([d.labels, r.labels]),
+                       groups=np.concatenate([d.groups, r.groups]))
     raise TypeError(f"unknown plan type {type(plan).__name__}")
 
 
-def write_plan(plan, d: Dataset, path) -> None:
-    """Serialize a plan: index list for removal, full rows plus provenance for augmentation."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(plan, RemovalPlan):
-            fh.write(f"# removal plan\tbudget={plan.budget}\n")
-            for i in plan.indices:
-                fh.write(f"{i}\n")
-            return
-        if not isinstance(plan, AugmentationPlan):
-            raise TypeError(f"unknown plan type {type(plan).__name__}")
-        cols = (
-            list(d.schema.numerical_names)
-            + list(d.schema.categorical_names)
-            + [d.schema.group_name, d.schema.label_name, "seed", "target", "lambda"]
-        )
-        fh.write(f"# augmentation plan\tbudget={plan.budget}\tneighbors={plan.n_neighbors}\n")
-        fh.write("# " + ",".join(cols) + "\n")
+def write_plan(plan, path) -> None:
+    """Serialize a plan: index list for removal, full rows plus provenance for augmentation.
+
+    The synthetic rows carry their schema and category tokens.
+    """
+    if isinstance(plan, RemovalPlan):
+        header = f"removal plan\tbudget={plan.budget}"
+        table, fmt = np.asarray(plan.indices, dtype=int).reshape(-1, 1), ["%d"]
+    elif isinstance(plan, AugmentationPlan):
         r = plan.rows
-        for i in range(r.n):
-            row = [f"{v:.6f}" for v in r.numericals[i]]
-            row += [d.category_levels[j][c] for j, c in enumerate(r.categoricals[i])]
-            row += [str(r.groups[i]), str(r.labels[i]), str(plan.seeds[i]),
-                    str(plan.targets[i]), f"{plan.lams[i]:.6f}"]
-            fh.write(",".join(row) + "\n")
+        cols = [*r.schema.numerical_names, *r.schema.categorical_names,
+                r.schema.group_name, r.schema.label_name, "seed", "target", "lambda"]
+        header = (f"augmentation plan\tbudget={plan.budget}\tneighbors={plan.n_neighbors}\n"
+                  + ",".join(cols))
+        table = np.hstack([
+            r.numericals.astype(object),
+            r.decode_categoricals(),
+            np.column_stack([r.groups, r.labels, plan.seeds, plan.targets]).astype(object),
+            plan.lams.reshape(-1, 1).astype(object),
+        ])
+        fmt = ["%.6f"] * r.n_numerical + ["%s"] * (r.n_categorical + 4) + ["%.6f"]
+    else:
+        raise TypeError(f"unknown plan type {type(plan).__name__}")
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, encoding="utf-8")

@@ -12,7 +12,7 @@ whose recorded label deviates from the reference rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def inject_group_bias(d: Dataset, cfg: SynthConfig):
     shifted = (margin >= cfg.boundary_threshold + cfg.group_shift).astype(int)
     labels = np.where(target, shifted, d.labels)
     truth = target & (labels != _rule_labels(d.numericals, cfg))
-    out = Dataset(d.schema, d.numericals, d.categoricals, labels, d.groups, d.category_levels)
-    return out, truth
+    return replace(d, labels=labels), truth
 
 
 def inject_individual_bias(d: Dataset, cfg: SynthConfig):
@@ -93,8 +92,7 @@ def inject_individual_bias(d: Dataset, cfg: SynthConfig):
     labels[flip_idx] = 1 - labels[flip_idx]
     truth = np.zeros(d.n, dtype=bool)
     truth[flip_idx] = True
-    out = Dataset(d.schema, d.numericals, d.categoricals, labels, d.groups, d.category_levels)
-    return out, truth
+    return replace(d, labels=labels), truth
 
 
 def reference_labels(d: Dataset, cfg: SynthConfig):

@@ -9,6 +9,7 @@ from biasaudit.data import (
     save_schema,
     stratified_split,
 )
+from biasaudit.model import train_classifier
 from biasaudit.synth import (
     SynthConfig,
     generate_base,
@@ -292,14 +293,14 @@ class TestMitigate:
         assert not list(out.glob("*.tmp"))
 
     def test_failed_control_training_leaves_no_output(self, synth_inputs, tmp_path, capsys):
-        # The random control removes every training row, so its model cannot
-        # be trained: no file may be written, the edited dataset included.
+        # Under aug the random control removes --budget rows, here every
+        # training row, so its model cannot be trained: no file may be
+        # written, the edited dataset included.
         data_path, schema_path, _, _ = synth_inputs
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="truncated"):
-            code = main(["mitigate", "--input", data_path, "--schema", schema_path,
-                         "--out", str(out), "--strategy", "rem", "--budget", "1000",
-                         "--control", "random"])
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", "1000",
+                     "--control", "random"])
         assert code == 1
         captured = capsys.readouterr()
         assert "error: training labels contain a single class" in captured.err
@@ -349,6 +350,49 @@ class TestMitigate:
                      "--out", str(tmp_path / "out"), "--strategy", "aug", "--budget", "5"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_random_control_removes_as_many_rows_as_the_plan(self, synth_inputs, tmp_path,
+                                                            monkeypatch):
+        from biasaudit import cli
+
+        sizes = []
+
+        def recorded(features, labels):
+            sizes.append(len(labels))
+            return train_classifier(features, labels)
+
+        monkeypatch.setattr(cli, "train_classifier", recorded)
+        data_path, schema_path, _, _ = synth_inputs
+        with pytest.warns(UserWarning, match="truncated"):
+            code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                         "--out", str(tmp_path / "out"), "--strategy", "rem",
+                         "--budget", "1000", "--control", "random"])
+        assert code == 0
+        plan_size = len((tmp_path / "out" / "plan.txt").read_text().splitlines()) - 1
+        before, after, control = sizes
+        assert 0 < plan_size < 1000
+        assert before - after == before - control == plan_size
+
+    def test_edited_dataset_keeps_input_tokens(self, synth_inputs, tmp_path):
+        _, _, _, biased = synth_inputs
+        lines = ["x1,x2,sex,income"] + [
+            f"{a!r},{b!r},{'Male' if s else 'Female'},{'>50K' if y else '<=50K'}"
+            for (a, b), s, y in zip(biased.numericals.tolist(), biased.groups, biased.labels)]
+        data_path = tmp_path / "census.csv"
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema_path = tmp_path / "census_schema.txt"
+        schema_path.write_text("numerical = x1, x2\nlabel = income\ngroup = sex\n"
+                               "favorable = >50K\nprivileged = Male\n", encoding="utf-8")
+        files = ["--input", str(data_path), "--schema", str(schema_path)]
+        out = tmp_path / "out"
+        assert main(["mitigate", *files, "--out", str(out), "--strategy", "rem",
+                     "--budget", "20"]) == 0
+        edited = (out / "edited_dataset.csv").read_text().splitlines()
+        assert edited[0] == "x1,x2,sex,income"
+        assert {tuple(line.split(",")[2:]) for line in edited[1:]} == {
+            (s, y) for s in ("Male", "Female") for y in (">50K", "<=50K")}
+        assert main(["attribute", "--input", str(out / "edited_dataset.csv"),
+                     "--schema", str(schema_path), "--out", str(tmp_path / "att")]) == 0
 
     def test_exact_tie_exits_four(self, tmp_path):
         rows = ["x,s,y"]
@@ -420,6 +464,16 @@ def test_seed_is_a_mitigate_option_only(synth_inputs, tmp_path):
     code = main(["mitigate", *files, "--out", str(tmp_path / "mit"),
                  "--strategy", "rem", "--budget", "0", "--seed", "0"])
     assert code == 0
+
+
+def test_topk_is_not_a_mitigate_option(synth_inputs, tmp_path):
+    data_path, schema_path, _, _ = synth_inputs
+    with pytest.raises(SystemExit) as exc:
+        main(["mitigate", "--input", data_path, "--schema", schema_path,
+              "--out", str(tmp_path / "mit"), "--strategy", "rem", "--budget", "0",
+              "--topk", "5"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "mit").exists()
 
 
 def test_console_entry_point(tmp_path):

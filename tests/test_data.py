@@ -1,10 +1,13 @@
+import csv
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biasaudit import data
 from biasaudit.data import (
     Dataset,
     FeatureSchema,
@@ -56,6 +59,146 @@ def per_sample_split(d, seed, folds=5):
         partitions.append((np.sort(np.concatenate(rest)), fold_arrays[(k + 1) % folds],
                            fold_arrays[k]))
     return partitions, degraded
+
+
+def per_cell_load(path, schema):
+    """Row-by-row, cell-by-cell loader: the oracle for `load_dataset`'s
+    values, codes, tokens, exception types and messages."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        rows = [[cell.strip() for cell in row] for row in reader if row]
+    needed = (list(schema.numerical_names) + list(schema.categorical_names)
+              + [schema.label_name, schema.group_name])
+    col = {}
+    for name in needed:
+        if name not in header:
+            raise SchemaError(f"{path}: declared column {name!r} not found in header")
+        col[name] = header.index(name)
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {r} has {len(row)} fields, header has {len(header)}")
+        for name in needed:
+            if row[col[name]] == "":
+                raise ValidationError(f"{path}: missing value in column {name!r} at row {r}")
+    numericals = np.zeros((len(rows), len(schema.numerical_names)))
+    for j, name in enumerate(schema.numerical_names):
+        for r, row in enumerate(rows):
+            token = row[col[name]]
+            try:
+                numericals[r, j] = float(token)
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric value {token!r} in column {name!r} "
+                                 f"at row {r}") from None
+            if not np.isfinite(numericals[r, j]):
+                raise ParseError(f"{path}: non-finite value {token!r} in column {name!r} "
+                                 f"at row {r}")
+    categoricals = np.zeros((len(rows), len(schema.categorical_names)), dtype=int)
+    levels = []
+    for j, name in enumerate(schema.categorical_names):
+        seen = {}
+        for r, row in enumerate(rows):
+            categoricals[r, j] = seen.setdefault(row[col[name]], len(seen))
+        levels.append(tuple(seen))
+
+    def binary(column, declared):
+        tokens = [row[col[column]] for row in rows]
+        distinct = list(dict.fromkeys(tokens))
+        if declared is not None:
+            if len(distinct) > 2:
+                raise ValidationError(f"{path}: column {column!r} has {len(distinct)} "
+                                      "distinct values, expected binary")
+            if declared not in distinct:
+                raise ValidationError(f"{path}: declared token {declared!r} never appears "
+                                      f"in column {column!r}")
+            other = [t for t in distinct if t != declared]
+            return ([int(t == declared) for t in tokens],
+                    (other[0] if other else "0", declared))
+        codes = []
+        for r, t in enumerate(tokens):
+            try:
+                v = int(t)
+            except ValueError:
+                v = -1
+            if v not in (0, 1):
+                raise ValidationError(f"{path}: column {column!r} value {t!r} at row {r} "
+                                      "is outside {0, 1}")
+            codes.append(v)
+        return codes, ("0", "1")
+
+    labels, label_tokens = binary(schema.label_name, schema.favorable)
+    groups, group_tokens = binary(schema.group_name, schema.privileged)
+    return Dataset(schema, numericals, categoricals, labels, groups, tuple(levels),
+                   label_tokens, group_tokens)
+
+
+NUMBERS = ["0", " 1.5", "-2e3 ", "1_000", "\uff11\uff12"]
+TOKENS = ["a", " a", "b ", "a,b", 'q"t', "\u3000c", "c\x00", "x\ny"]
+BITS = ["0", "1", " 1", "01", "+0"]
+WORDS = ["hi", "lo", " hi "]
+BAD_NUMBERS = ["nan", "-inf", "Infinity ", "0x10", "1,5", "junk", "\x00"]
+BAD_TOKENS = ["\x00"]
+BAD_BITS = ["2", "yes", "-1", "1.0", "9" * 30]
+EMPTY = ["", " "]
+
+
+@st.composite
+def tables(draw, clean):
+    """(header, rows, schema) of a random table; a clean one always loads."""
+    n_num = draw(st.integers(0, 2))
+    n_cat = draw(st.integers(0 if n_num else 1, 2))
+    declared = draw(st.booleans())
+    names = [f"n{j}" for j in range(n_num)] + [f"c{j}" for j in range(n_cat)]
+    header = draw(st.permutations(names + ["y", "s"] + draw(
+        st.sampled_from([[], ["extra"], ["extra", "extra"]]))))
+    binary = WORDS if declared else BITS
+    pools = {"n": (NUMBERS, BAD_NUMBERS), "c": (TOKENS, BAD_TOKENS), "y": (binary, BAD_BITS),
+             "s": (binary, BAD_BITS), "e": (TOKENS, BAD_TOKENS)}
+    holes = EMPTY if not clean and draw(st.booleans()) else []
+    cell = {}
+    for key, (good, bad) in pools.items():
+        pool = st.sampled_from(good + holes if clean or draw(st.booleans()) else
+                               good + bad + holes)
+        if key == "n":
+            pool = st.one_of(pool, st.floats(allow_nan=not clean,
+                                             allow_infinity=not clean).map(repr))
+        cell[key] = pool
+    n = draw(st.integers(1 if clean else 0, 8))
+    rows = []
+    for _ in range(n):
+        row = [draw(cell[name[0]]) for name in header]
+        if not clean:
+            ragged = draw(st.integers(0, 15))
+            row = row[:-1] if ragged == 0 else row + ["tail"] if ragged == 1 else row
+        rows.append(row)
+    padded = [draw(st.sampled_from(["", " "])) + h for h in header]
+    favorable = privileged = None
+    if declared and clean:  # the first row's tokens, so both occur
+        favorable, privileged = (rows[0][header.index(c)].strip() for c in ("y", "s"))
+    elif declared:
+        favorable, privileged = (draw(st.sampled_from(WORDS)).strip() for _ in range(2))
+    schema = FeatureSchema(tuple(names[:n_num]), tuple(names[n_num:]), "y", "s",
+                           favorable=favorable, privileged=privileged)
+    return padded, rows, schema
+
+
+def write_table(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def load_outcome(load, path, schema):
+    try:
+        return load(path, schema)
+    except (ParseError, SchemaError, ValidationError) as exc:
+        return type(exc), str(exc)
 
 
 def write_csv(path, text):
@@ -142,6 +285,59 @@ class TestLoadDataset:
         save_dataset(d, out)
         d2 = load_dataset(out, SCHEMA)
         assert d.equals(d2)
+
+    def test_duplicate_declared_column_rejected(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv",
+                      "age,job,age,sex,income\n30,A,99,0,1\n40,B,98,1,0\n")
+        with pytest.raises(SchemaError, match="'age' appears 2 times"):
+            load_dataset(f, SCHEMA)
+
+    def test_duplicate_undeclared_column_allowed(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv", "age,note,job,note,sex,income\n30,x,A,y,0,1\n")
+        assert load_dataset(f, SCHEMA).n == 1
+
+    def test_saves_binary_columns_in_their_tokens(self, tmp_path):
+        schema = FeatureSchema(("age",), ("job",), "income", "sex",
+                               favorable=">50K", privileged="Male")
+        f = write_csv(tmp_path / "d.csv", "age,job,sex,income\n"
+                      "30,A,Male,>50K\n40,B,Female,<=50K\n50,A,Male,<=50K\n")
+        d = load_dataset(f, schema)
+        assert d.label_tokens == ("<=50K", ">50K") and d.group_tokens == ("Female", "Male")
+        out = tmp_path / "out.csv"
+        save_dataset(d, out)
+        assert out.read_text().splitlines() == [
+            "age,job,sex,income", "30.0,A,Male,>50K", "40.0,B,Female,<=50K", "50.0,A,Male,<=50K"]
+        assert load_dataset(out, schema).equals(d)
+
+    def test_absent_other_token_written_as_zero(self, tmp_path):
+        schema = FeatureSchema(("age",), (), "income", "sex", favorable=">50K")
+        f = write_csv(tmp_path / "d.csv", "age,sex,income\n30,1,>50K\n40,0,>50K\n")
+        d = load_dataset(f, schema)
+        assert d.label_tokens == ("0", ">50K")
+        assert d.equals(load_dataset(f, schema))
+
+    @settings(max_examples=400, deadline=None)
+    @given(tables(clean=False))
+    @example((["n0", "y", "s"], [["1", "0", "0"], ["inf", "0", "1"], ["bad", "1", "0"]],
+              FeatureSchema(("n0",), (), "y", "s")))
+    def test_matches_per_cell_reference(self, tmp_path_factory, table):
+        header, rows, schema = table
+        path = write_table(tmp_path_factory.mktemp("t") / "d.csv", header, rows)
+        got = load_outcome(load_dataset, path, schema)
+        want = load_outcome(per_cell_load, path, schema)
+        if isinstance(want, Dataset):
+            assert isinstance(got, Dataset) and got.equals(want)
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables(clean=True))
+    def test_save_load_round_trip_property(self, tmp_path_factory, table):
+        header, rows, schema = table
+        folder = tmp_path_factory.mktemp("t")
+        d = load_dataset(write_table(folder / "d.csv", header, rows), schema)
+        save_dataset(d, folder / "out.csv")
+        assert load_dataset(folder / "out.csv", schema).equals(d)
 
 
 class TestSchemaFile:
@@ -284,16 +480,17 @@ class TestStratifiedSplit:
         # sizes[2 * label + group] rows per (label, group) cell, in shuffled row order
         cell = np.random.default_rng(order_seed).permutation(np.repeat(np.arange(4), sizes))
         d = make_dataset(np.zeros(len(cell)), [], cell // 2, cell % 2)
-        if d.n < folds:
-            with pytest.raises(ValidationError):
-                per_sample_split(d, seed, folds)
-            with pytest.raises(ValidationError):
-                stratified_split(d, seed, folds)
-            return
-        expected, degraded = per_sample_split(d, seed, folds)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            parts = stratified_split(d, seed, folds)
+        with mock.patch.object(data, "_FOLDS", folds):
+            if d.n < folds:
+                with pytest.raises(ValidationError):
+                    per_sample_split(d, seed, folds)
+                with pytest.raises(ValidationError):
+                    stratified_split(d, seed)
+                return
+            expected, degraded = per_sample_split(d, seed, folds)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parts = stratified_split(d, seed)
         assert [str(w.message) for w in caught] == (
             ["a (label, group) cell has fewer members than folds; "
              "degrading to label-only stratification"] if degraded else [])
@@ -319,6 +516,13 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             Dataset(FeatureSchema(("x",), (), "y", "s"),
                     np.zeros((3, 1)), np.zeros((2, 0), dtype=int), [0, 1], [0, 1])
+
+    def test_one_dimensional_columns_rejected(self):
+        schema = FeatureSchema(("x",), (), "y", "s")
+        with pytest.raises(ValidationError, match="2-D"):
+            Dataset(schema, np.zeros(2), np.zeros((2, 0), dtype=int), [0, 1], [0, 1])
+        with pytest.raises(ValidationError, match="2-D"):
+            Dataset(schema, np.zeros((2, 1)), [], [0, 1], [0, 1])
 
     def test_subset_keeps_levels(self):
         d = make_dataset([0.1, 0.2, 0.3], [[0], [1], [2]], [0, 1, 0], [1, 0, 1],

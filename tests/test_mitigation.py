@@ -285,10 +285,9 @@ class TestApplyPlan:
 
 class TestPlanSerialization:
     def test_removal_plan_text(self, tmp_path):
-        d = labeled_dataset(0.7)
         plan = RemovalPlan(indices=(4, 2, 0), budget=3)
         path = tmp_path / "plan.txt"
-        write_plan(plan, d, path)
+        write_plan(plan, path)
         lines = path.read_text().splitlines()
         assert "budget=3" in lines[0]
         assert lines[1:] == ["4", "2", "0"]
@@ -297,7 +296,7 @@ class TestPlanSerialization:
         d, q, b = mixup_fixture(n=20)
         plan = synthesize_fair_samples(d, b, q, m=2, rng_seed=10)
         path = tmp_path / "plan.txt"
-        write_plan(plan, d, path)
+        write_plan(plan, path)
         lines = path.read_text().splitlines()
         assert "budget=2" in lines[0] and "neighbors=5" in lines[0]
         assert lines[1].startswith("# ")

@@ -80,7 +80,6 @@ from .synth import (
     generate_base,
     inject_group_bias,
     inject_individual_bias,
-    load_truth,
     reference_labels,
     save_truth,
 )

@@ -21,8 +21,9 @@ Each defined bias value decomposes exactly into per-contributor shares.
 
 All explanations come from one batched ranking kernel. Candidate
 (row, contributor, share) triplets are read from the other-group entries
-of Q: the stored entries of a sparse Q, or blocks of dense rows shrunk to
-each row's k best by `np.partition`. For all rows of the walk those
+of Q: the stored entries of a sparse Q, read in row blocks of about
+`_BLOCK_ENTRIES` entries, or blocks of dense rows; each block is shrunk to
+its rows' k best before the next is read. For all rows of the walk those
 entries form one block, Q[G0, G1] (Q is symmetric), solved once; one row
 is solved by itself. One lexsort over (row, share descending, index
 ascending) then keeps each row's first k, so the cost follows the entries
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .comparability import ComparabilityConfig, build_comparability_graph
+from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparability_graph
 from .data import Dataset
 from .similarity import Proximity, adjacency_similarity, rwr_proximity, symmetric_normalize
 
@@ -176,26 +177,35 @@ def _k_best_mask(key, k):
     return below | (tie & (np.cumsum(tie, axis=1) <= k - below.sum(axis=1, keepdims=True)))
 
 
-def _stored_candidates(d, q, cred, rows):
-    """Candidates from the stored entries of a sparse Q: every contributor."""
-    block = q.csr_rows(rows)
-    row = np.repeat(rows, np.diff(block.indptr))
-    col, sim = block.indices, block.data
-    w = sim * cred[col]
-    keep = (d.groups[col] != d.groups[row]) & (w > 0.0)
-    row, col, sim, w = row[keep], col[keep], sim[keep], w[keep]
-    den = np.bincount(row, weights=w, minlength=d.n)
-    share = np.where(d.labels[col] != d.labels[row], w, 0.0) / den[row]
-    return rows[den[rows] > 0.0], row, col, share, sim
+def _stored_candidates(d, q, cred, rows, k):
+    """Candidates from the stored entries of a sparse Q: each row's k best
+    contributors. Rows are read in blocks of about `_BLOCK_ENTRIES` stored
+    entries, and each block is cut to its rows' top k before the next is
+    read, so no temporary grows with the entries of all rows."""
+    counts = np.diff(q.matrix.indptr)[rows]
+    block_of = (np.cumsum(counts) - counts) // _BLOCK_ENTRIES  # by each row's first entry
+    parts = []
+    for r in np.split(rows, np.flatnonzero(np.diff(block_of)) + 1):
+        block = q.csr_rows(r)
+        at = np.repeat(np.arange(len(r)), np.diff(block.indptr))  # position within r
+        col, sim = block.indices, block.data
+        w = sim * cred[col]
+        keep = (d.groups[col] != d.groups[r][at]) & (w > 0.0)
+        at, col, sim, w = at[keep], col[keep], sim[keep], w[keep]
+        den = np.bincount(at, weights=w, minlength=len(r))
+        share = np.where(d.labels[col] != d.labels[r][at], w, 0.0) / den[at]
+        top = _top_k(at, col, share, k)
+        parts.append((r[den > 0.0], r[at[top]], col[top], share[top], sim[top]))
+    return tuple(np.concatenate(f) for f in zip(*parts))
 
 
 def _dense_candidates(d, q, cred, rows, k, block):
     """Candidates from dense rows cut to their other-group entries: each
     row's k best contributors. With `block`, a walk's entries come from its
     cross-group block Q[G0, G1], solved once, group-1 rows from its transpose;
-    otherwise from the rows of Q. Rows are taken in blocks of about 2**17
-    other-group entries, small enough that the block temporaries do not
-    raise peak memory."""
+    otherwise from the rows of Q. Rows are taken in blocks of about
+    `_BLOCK_ENTRIES` other-group entries, small enough that the block
+    temporaries do not raise peak memory."""
     cross = q.cross_block(d.groups == 0) if block and q.matrix is None else None
     parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
     for g in (0, 1):
@@ -203,7 +213,7 @@ def _dense_candidates(d, q, cred, rows, k, block):
         other = np.flatnonzero(~same)
         at = np.cumsum(same) - 1  # position within group g
         mine = rows[same[rows]]
-        step = max(1, 2**17 // max(len(other), 1))
+        step = max(1, _BLOCK_ENTRIES // max(len(other), 1))
         for start in range(0, len(mine), step):
             r = mine[start:start + step]
             if cross is None:
@@ -236,7 +246,7 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int, block: bo
     cred = np.where(c.defined, c.values, 0.0)
     rows = np.asarray(rows, dtype=int)
     if sparse.issparse(q.matrix):
-        defined, row, col, share, sim = _stored_candidates(d, q, cred, rows)
+        defined, row, col, share, sim = _stored_candidates(d, q, cred, rows, k)
     else:
         defined, row, col, share, sim = _dense_candidates(d, q, cred, rows, k, block)
     keep = _top_k(row, col, share, k)

@@ -104,6 +104,11 @@ class Dataset:
                            for col in cat.T)
         else:
             levels = tuple(tuple(lv) for lv in self.category_levels)
+        if len(levels) != cat.shape[1]:
+            raise ValidationError("category levels do not match the categorical columns")
+        for name, lv, col in zip(self.schema.categorical_names, levels, cat.T):
+            if n and (col.min() < 0 or col.max() >= len(lv)):
+                raise ValidationError(f"column {name!r} has codes outside its {len(lv)} levels")
         for name, arr in (("numericals", num), ("categoricals", cat), ("labels", lab),
                           ("groups", grp)):
             arr.setflags(write=False)

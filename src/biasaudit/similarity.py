@@ -1,7 +1,8 @@
 """Global sample proximity from the comparability graph via random walk with restart.
 
 The graph adjacency A is symmetrically normalized into a plain CSR
-matrix W = D^(-1/2) A D^(-1/2), and the proximity matrix is
+matrix W = D^(-1/2) A D^(-1/2) on A's own index arrays, and the
+proximity matrix is
 
     Q = (1 - p) (I - p W)^(-1),
 
@@ -159,13 +160,16 @@ class Proximity:
 
 
 def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
-    """Compute W = D^(-1/2) A D^(-1/2) as CSR, with zero rows for degree-0 vertices."""
-    inv_sqrt = np.zeros(g.n)
+    """Compute W = D^(-1/2) A D^(-1/2) as CSR, with zero rows for degree-0
+    vertices: entry (i, j) is s_i s_j, s = 1/sqrt(degree), on A's own index
+    arrays."""
+    a = g.adjacency
+    s = np.zeros(g.n)
     nonzero = g.degree > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(g.degree[nonzero])
-    scale = sparse.diags(inv_sqrt)
-    w = scale @ g.adjacency.astype(float) @ scale
-    return w.tocsr()
+    s[nonzero] = 1.0 / np.sqrt(g.degree[nonzero])
+    data = np.repeat(s, np.diff(a.indptr))
+    data *= s[a.indices]
+    return sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
@@ -180,7 +184,9 @@ def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
 
 def adjacency_similarity(g: ComparabilityGraph) -> Proximity:
     """Row-normalized adjacency D^-1 A, bypassing the walk, for data too large
-    to solve Q: the 0/1 adjacency stays CSR, O(edges) memory. Isolated vertices
-    get an all-zero row (diagonal included), so their estimates may be undefined."""
+    to solve Q: the 0/1 adjacency stays CSR, and with the graph build and the
+    explanations in bounded blocks the whole path runs in O(edges) memory.
+    Isolated vertices get an all-zero row (diagonal included), so their
+    estimates may be undefined."""
     inv_deg = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)
     return Proximity(matrix=g.adjacency, scale=inv_deg)

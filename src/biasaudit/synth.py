@@ -116,8 +116,3 @@ def save_truth(truth, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t in np.asarray(truth, dtype=int):
             fh.write(f"{t}\n")
-
-
-def load_truth(path):
-    with open(path, encoding="utf-8") as fh:
-        return np.array([bool(int(line.strip())) for line in fh if line.strip()], dtype=bool)

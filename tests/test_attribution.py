@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from biasaudit.attribution import (
     estimate_bias,
     estimate_credibility,
 )
+from biasaudit import attribution
 from biasaudit import similarity as similarity_module
 from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
 from biasaudit.similarity import Proximity, adjacency_similarity, symmetric_normalize
@@ -493,6 +496,61 @@ class TestBatchedKernel:
         q = attribute(d, cfg, similarity="adjacency").similarity.matrix
         assert sparse.issparse(q)
         assert q.nnz == build_comparability_graph(d, cfg).adjacency.nnz
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7]))
+    def test_csr_blocks_change_nothing(self, n, seed, budget):
+        # row blocks of a few stored entries against one unbounded block;
+        # row 0 is isolated and some credibility is zero or undefined, so
+        # some rows have no credible other-group mass
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, n, n_num=1, n_cat=0)
+        raw = rng.choice([0.0, 0.0, 0.3, 1.0], size=(n, n))
+        raw[0] = 0.0
+        adjacency = sparse.csr_matrix(np.triu(raw) + np.triu(raw, 1).T)
+        q = Proximity(matrix=adjacency, scale=rng.random(n) + 0.5)
+        c = Estimate(values=rng.choice([0.0, 0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
+        rows = np.flatnonzero(rng.random(n) < 0.8)
+        k = int(rng.integers(1, n + 1))
+
+        def run():
+            singles = []
+            for i in range(n):
+                try:
+                    singles.append(bias_contributions(d, q, c, i, k))
+                except UndefinedBiasError:
+                    singles.append(None)
+            return _explanations(d, q, c, rows, k), singles
+
+        with mock.patch.object(attribution, "_BLOCK_ENTRIES", 2**62):
+            (whole_defined, whole), whole_singles = run()
+        with mock.patch.object(attribution, "_BLOCK_ENTRIES", budget):
+            (defined, blocked), singles = run()
+        assert 0 not in defined and 0 not in blocked[0]
+        for got, want in zip((defined, *blocked), (whole_defined, *whole)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert singles == whole_singles
+
+    def test_csr_explanations_heap_does_not_grow_with_nnz(self):
+        # 1,000 rows with 4x the stored entries: the row blocks bound the
+        # temporaries, and the result is at most k entries a row
+        n = 1000
+        rng = np.random.default_rng(9)
+        d = random_dataset(rng, n, n_num=1, n_cat=0)
+        c = Estimate(values=np.full(n, 0.5), defined=np.ones(n, dtype=bool))
+        peaks = []
+        for density in (0.25, 1.0):
+            upper = np.triu(rng.random((n, n)) < density, k=1)
+            adjacency = sparse.csr_matrix(upper | upper.T)
+            q = adjacency_similarity(ComparabilityGraph(
+                n=n, adjacency=adjacency, degree=np.diff(adjacency.indptr)))
+            tracemalloc.start()
+            try:
+                _explanations(d, q, c, np.arange(n), 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 # Two grid-valued numericals and one categorical: ties, exact-threshold

@@ -14,7 +14,6 @@ from biasaudit.synth import (
     SynthConfig,
     generate_base,
     inject_group_bias,
-    load_truth,
     save_truth,
 )
 
@@ -56,7 +55,7 @@ class TestAttribute:
         assert code == 0
         report = (out / "bias_report.txt").read_text().splitlines()
         assert len(report) == 1 + biased.n
-        truth = load_truth(truth_path)
+        truth = np.loadtxt(truth_path, dtype=int).astype(bool)
         flagged = np.zeros(biased.n, dtype=bool)
         for line in report[1:]:
             fields = line.split("\t")

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,8 +113,9 @@ class TestBuildGraph:
         assert not dense.diagonal().any()
 
     def test_matches_vectorized_oracle_across_blocks(self):
-        # n > 1024 crosses several row blocks; grid values on the first
-        # feature put sort-key ties and exact-threshold gaps on block edges
+        # windows of hundreds of rows cross several blocks at the default
+        # budget; grid values on the first feature put sort-key ties and
+        # exact-threshold gaps on block edges
         rng = np.random.default_rng(5)
         numerical = random_dataset(rng, 1300, n_num=3, n_cat=1)
         grid = make_dataset(
@@ -128,20 +130,21 @@ class TestBuildGraph:
             assert np.array_equal(got.degree, expected.sum(axis=1))
 
     def test_exact_threshold_pair_across_a_block_edge(self):
-        edge = comparability._BLOCK_ROWS
-        d = make_dataset(np.r_[np.zeros(edge - 1), A, B], [],
-                         np.zeros(edge + 1, dtype=int), np.zeros(edge + 1, dtype=int))
+        # a budget of one entry puts a block edge between every two rows
+        d = make_dataset(np.r_[np.zeros(5), A, B], [], np.zeros(7, dtype=int),
+                         np.zeros(7, dtype=int))
         cfg = ComparabilityConfig(t_r=0.1, t_d=0)
         assert is_comparable([A], [], [B], [], cfg)
-        g = build_comparability_graph(d, cfg)
-        assert g.adjacency[edge - 1, edge]
+        with mock.patch.object(comparability, "_BLOCK_ENTRIES", 1):
+            g = build_comparability_graph(d, cfg)
+        assert g.adjacency[5, 6]
         assert np.array_equal(g.adjacency.toarray(), oracle_adjacency(d, cfg))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_pairwise_oracle_at_any_block_size(self, data):
         # Grid values put ties and gaps at, just under and just over the
-        # thresholds; tiny blocks put block edges at every offset.
+        # thresholds; tiny budgets put block edges at every offset.
         n = data.draw(st.integers(1, 20))
         n_r = data.draw(st.integers(0, 3))
         n_d = data.draw(st.integers(0 if n_r else 1, 3))  # a schema has a feature
@@ -155,14 +158,36 @@ class TestBuildGraph:
         d = make_dataset(num, cat, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
         cfg = ComparabilityConfig(data.draw(st.sampled_from([0.1, 0.3])),
                                   data.draw(st.integers(0, n_d + 1)))
-        block = data.draw(st.sampled_from([1, 3, 7, 512]))
-        with mock.patch.object(comparability, "_BLOCK_ROWS", block):
+        budget = data.draw(st.sampled_from([1, 3, 7, comparability._BLOCK_ENTRIES]))
+        with mock.patch.object(comparability, "_BLOCK_ENTRIES", budget):
             g = build_comparability_graph(d, cfg)
         expected = np.array([[i != j and is_comparable(num[i], cat[i], num[j], cat[j], cfg)
                               for j in range(n)] for i in range(n)])
         assert np.array_equal(g.adjacency.toarray(), expected)
+        assert g.adjacency.has_canonical_format and g.adjacency.indices.dtype == np.int32
+        assert g.adjacency.dtype == bool
         assert np.array_equal(g.degree, expected.sum(axis=1))
         assert g.edge_count == expected.sum() // 2
+
+    def test_heap_peak_follows_the_csr(self):
+        # about 10**5 edges: the pair lists and their assembly stay within
+        # 3x the final CSR, the sweep within its budget's temporaries (a
+        # bool mask, two float differences, nonzero's int64 ids and their
+        # shift: about 40 bytes an entry)
+        rng = np.random.default_rng(8)
+        n = 3000
+        d = make_dataset(np.column_stack([rng.random(n), np.full(n, 0.5)]),
+                         rng.integers(0, 3, (n, 1)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            g = build_comparability_graph(d, ComparabilityConfig(0.012, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a = g.adjacency
+        csr_bytes = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
+        assert 0.5e5 < g.edge_count < 2e5
+        assert peak <= 3 * csr_bytes + 40 * comparability._BLOCK_ENTRIES
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(6)

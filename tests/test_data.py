@@ -524,6 +524,23 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError, match="2-D"):
             Dataset(schema, np.zeros((2, 1)), [], [0, 1], [0, 1])
 
+    @pytest.mark.parametrize("codes, levels", [
+        ([[2]], (("a",),)),          # past the last level
+        ([[-1]], (("a", "b"),)),     # would decode as the last level
+        ([[0], [-1]], None),         # programmatic codes
+    ])
+    def test_codes_outside_the_levels_rejected(self, codes, levels):
+        schema = FeatureSchema(("x",), ("c",), "y", "s")
+        n = len(codes)
+        with pytest.raises(ValidationError, match="'c'"):
+            Dataset(schema, np.full((n, 1), 0.5), codes, [1] * n, [0] * n,
+                    category_levels=levels)
+
+    def test_levels_per_categorical_column(self):
+        schema = FeatureSchema(("x",), ("c", "e"), "y", "s")
+        with pytest.raises(ValidationError, match="levels"):
+            Dataset(schema, [[0.5]], [[0, 0]], [1], [0], category_levels=(("a",),))
+
     def test_subset_keeps_levels(self):
         d = make_dataset([0.1, 0.2, 0.3], [[0], [1], [2]], [0, 1, 0], [1, 0, 1],
                          levels=(("p", "q", "r"),))

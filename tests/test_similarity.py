@@ -20,7 +20,7 @@ from biasaudit.similarity import (
     symmetric_normalize,
 )
 
-from util import make_dataset
+from util import make_dataset, random_dataset
 
 
 def graph_from_dense(dense):
@@ -61,6 +61,24 @@ class TestSymmetricNormalize:
         w = symmetric_normalize(g).toarray()
         assert np.array_equal(w[2], np.zeros(3))
         assert np.array_equal(w[:, 2], np.zeros(3))
+
+
+    def test_same_csr_as_the_scaled_products(self):
+        # diag(s) @ A @ diag(s) multiplies entry (i, j) by s_i, then by s_j:
+        # the same index arrays and the same data, bit for bit
+        rng = np.random.default_rng(11)
+        d = random_dataset(rng, 600, n_num=2, n_cat=1)
+        g = build_comparability_graph(d, ComparabilityConfig(0.06, 0))
+        assert (g.degree == 0).any() and g.degree.max() > 1
+        inv_sqrt = np.zeros(g.n)
+        inv_sqrt[g.degree > 0] = 1.0 / np.sqrt(g.degree[g.degree > 0])
+        scale = sparse.diags(inv_sqrt)
+        products = (scale @ g.adjacency.astype(float) @ scale).tocsr()
+        w = symmetric_normalize(g)
+        assert w.dtype == products.dtype == np.float64
+        for got, want in ((w.indptr, products.indptr), (w.indices, products.indices),
+                          (w.data, products.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRwrProximity:

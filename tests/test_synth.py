@@ -9,7 +9,6 @@ from biasaudit.synth import (
     generate_base,
     inject_group_bias,
     inject_individual_bias,
-    load_truth,
     reference_labels,
     save_truth,
 )
@@ -166,7 +165,7 @@ class TestExport:
         assert loaded.n == biased.n
         assert np.allclose(loaded.numericals, biased.numericals)
         assert np.array_equal(loaded.labels, biased.labels)
-        assert np.array_equal(load_truth(truth_path), truth)
+        assert np.array_equal(np.loadtxt(truth_path, dtype=int).astype(bool), truth)
 
     def test_reference_labels_reconstruct_fair_world(self):
         base = generate_base(SMALL)

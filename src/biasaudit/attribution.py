@@ -12,11 +12,13 @@ other-group samples carrying the opposite label:
         / sum_j [s_j != s_i] c_j Q[i, j].
 
 Both are the closed-form minimizers of the corresponding weighted local
-regressions on label indicators. Every sum runs over (group, label)
-cells, so both estimates are ratios within rows of Q @ V (`Proximity.apply`;
-a row factor of Q cancels), where V holds the four cell indicator columns
-(scaled by credibility for the bias). A zero denominator means there is no
-evidence to estimate from; the entry is flagged undefined rather than raised.
+regressions on label indicators, and both are one ratio: row i's mass on
+one (group, label) cell over its mass on both cells of that group, read
+from Q @ V (`Proximity.apply`; a row factor of Q cancels), where V holds
+the four cell indicator columns. Credibility takes i's own cell with unit
+weights, bias the opposite group and label with credibility weights. A
+zero denominator means there is no evidence to estimate from; the entry is
+flagged undefined rather than raised.
 Each defined bias value decomposes exactly into per-contributor shares.
 
 All explanations come from one batched ranking kernel. Candidate
@@ -119,26 +121,36 @@ class BiasReport:
             fh.write(self.to_text())
 
 
-def _cell_mass(d: Dataset, q: Proximity, weight) -> np.ndarray:
-    """Q @ V (up to a row factor): column 2*g + y is sample i's mass on the
-    cell (g, y), each j counted with `weight` (a scalar or one per sample)."""
+def _check_rows(d: Dataset, *parts) -> None:
+    """Raise unless every Estimate or Proximity in `parts` is over d's rows."""
+    for part in parts:
+        n = part.n if isinstance(part, Proximity) else len(part.values)
+        if n != d.n:
+            raise ValueError(f"{type(part).__name__} over {n} rows does not match "
+                             f"the dataset's {d.n} rows")
+
+
+def _cell_ratio(d: Dataset, q: Proximity, weight, flip: int) -> Estimate:
+    """Sample i's proximity mass on the cell (g, y) = (s_i ^ flip, y_i ^ flip)
+    over its mass on both cells of group g, each j counted with `weight` (a
+    scalar or one per sample): ratios within rows of Q @ V, so a row factor
+    of Q cancels. NaN and undefined where the group's mass is zero."""
+    _check_rows(d, q)
     v = np.zeros((d.n, 4))
     v[np.arange(d.n), 2 * d.groups + d.labels] = weight
-    return q.apply(v)
-
-
-def estimate_credibility(d: Dataset, q: Proximity) -> Estimate:
-    """Closed-form credibility over same-group proximity mass, self term included."""
-    if q.n != d.n:
-        raise ValueError("similarity matrix does not match dataset size")
-    mass = _cell_mass(d, q, 1.0)
-    rows, cell = np.arange(d.n), 2 * d.groups
+    mass = q.apply(v)
+    rows, cell = np.arange(d.n), 2 * (d.groups ^ flip)
     den = mass[rows, cell] + mass[rows, cell + 1]
-    num = mass[rows, cell + d.labels]
+    num = mass[rows, cell + (d.labels ^ flip)]
     defined = den > 0.0
     values = np.full(d.n, np.nan)
     values[defined] = num[defined] / den[defined]
     return Estimate(values=values, defined=defined)
+
+
+def estimate_credibility(d: Dataset, q: Proximity) -> Estimate:
+    """Closed-form credibility over same-group proximity mass, self term included."""
+    return _cell_ratio(d, q, 1.0, flip=0)
 
 
 def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
@@ -147,14 +159,8 @@ def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     Undefined credibility entries contribute zero weight; a sample with
     no credible other-group proximity mass is flagged undefined.
     """
-    mass = _cell_mass(d, q, np.where(c.defined, c.values, 0.0))
-    rows, cell = np.arange(d.n), 2 * (1 - d.groups)
-    den = mass[rows, cell] + mass[rows, cell + 1]
-    num = mass[rows, cell + 1 - d.labels]
-    defined = den > 0.0
-    values = np.full(d.n, np.nan)
-    values[defined] = num[defined] / den[defined]
-    return Estimate(values=values, defined=defined)
+    _check_rows(d, c)
+    return _cell_ratio(d, q, np.where(c.defined, c.values, 0.0), flip=1)
 
 
 def _top_k(row, col, share, k):
@@ -243,6 +249,7 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int, block: bo
     for callers that explain many rows."""
     if k < 0:
         raise ValueError("top_k must be non-negative")
+    _check_rows(d, q, c)
     cred = np.where(c.defined, c.values, 0.0)
     rows = np.asarray(rows, dtype=int)
     if sparse.issparse(q.matrix):
@@ -283,11 +290,12 @@ def attribute(
     Stages: comparability graph -> symmetric normalization -> proximity
     ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
     explanations of every defined sample from one call of the batched
-    kernel (`top_k` = 0, or no defined sample, skips them; a negative
-    `top_k` is a ValueError). Under the walk it reads the cross-group block
-    Q[G0, G1], solved once after the estimates, so they do not depend on
-    `top_k`. The report keeps Q, the operator, for later stages.
-    Deterministic throughout.
+    kernel (`top_k` = 0, or no defined sample, skips them). A negative
+    `top_k`, or a damping outside [0, 1) under either similarity, is a
+    ValueError raised before the graph is built. Under the walk it reads
+    the cross-group block Q[G0, G1], solved once after the estimates, so
+    they do not depend on `top_k`. The report keeps Q, the operator, for
+    later stages. Deterministic throughout.
 
     Explanation shares agree with those of a dense solve of Q within 1e-9;
     entries whose shares lie closer than that may come in either order, as
@@ -295,6 +303,8 @@ def attribute(
     """
     if top_k < 0:
         raise ValueError("top_k must be non-negative")
+    if not 0.0 <= damping < 1.0:
+        raise ValueError("damping must lie in [0, 1)")
     graph = build_comparability_graph(d, cfg)
     if similarity == "rwr":
         q = rwr_proximity(symmetric_normalize(graph), damping=damping)

@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -91,8 +90,7 @@ def cmd_attribute(args) -> int:
     report, _, _ = _attribute_from_args(args, _load(args), args.topk)
     out_path = os.path.join(args.out, "bias_report.txt")
     os.makedirs(args.out, exist_ok=True)
-    text = report.to_text()
-    _atomic_file(out_path, lambda p: Path(p).write_text(text, encoding="utf-8"))
+    _atomic_file(out_path, report.write)
     if not report.bias.defined.any():
         print("warning: no sample has comparable other-group evidence; "
               "all bias entries are undefined", file=sys.stderr)
@@ -134,6 +132,9 @@ def cmd_explain(args) -> int:
 def cmd_mitigate(args) -> int:
     dataset = _load(args)
     train_idx, _, test_idx = stratified_split(dataset, seed=args.seed)[0]
+    if args.strategy == "aug" and args.control == "random" and args.budget >= len(train_idx):
+        raise ValueError(f"--control random under aug removes --budget {args.budget} rows, "
+                         f"but the training split has only {len(train_idx)}")
     train_raw = dataset.subset(train_idx)
     test_raw = dataset.subset(test_idx)
 
@@ -152,7 +153,7 @@ def cmd_mitigate(args) -> int:
     train_sets = {"before": train, "after": edited}
     if args.control == "random":
         rng = np.random.default_rng(args.seed)
-        size = len(plan.indices) if args.strategy == "rem" else min(args.budget, train.n)
+        size = len(plan.indices) if args.strategy == "rem" else args.budget
         ctrl_idx = np.sort(rng.choice(train.n, size=size, replace=False))
         ctrl_plan = RemovalPlan(indices=tuple(int(i) for i in ctrl_idx), budget=args.budget)
         train_sets["control"] = apply_plan(train, ctrl_plan)

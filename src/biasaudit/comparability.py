@@ -6,8 +6,10 @@ categorical features differ. The graph over all comparable pairs is
 symmetric, boolean, and stored sparse with self-loops removed. It is
 built in one forward sweep over the rows sorted on the first numerical
 feature, which tests each pair once, in blocks of at most
-`_BLOCK_ENTRIES` tested pairs. The pairs go straight into the CSR as
-int32 ids, so the build's peak memory follows the edges it finds.
+`_BLOCK_ENTRIES` tested pairs. A row's window on the sort key is a padded
+bound, a superset of its comparable rows; the exact predicate decides
+which pairs are edges. The pairs go straight into the CSR as int32 ids,
+so the build's peak memory follows the edges it finds.
 """
 
 from __future__ import annotations
@@ -78,21 +80,6 @@ def _check_normalized(numericals):
         raise ValueError("numerical features must be normalized to [0, 1] first")
 
 
-def _window_ends(key, t_r):
-    """For each position r of the sorted `key`, the first later position j with
-    key[j] - key[r] > t_r: a binary search for all rows at once, by the same
-    subtraction as the predicate. Rounding is monotone, so the ends do not
-    decrease and no row past r's end is within t_r of r."""
-    n = len(key)
-    lo, hi = np.arange(1, n + 1), np.full(n, n)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        near = open_ & (key[np.minimum(mid, n - 1)] - key <= t_r)
-        lo = np.where(near, mid + 1, lo)
-        hi = np.where(open_ & ~near, mid, hi)
-    return lo
-
-
 def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> ComparabilityGraph:
     """Evaluate the predicate over all pairs and assemble the graph.
 
@@ -100,12 +87,12 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     without numericals) and swept forward in blocks: each block is compared
     with itself and the rows after it, so every pair is tested once, in the
     block of its earlier row. With numerical features a block's window ends
-    where the gap on the sort key, computed by the same subtraction as the
-    predicate, exceeds t_r from its last row; the exact predicate is applied
-    inside the window. Without numerical features the window runs to the last
-    row. A block takes as many rows as keep rows x window within
-    `_BLOCK_ENTRIES`, and at least one, so the sweep's temporaries are
-    bounded whatever the data.
+    after the last row whose sort key is at most its last row's key plus
+    t_r plus a 1e-12 pad, by `np.searchsorted`: a superset of the rows within
+    t_r, and the exact predicate decides inside the window. Without
+    numerical features the window runs to the last row. A block takes as
+    many rows as keep rows x window within `_BLOCK_ENTRIES`, and at least
+    one, so the sweep's temporaries are bounded whatever the data.
 
     Pairs are kept as int32 ids (int64 from n = 2**31), each list dropped
     once concatenated, and assembled into H, one entry per pair; A = H + H^T
@@ -117,11 +104,11 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     n_r, n_d = d.n_numerical, d.n_categorical
     idx = np.int32 if n < 2**31 else np.int64
 
-    order = np.argsort(d.numericals[:, 0], kind="stable") if n_r else np.arange(n)
-    order = order.astype(idx)
-    num = d.numericals[order]
-    cat = d.categoricals[order]
-    ends = _window_ends(num[:, 0], cfg.t_r) if n_r else np.full(n, n)
+    key = d.numericals[:, 0] if n_r else np.zeros(n)
+    order = np.argsort(key, kind="stable").astype(idx)
+    key, num, cat = key[order], d.numericals[order], d.categoricals[order]
+    # The pad exceeds any rounding of key + t_r on keys in [-1e-12, 1 + 1e-12].
+    ends = np.searchsorted(key, key + (cfg.t_r + 1e-12), side="right")
     most_rows = math.isqrt(_BLOCK_ENTRIES)  # a window holds its block's rows
 
     pairs_i, pairs_j = [], []

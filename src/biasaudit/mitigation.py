@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attribution import Estimate
+from .attribution import Estimate, _check_rows
 from .data import Dataset
 from .similarity import Proximity
 
@@ -92,6 +92,7 @@ def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) 
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
+    _check_rows(d, b)
     label, group = select_edit_subgroup(d, "removal", tie_label)
     candidates = np.nonzero((d.labels == label) & (d.groups == group))[0]
     scores = np.where(b.defined, b.values, 0.0)[candidates]
@@ -142,6 +143,7 @@ def synthesize_fair_samples(
         raise ValueError("budget must be non-negative")
     if n_nb < 1:
         raise ValueError("neighborhood size must be at least 1")
+    _check_rows(d, b, q)
     label, group = select_edit_subgroup(d, "augmentation", tie_label)
     same_cell = (d.labels == label) & (d.groups == group)
     pool = np.flatnonzero(same_cell)

@@ -115,6 +115,14 @@ class TestCredibility:
 
 
 class TestBias:
+    def test_inputs_from_another_table_rejected(self):
+        d = path3_dataset([1, 0, 1], [0, 1, 0])
+        c = estimate_credibility(d, sim(Q_PATH))
+        with pytest.raises(ValueError, match="Estimate over 3 rows .* 2 rows"):
+            estimate_bias(d.subset([0, 1]), sim(Q_PATH[:2, :2]), c)
+        with pytest.raises(ValueError, match="Proximity over 3 rows .* 2 rows"):
+            estimate_bias(d.subset([0, 1]), sim(Q_PATH), Estimate(c.values[:2], c.defined[:2]))
+
     def test_same_label_neighbors_give_zero(self):
         d = path3_dataset([1, 1, 1], [0, 1, 0])
         c = estimate_credibility(d, sim(Q_PATH))
@@ -228,6 +236,14 @@ class TestContributions:
         c = Estimate([1.0, 1.0], [True, True])
         top = bias_contributions(d, q, c, 0, 5)
         assert len(top) == 1 and top[0].contribution == 0.0
+
+    def test_inputs_from_another_table_rejected(self):
+        # the first two rows, explained from the Q or credibility of all three
+        d = self.d.subset([0, 1])
+        with pytest.raises(ValueError, match="Proximity over 3 rows .* 2 rows"):
+            bias_contributions(d, self.q, Estimate([1.0, 1.0], [True, True]), 0, 2)
+        with pytest.raises(ValueError, match="Estimate over 3 rows .* 2 rows"):
+            bias_contributions(d, sim(self.q.matrix[:2, :2]), self.c, 0, 2)
 
     def test_undefined_bias_raises(self):
         q = sim(np.diag([0.5, 0.5]))

@@ -291,20 +291,54 @@ class TestMitigate:
         assert captured.out == ""
         assert not list(out.glob("*.tmp"))
 
-    def test_failed_control_training_leaves_no_output(self, synth_inputs, tmp_path, capsys):
-        # Under aug the random control removes --budget rows, here every
-        # training row, so its model cannot be trained: no file may be
-        # written, the edited dataset included.
+    def test_failed_control_training_leaves_no_output(self, synth_inputs, tmp_path, capsys,
+                                                      monkeypatch):
+        # The control's model is trained last: when its training fails no
+        # file may be written, the edited dataset included.
+        from biasaudit import cli
+
+        calls = []
+
+        def third_fails(features, labels):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("training labels contain a single class")
+            return train_classifier(features, labels)
+
+        monkeypatch.setattr(cli, "train_classifier", third_fails)
         data_path, schema_path, _, _ = synth_inputs
         out = tmp_path / "out"
         code = main(["mitigate", "--input", data_path, "--schema", schema_path,
-                     "--out", str(out), "--strategy", "aug", "--budget", "1000",
+                     "--out", str(out), "--strategy", "aug", "--budget", "15",
                      "--control", "random"])
         assert code == 1
         captured = capsys.readouterr()
         assert "error: training labels contain a single class" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_aug_control_of_every_training_row_rejected_first(self, synth_inputs, tmp_path,
+                                                             capsys, monkeypatch):
+        # Under aug the random control removes --budget rows: at the
+        # training split's size or more it would remove every row.
+        from biasaudit import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("attribution ran")
+
+        monkeypatch.setattr(cli, "attribute", unreachable)
+        data_path, schema_path, _, biased = synth_inputs
+        train_size = len(stratified_split(biased, seed=0)[0][0])
+        out = tmp_path / "out"
+        for budget in (train_size, 1000):
+            code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                         "--out", str(out), "--strategy", "aug", "--budget", str(budget),
+                         "--control", "random"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert f"--budget {budget}" in captured.err and f"only {train_size}" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["rem", "aug"])
     def test_negative_budget_exits_one_without_output(self, synth_inputs, tmp_path,
@@ -412,6 +446,32 @@ class TestMitigate:
                          "--out", str(tmp_path / "out"), "--strategy", "rem",
                          "--budget", "1", "--tr", "1.0", "--tie-label", "1"])
         assert code == 0
+
+
+@pytest.mark.parametrize("damping", ["1.0", "nan", "-3"])
+@pytest.mark.parametrize("command", [
+    ["attribute"], ["explain", "--index", "0"], ["mitigate", "--strategy", "rem", "--budget", "5"]],
+    ids=["attribute", "explain", "mitigate"])
+def test_invalid_damping_exits_one_under_adjacency(synth_inputs, tmp_path, capsys, monkeypatch,
+                                                   command, damping):
+    # The bypass never reads --damping, yet an invalid value is rejected,
+    # before the graph is built.
+    from biasaudit import attribution
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(attribution, "build_comparability_graph", unreachable)
+    data_path, schema_path, _, _ = synth_inputs
+    out = tmp_path / "out"
+    argv = [command[0], "--input", data_path, "--schema", schema_path, *command[1:],
+            "--similarity", "adjacency", "--damping", damping]
+    code = main(argv + (["--out", str(out)] if command[0] != "explain" else []))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "damping" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_only_explained_attribute_factors_the_walk(synth_inputs, tmp_path, monkeypatch):

@@ -140,6 +140,27 @@ class TestBuildGraph:
         assert g.adjacency[5, 6]
         assert np.array_equal(g.adjacency.toarray(), oracle_adjacency(d, cfg))
 
+    @pytest.mark.parametrize("budget", [1, 7, comparability._BLOCK_ENTRIES])
+    def test_padded_window_matches_oracle(self, budget):
+        # The window bound is fl(key + t_r + pad). On grid keys with t_r at
+        # an exact grid multiple, fl(key + t_r) can fall below a key whose
+        # gap rounds to t_r: without the pad, arange(99) / 98 at t_r = 7 / 98
+        # loses the pair (4, 11). Keys at the normalization bounds and t_r >= 1
+        # cover both ends of the key range.
+        edges = np.array([-1e-12, 0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        cases = [(np.repeat(np.arange(m + 1) / m, 2), k / m)
+                 for m, k in ((98, 7), (98, 49), (20, 1), (20, 3), (10, 10), (7, 2))]
+        cases += [(edges, t_r) for t_r in (1e-12, 0.1, 0.4, 1.0, 1.0 + 2e-12, 1.5)]
+        cases += [(np.arange(11) / 10, 1.0), (np.arange(11) / 10, 3.0)]
+        for key, t_r in cases:
+            n = len(key)
+            d = make_dataset(key, np.arange(n) % 2, np.zeros(n, dtype=int),
+                             np.zeros(n, dtype=int))
+            cfg = ComparabilityConfig(t_r=t_r, t_d=1)
+            with mock.patch.object(comparability, "_BLOCK_ENTRIES", budget):
+                g = build_comparability_graph(d, cfg)
+            assert np.array_equal(g.adjacency.toarray(), oracle_adjacency(d, cfg)), (key, t_r)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_pairwise_oracle_at_any_block_size(self, data):

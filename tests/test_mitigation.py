@@ -94,6 +94,11 @@ class TestPlanRemoval:
         plan = plan_removal(d, bias_of([0.5, 0.5, 0.5, 0.5]), 2)
         assert plan.indices == (0, 1)
 
+    def test_bias_from_another_table_rejected(self):
+        d = labeled_dataset(0.7, n=20)
+        with pytest.raises(ValueError, match="Estimate over 20 rows .* 10 rows"):
+            plan_removal(d.subset(np.arange(10)), bias_of(np.linspace(0, 1, 20)), 3)
+
 
 def mixup_fixture(n=40, seed=0):
     """Minority-positive protected pool with categoricals and full similarity."""
@@ -115,6 +120,15 @@ def mix_one(d, seed, target, lam, rng):
 
 
 class TestSynthesizeFairSamples:
+    def test_inputs_from_another_table_rejected(self):
+        d, q, b = mixup_fixture()
+        half = d.subset(np.arange(20))
+        with pytest.raises(ValueError, match="Estimate over 40 rows .* 20 rows"):
+            synthesize_fair_samples(half, b, q, m=4)
+        half_b = Estimate(values=b.values[:20], defined=b.defined[:20])
+        with pytest.raises(ValueError, match="Proximity over 40 rows .* 20 rows"):
+            synthesize_fair_samples(half, half_b, q, m=4)
+
     def test_budget_and_inheritance(self):
         d, q, b = mixup_fixture()
         label, group = select_edit_subgroup(d, "augmentation")

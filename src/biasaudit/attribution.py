@@ -21,17 +21,13 @@ zero denominator means there is no evidence to estimate from; the entry is
 flagged undefined rather than raised.
 Each defined bias value decomposes exactly into per-contributor shares.
 
-All explanations come from one batched ranking kernel. Candidate
-(row, contributor, share) triplets are read from the other-group entries
-of Q: the stored entries of a sparse Q, read in row blocks of about
-`_BLOCK_ENTRIES` entries, or blocks of dense rows; each block is shrunk to
-its rows' k best before the next is read. For all rows of the walk those
-entries form one block, Q[G0, G1] (Q is symmetric), solved once; one row
-is solved by itself. One lexsort over (row, share descending, index
-ascending) then keeps each row's first k, so the cost follows the entries
-read rather than a Python loop over dense rows. The report keeps the
-result as columns sorted by row; `BiasReport.explanations(i)` reads one
-slice.
+All explanations come from one kernel over the row blocks that
+`Proximity.other_group_rows` yields for any storage of Q. Each row is
+summed in column order, so a share does not depend on how Q is stored or
+blocked; each block is cut to its rows' k best before the next is read,
+and one lexsort over (row, share descending, index ascending) orders the
+result. The report keeps it as columns sorted by row;
+`BiasReport.explanations(i)` reads one slice.
 """
 
 from __future__ import annotations
@@ -40,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparability_graph
+from .comparability import ComparabilityConfig, build_comparability_graph
 from .data import Dataset
 from .similarity import Proximity, adjacency_similarity, rwr_proximity, symmetric_normalize
 
@@ -96,7 +91,10 @@ class BiasReport:
     similarity: Proximity = field(repr=False)
 
     def explanations(self, i: int) -> tuple:
-        """Sample i's top-k explanations; empty when its bias is undefined."""
+        """Sample i's top-k explanations; empty when its bias is undefined.
+        An index outside the report is an IndexError."""
+        if not 0 <= i < len(self.groups):
+            raise IndexError(f"sample index {i} out of range for {len(self.groups)} samples")
         lo, hi = np.searchsorted(self.explained[0], [i, i + 1])
         return _as_explanations(self.explained, lo, hi)
 
@@ -163,16 +161,6 @@ def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     return _cell_ratio(d, q, np.where(c.defined, c.values, 0.0), flip=1)
 
 
-def _top_k(row, col, share, k):
-    """Positions of each row's first k triplets, ordered by row, share
-    descending, then column ascending."""
-    order = np.lexsort((col, -share, row))
-    row = row[order]
-    pos = np.arange(len(row))
-    first = np.maximum.accumulate(np.where(np.r_[True, row[1:] != row[:-1]], pos, 0))
-    return order[pos - first < k]
-
-
 def _k_best_mask(key, k):
     """Mask of each row's k smallest keys; ties go to the leftmost entries."""
     if k == 0 or k >= key.shape[1]:
@@ -183,81 +171,31 @@ def _k_best_mask(key, k):
     return below | (tie & (np.cumsum(tie, axis=1) <= k - below.sum(axis=1, keepdims=True)))
 
 
-def _stored_candidates(d, q, cred, rows, k):
-    """Candidates from the stored entries of a sparse Q: each row's k best
-    contributors. Rows are read in blocks of about `_BLOCK_ENTRIES` stored
-    entries, and each block is cut to its rows' top k before the next is
-    read, so no temporary grows with the entries of all rows."""
-    counts = np.diff(q.matrix.indptr)[rows]
-    block_of = (np.cumsum(counts) - counts) // _BLOCK_ENTRIES  # by each row's first entry
-    parts = []
-    for r in np.split(rows, np.flatnonzero(np.diff(block_of)) + 1):
-        block = q.csr_rows(r)
-        at = np.repeat(np.arange(len(r)), np.diff(block.indptr))  # position within r
-        col, sim = block.indices, block.data
-        w = sim * cred[col]
-        keep = (d.groups[col] != d.groups[r][at]) & (w > 0.0)
-        at, col, sim, w = at[keep], col[keep], sim[keep], w[keep]
-        den = np.bincount(at, weights=w, minlength=len(r))
-        share = np.where(d.labels[col] != d.labels[r][at], w, 0.0) / den[at]
-        top = _top_k(at, col, share, k)
-        parts.append((r[den > 0.0], r[at[top]], col[top], share[top], sim[top]))
-    return tuple(np.concatenate(f) for f in zip(*parts))
-
-
-def _dense_candidates(d, q, cred, rows, k, block):
-    """Candidates from dense rows cut to their other-group entries: each
-    row's k best contributors. With `block`, a walk's entries come from its
-    cross-group block Q[G0, G1], solved once, group-1 rows from its transpose;
-    otherwise from the rows of Q. Rows are taken in blocks of about
-    `_BLOCK_ENTRIES` other-group entries, small enough that the block
-    temporaries do not raise peak memory."""
-    cross = q.cross_block(d.groups == 0) if block and q.matrix is None else None
-    parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
-    for g in (0, 1):
-        same = d.groups == g
-        other = np.flatnonzero(~same)
-        at = np.cumsum(same) - 1  # position within group g
-        mine = rows[same[rows]]
-        step = max(1, _BLOCK_ENTRIES // max(len(other), 1))
-        for start in range(0, len(mine), step):
-            r = mine[start:start + step]
-            if cross is None:
-                sim = q.rows(r)[:, other]
-            else:
-                sim = cross[at[r]] if g == 0 else cross[:, at[r]].T
-            # Contiguous rows, so each row sums below in one order: that order
-            # sets the last bit of every share.
-            sim = np.ascontiguousarray(sim)
-            w = sim * cred[other]
-            den = w.sum(axis=1)
-            ok = np.flatnonzero(den > 0.0)
-            r, den, sim, w = r[ok], den[ok, None], sim[ok], w[ok]
-            share = np.where(d.labels[other] != d.labels[r, None], w, 0.0) / den
-            contributes = w > 0.0
-            pick = _k_best_mask(np.where(contributes, -share, np.inf), k) & contributes
-            ri, ci = np.nonzero(pick)
-            parts.append((r, r[ri], other[ci], share[ri, ci], sim[ri, ci]))
-    return tuple(np.concatenate(f) for f in zip(*parts))
-
-
 def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int, block: bool = False):
     """The batched kernel. Returns the rows of `rows` with credible
-    other-group proximity mass, and the columns (row, index, contribution,
-    credibility, similarity) of their top-k explanations, sorted by row.
-    `block` reads a walk's entries from one solve of its cross-group block,
-    for callers that explain many rows."""
+    other-group proximity mass, ascending, and the columns (row, index,
+    contribution, credibility, similarity) of their top-k explanations,
+    sorted by row. `block` reads a walk's entries from one solve of its
+    cross-group block, for callers that explain many rows."""
     if k < 0:
         raise ValueError("top_k must be non-negative")
     _check_rows(d, q, c)
     cred = np.where(c.defined, c.values, 0.0)
-    rows = np.asarray(rows, dtype=int)
-    if sparse.issparse(q.matrix):
-        defined, row, col, share, sim = _stored_candidates(d, q, cred, rows, k)
-    else:
-        defined, row, col, share, sim = _dense_candidates(d, q, cred, rows, k, block)
-    keep = _top_k(row, col, share, k)
-    return defined, (row[keep], col[keep], share[keep], cred[col[keep]], sim[keep])
+    parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
+    for r, col, sim in q.other_group_rows(d.groups == 0, rows, whole=block):
+        w = sim * cred[col]
+        den = np.cumsum(w, axis=1)[:, -1:]  # in column order: the same bits for any storage
+        share = np.divide(np.where(d.labels[col] != d.labels[r, None], w, 0.0), den,
+                          out=np.zeros(w.shape), where=den > 0.0)
+        contributes = w > 0.0
+        ri, ci = np.nonzero(_k_best_mask(np.where(contributes, -share, np.inf), k)
+                            & contributes)
+        parts.append((r[den[:, 0] > 0.0], r[ri], np.broadcast_to(col, w.shape)[ri, ci],
+                      share[ri, ci], sim[ri, ci]))
+    defined, row, col, share, sim = (np.concatenate(f) for f in zip(*parts))
+    order = np.lexsort((col, -share, row))
+    row, col = row[order], col[order]
+    return np.sort(defined), (row, col, share[order], cred[col], sim[order])
 
 
 def bias_contributions(
@@ -291,10 +229,10 @@ def attribute(
     ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
     explanations of every defined sample from one call of the batched
     kernel (`top_k` = 0, or no defined sample, skips them). A negative
-    `top_k`, or a damping outside [0, 1) under either similarity, is a
-    ValueError raised before the graph is built. Under the walk it reads
-    the cross-group block Q[G0, G1], solved once after the estimates, so
-    they do not depend on `top_k`. The report keeps Q, the operator, for
+    `top_k`, a damping outside [0, 1) under either similarity, or an
+    unknown similarity is a ValueError raised before the graph is built.
+    Under the walk it reads the cross-group block Q[G0, G1], solved once
+    after the estimates, so they do not depend on `top_k`. The report keeps Q, the operator, for
     later stages. Deterministic throughout.
 
     Explanation shares agree with those of a dense solve of Q within 1e-9;
@@ -305,13 +243,13 @@ def attribute(
         raise ValueError("top_k must be non-negative")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
+    if similarity not in ("rwr", "adjacency"):
+        raise ValueError(f"unknown similarity {similarity!r}")
     graph = build_comparability_graph(d, cfg)
     if similarity == "rwr":
         q = rwr_proximity(symmetric_normalize(graph), damping=damping)
-    elif similarity == "adjacency":
-        q = adjacency_similarity(graph)
     else:
-        raise ValueError(f"unknown similarity {similarity!r}")
+        q = adjacency_similarity(graph)
     cred = estimate_credibility(d, q)
     bias = estimate_bias(d, q, cred)
     explained = (np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 3

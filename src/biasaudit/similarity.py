@@ -13,7 +13,8 @@ sparse W, and `cross_block` solves the block Q[G0, G1] between two groups
 once, by block Cholesky, without forming Q; above p = 0.2, I - pW is
 inverted once. A cheap bypass uses the row-normalized adjacency D^-1 A
 directly (no walk); its `apply` leaves out the 1/degree row factor, which
-the estimates cancel.
+the estimates cancel. For any storage, `other_group_rows` reads Q's
+other-group entries in bounded row blocks, for the explanations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .comparability import ComparabilityGraph
+from .comparability import _BLOCK_ENTRIES, ComparabilityGraph
 
 _TOL = 1e-14  # largest relative fixed-point update
 _WALK_MAX_DAMPING = 0.2  # above it ~150 solved rows (mitigate, n = 2,400) cost more than inverting
@@ -109,7 +110,11 @@ class Proximity:
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
-            object.__setattr__(self, "matrix", sparse.csr_matrix(self.matrix, dtype=float))
+            m = sparse.csr_matrix(self.matrix, dtype=float)
+            if not m.has_canonical_format:  # so each row's columns ascend, once each
+                m = m.copy()
+                m.sum_duplicates()
+            object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
             object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
             self.matrix.setflags(write=False)
@@ -129,12 +134,20 @@ class Proximity:
             return self.apply(np.maximum(v, 0.0)) - self.apply(np.maximum(-v, 0.0))
         return _walk(self.w, self.damping, v)
 
-    def csr_rows(self, idx) -> sparse.csr_matrix:
-        """Rows Q[idx] of a CSR `matrix`, with only its stored entries."""
-        block = self.matrix[idx]
+    def _padded_rows(self, r, first) -> tuple:
+        """Rows Q[r] of a CSR `matrix` as (len(r), widest) arrays of stored
+        column indices and values, zero-padded, entries in r's group zeroed."""
+        block = self.matrix[r]
+        counts = np.diff(block.indptr)
+        at = np.repeat(np.arange(len(r)), counts)  # position within r
+        pos = np.arange(block.nnz) - block.indptr[at]  # position within the row
+        data = np.where(first[block.indices] != first[r][at], block.data, 0.0)
         if self.scale is not None:
-            block.data *= np.repeat(self.scale[idx], np.diff(block.indptr))
-        return block
+            data *= self.scale[r][at]
+        col = np.zeros((len(r), counts.max()), dtype=block.indices.dtype)
+        sim = np.zeros(col.shape)
+        col[at, pos], sim[at, pos] = block.indices, data
+        return col, sim
 
     def rows(self, idx, entrywise: bool = True) -> np.ndarray:
         """Rows Q[idx] as a dense (len(idx), n) array; a solved row is
@@ -144,9 +157,50 @@ class Proximity:
             e = np.zeros((self.n, len(idx)))
             e[idx, np.arange(len(idx))] = 1.0
             return _walk(self.w, self.damping, e, entrywise).T  # Q is symmetric
+        m = self.matrix[idx]
+        m = m.toarray() if sparse.issparse(m) else m
+        return m if self.scale is None else m * self.scale[idx, None]
+
+    def other_group_rows(self, first, rows, whole: bool = False):
+        """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries
+        of `rows`, the groups split by the boolean mask `first`, with columns
+        ascending within a row: for a CSR Q, its rows
+        zero-padded to the block's widest, same-group entries zeroed; for the
+        walk (with `whole`, rows of its cross block, solved once) and a dense Q,
+        col = other[None, :]. A block has at least one row and one column and at
+        most a quarter of `_BLOCK_ENTRIES` entries, as its reader holds about a
+        dozen temporaries of its size."""
+        first = np.asarray(first, dtype=bool)
+        rows = np.asarray(rows, dtype=int)
+        budget = _BLOCK_ENTRIES // 4
         if sparse.issparse(self.matrix):
-            return self.csr_rows(idx).toarray()
-        return self.matrix[idx] if self.scale is None else self.matrix[idx] * self.scale[idx, None]
+            counts = np.diff(self.matrix.indptr)[rows]
+            by_width = np.argsort(counts, kind="stable")  # so a block's rows pad little
+            by_width = by_width[counts[by_width] > 0]
+            rows, counts = rows[by_width], counts[by_width]
+            start = 0
+            while start < len(rows):
+                width = counts[start:start + max(budget, 1)]  # ascending: the last is widest
+                entries = width * np.arange(1, len(width) + 1)
+                stop = start + max(1, int(np.searchsorted(entries, budget, side="right")))
+                r, start = rows[start:stop], stop
+                yield (r, *self._padded_rows(r, first))
+            return
+        cross = self.cross_block(first) if whole and self.matrix is None else None
+        for side in (True, False):
+            same = first == side
+            other = np.flatnonzero(~same)
+            if not len(other):
+                continue
+            at = np.cumsum(same) - 1  # position within the side
+            mine = rows[same[rows]]
+            step = max(1, budget // len(other))
+            for start in range(0, len(mine), step):
+                r = mine[start:start + step]
+                if cross is None:
+                    yield r, other[None, :], self.rows(r)[:, other]
+                else:
+                    yield r, other[None, :], cross[at[r]] if side else cross[:, at[r]].T
 
     def cross_block(self, first) -> np.ndarray:
         """Q[first, ~first] of the walk for a boolean mask `first`: every entry

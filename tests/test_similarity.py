@@ -343,3 +343,39 @@ class TestProximityOperator:
             best = np.sort(want[cell & (want > 0.0)])[::-1][:k]
             assert len(top) == len(best)
             assert np.allclose(want[top], best, rtol=1e-9, atol=0.0)
+
+    def test_csr_row_blocks_pad_within_the_budget(self, monkeypatch):
+        # A budget of 28 makes blocks of at most 7 entries: several narrow
+        # rows share one, each padded to the block's widest. The same entries
+        # with each row's columns stored in reverse give the same blocks.
+        rng = np.random.default_rng(4)
+        n = 12
+        upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+        m = np.where(upper | upper.T, rng.random((n, n)), 0.0)
+        m = (m + m.T) / 2
+        scale = rng.random(n) + 0.5
+        first = np.arange(n) % 2 == 0
+        csr = sparse.csr_matrix(m)
+        flipped = [np.arange(b - 1, a - 1, -1) for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
+        order = np.concatenate(flipped).astype(int)
+        unsorted = sparse.csr_matrix((csr.data[order], csr.indices[order], csr.indptr), shape=(n, n))
+        assert not unsorted.has_sorted_indices
+        monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 28)
+        rows = np.arange(n)
+        blocks, again = (list(Proximity(matrix=a, scale=scale).other_group_rows(first, rows))
+                         for a in (csr, unsorted))
+        stored = np.flatnonzero(np.diff(csr.indptr))
+        assert sorted(np.concatenate([r for r, _, _ in blocks]).tolist()) == stored.tolist()
+        assert any(1 < len(r) < len(stored) for r, _, _ in blocks)
+        want = np.where(first[:, None] != first[None, :], m * scale[:, None], 0.0)
+        for (r, col, sim), (r2, col2, sim2) in zip(blocks, again, strict=True):
+            assert len(r) == 1 or sim.size <= 7
+            assert col.shape == sim.shape == (len(r), np.diff(csr.indptr)[r].max())
+            got = np.zeros((len(r), n))
+            np.add.at(got, (np.arange(len(r))[:, None], col), sim)
+            assert np.array_equal(got, want[r])
+            for j, i in enumerate(r):
+                width = csr.indptr[i + 1] - csr.indptr[i]
+                assert np.all(np.diff(col[j, :width]) > 0) and not sim[j, width:].any()
+            for a, b in zip((r, col, sim), (r2, col2, sim2)):
+                assert np.array_equal(a, b)

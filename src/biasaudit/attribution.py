@@ -171,18 +171,17 @@ def _k_best_mask(key, k):
     return below | (tie & (np.cumsum(tie, axis=1) <= k - below.sum(axis=1, keepdims=True)))
 
 
-def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int, block: bool = False):
+def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
     """The batched kernel. Returns the rows of `rows` with credible
     other-group proximity mass, ascending, and the columns (row, index,
     contribution, credibility, similarity) of their top-k explanations,
-    sorted by row. `block` reads a walk's entries from one solve of its
-    cross-group block, for callers that explain many rows."""
+    sorted by row."""
     if k < 0:
         raise ValueError("top_k must be non-negative")
     _check_rows(d, q, c)
     cred = np.where(c.defined, c.values, 0.0)
     parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
-    for r, col, sim in q.other_group_rows(d.groups == 0, rows, whole=block):
+    for r, col, sim in q.other_group_rows(d.groups == 0, rows):
         w = sim * cred[col]
         den = np.cumsum(w, axis=1)[:, -1:]  # in column order: the same bits for any storage
         share = np.divide(np.where(d.labels[col] != d.labels[r, None], w, 0.0), den,
@@ -228,12 +227,11 @@ def attribute(
     Stages: comparability graph -> symmetric normalization -> proximity
     ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
     explanations of every defined sample from one call of the batched
-    kernel (`top_k` = 0, or no defined sample, skips them). A negative
-    `top_k`, a damping outside [0, 1) under either similarity, or an
-    unknown similarity is a ValueError raised before the graph is built.
-    Under the walk it reads the cross-group block Q[G0, G1], solved once
-    after the estimates, so they do not depend on `top_k`. The report keeps Q, the operator, for
-    later stages. Deterministic throughout.
+    kernel (`top_k` = 0 skips them). A negative `top_k`, a damping outside
+    [0, 1) under either similarity, or an unknown similarity is a ValueError
+    raised before the graph is built. The explanations are read after the
+    estimates, so these do not depend on `top_k`. The report keeps Q, the
+    operator, for later stages. Deterministic throughout.
 
     Explanation shares agree with those of a dense solve of Q within 1e-9;
     entries whose shares lie closer than that may come in either order, as
@@ -253,8 +251,7 @@ def attribute(
     cred = estimate_credibility(d, q)
     bias = estimate_bias(d, q, cred)
     explained = (np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 3
-    if top_k > 0 and bias.defined.any():
-        _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k,
-                                     block=True)
+    if top_k > 0:  # with no defined row, nothing is solved
+        _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k)
     return BiasReport(groups=d.groups, labels=d.labels, credibility=cred, bias=bias,
                       explained=explained, similarity=q)

@@ -130,11 +130,20 @@ def cmd_explain(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
+    if args.budget < 0:
+        raise ValueError("budget must be non-negative")
+    if args.strategy == "aug" and args.neighbors < 1:
+        raise ValueError("neighborhood size must be at least 1")
     dataset = _load(args)
     train_idx, _, test_idx = stratified_split(dataset, seed=args.seed)[0]
-    if args.strategy == "aug" and args.control == "random" and args.budget >= len(train_idx):
-        raise ValueError(f"--control random under aug removes --budget {args.budget} rows, "
-                         f"but the training split has only {len(train_idx)}")
+    rng, removed = np.random.default_rng(args.seed), None  # draws the random control's rows
+    if args.strategy == "aug" and args.control == "random":  # known from the split alone
+        if args.budget >= len(train_idx):
+            raise ValueError(f"--control random under aug removes --budget {args.budget} "
+                             f"rows, but the training split has only {len(train_idx)}")
+        removed = rng.choice(len(train_idx), size=args.budget, replace=False)
+        if len(np.unique(np.delete(dataset.labels[train_idx], removed))) < 2:
+            raise ValueError(f"--control random with --budget {args.budget} keeps a single class")
     train_raw = dataset.subset(train_idx)
     test_raw = dataset.subset(test_idx)
 
@@ -152,11 +161,9 @@ def cmd_mitigate(args) -> int:
     edited = apply_plan(train, plan)
     train_sets = {"before": train, "after": edited}
     if args.control == "random":
-        rng = np.random.default_rng(args.seed)
-        size = len(plan.indices) if args.strategy == "rem" else args.budget
-        ctrl_idx = np.sort(rng.choice(train.n, size=size, replace=False))
-        ctrl_plan = RemovalPlan(indices=tuple(int(i) for i in ctrl_idx), budget=args.budget)
-        train_sets["control"] = apply_plan(train, ctrl_plan)
+        if removed is None:  # under rem, as many rows as the plan removes
+            removed = rng.choice(train.n, size=len(plan.indices), replace=False)
+        train_sets["control"] = apply_plan(train, RemovalPlan(tuple(removed.tolist()), args.budget))
     results = {name: evaluate_classifier(train_classifier(encode_features(t), t.labels), test)
                for name, t in train_sets.items()}
     edited_raw = invert_normalization(edited, params)

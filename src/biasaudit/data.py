@@ -243,7 +243,7 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     once in the header. Missing cells are a hard error; there is no
     imputation. Numerical cells must be finite (no nan or inf).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -315,11 +315,11 @@ def load_schema(path) -> FeatureSchema:
     """Parse a plain-text key/value schema descriptor.
 
     Recognized keys: numerical, categorical (comma-separated lists),
-    label, group, favorable, privileged. Lines starting with '#' are
-    comments.
+    label, group, favorable, privileged, each at most once. Lines starting
+    with '#' are comments.
     """
-    fields = {"numerical": (), "categorical": (), "favorable": None, "privileged": None}
-    with open(path, encoding="utf-8") as fh:
+    fields = {}
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -329,6 +329,8 @@ def load_schema(path) -> FeatureSchema:
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
+            if key in fields:
+                raise SchemaError(f"{path}: repeated schema key {key!r}")
             if key in ("numerical", "categorical"):
                 fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
             elif key in ("label", "group", "favorable", "privileged"):
@@ -338,6 +340,7 @@ def load_schema(path) -> FeatureSchema:
     for required in ("label", "group"):
         if required not in fields:
             raise SchemaError(f"{path}: missing {required!r} entry")
+    fields = {"numerical": (), "categorical": (), "favorable": None, "privileged": None, **fields}
     return FeatureSchema(fields["numerical"], fields["categorical"], fields["label"],
                          fields["group"], fields["favorable"], fields["privileged"])
 

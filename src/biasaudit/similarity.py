@@ -7,14 +7,14 @@ proximity matrix is
     Q = (1 - p) (I - p W)^(-1),
 
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
-mass on the diagonal and therefore more locality. Q is an operator:
-up to p = 0.2 the walk solves `apply(V)` = Q @ V and `rows(idx)` on the
-sparse W, and `cross_block` solves the block Q[G0, G1] between two groups
-once, by block Cholesky, without forming Q; above p = 0.2, I - pW is
-inverted once. A cheap bypass uses the row-normalized adjacency D^-1 A
-directly (no walk); its `apply` leaves out the 1/degree row factor, which
-the estimates cancel. For any storage, `other_group_rows` reads Q's
-other-group entries in bounded row blocks, for the explanations.
+mass on the diagonal and therefore more locality. Q is an operator whose
+solve only this module picks: up to p = 0.2 the walk solves `apply(V)` =
+Q @ V and `rows(idx)` on the sparse W; above p = 0.2, I - pW is inverted
+once. A cheap bypass uses the row-normalized adjacency D^-1 A directly (no
+walk); its `apply` leaves out the 1/degree row factor, which the estimates
+cancel. For any storage, `other_group_rows` reads Q's other-group entries in
+bounded row blocks, for the explanations; the walk solves one row alone, and
+more from the block Q[G0, G1], solved once by block Cholesky.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
 class Proximity:
     """Q as an operator. Either stored, Q = diag(scale) @ `matrix` (a read-only
     dense array, or CSR: the bypass keeps its 0/1 adjacency, scale = 1/degree),
-    or the walk on `w` with `damping`, solved on demand until `inverted`."""
+    or the walk on `w` with `damping`, solved on demand: `other_group_rows`
+    solves one row alone, and reads more from the cross-group block."""
 
     matrix: np.ndarray | sparse.csr_matrix | None = None
     scale: np.ndarray | None = None
@@ -124,14 +125,12 @@ class Proximity:
         return (self.w if self.matrix is None else self.matrix).shape[0]
 
     def apply(self, v) -> np.ndarray:
-        """Q @ V, for a stored Q without the row factor `scale`."""
+        """Q @ V for a finite V >= 0, for a stored Q without the row factor `scale`."""
         v = np.asarray(v, dtype=float)
-        if not np.isfinite(v).all():
-            raise ValueError("V must be finite")
+        if not (np.isfinite(v) & (v >= 0.0)).all():
+            raise ValueError("V must be finite and non-negative")
         if self.matrix is not None:
             return np.asarray(self.matrix @ v)
-        if (v < 0.0).any():  # by linearity, one walk per sign keeps every entry accurate
-            return self.apply(np.maximum(v, 0.0)) - self.apply(np.maximum(-v, 0.0))
         return _walk(self.w, self.damping, v)
 
     def _padded_rows(self, r, first) -> tuple:
@@ -161,15 +160,15 @@ class Proximity:
         m = m.toarray() if sparse.issparse(m) else m
         return m if self.scale is None else m * self.scale[idx, None]
 
-    def other_group_rows(self, first, rows, whole: bool = False):
+    def other_group_rows(self, first, rows):
         """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries
         of `rows`, the groups split by the boolean mask `first`, with columns
         ascending within a row: for a CSR Q, its rows
         zero-padded to the block's widest, same-group entries zeroed; for the
-        walk (with `whole`, rows of its cross block, solved once) and a dense Q,
-        col = other[None, :]. A block has at least one row and one column and at
-        most a quarter of `_BLOCK_ENTRIES` entries, as its reader holds about a
-        dozen temporaries of its size."""
+        walk (one row solved alone, more read from the cross block, solved once)
+        and a dense Q, col = other[None, :]. A block has at least one row and one
+        column and at most a quarter of `_BLOCK_ENTRIES` entries, as its reader
+        holds about a dozen temporaries of its size."""
         first = np.asarray(first, dtype=bool)
         rows = np.asarray(rows, dtype=int)
         budget = _BLOCK_ENTRIES // 4
@@ -186,7 +185,8 @@ class Proximity:
                 r, start = rows[start:stop], stop
                 yield (r, *self._padded_rows(r, first))
             return
-        cross = self.cross_block(first) if whole and self.matrix is None else None
+        cross = (_cross_block(self.w, self.damping, first)
+                 if self.matrix is None and len(rows) > 1 else None)
         for side in (True, False):
             same = first == side
             other = np.flatnonzero(~same)
@@ -201,16 +201,6 @@ class Proximity:
                     yield r, other[None, :], self.rows(r)[:, other]
                 else:
                     yield r, other[None, :], cross[at[r]] if side else cross[:, at[r]].T
-
-    def cross_block(self, first) -> np.ndarray:
-        """Q[first, ~first] of the walk for a boolean mask `first`: every entry
-        between the two sides, solved at once without forming Q."""
-        return _cross_block(self.w, self.damping, np.asarray(first, dtype=bool))
-
-    def inverted(self) -> Proximity:
-        """Q with every row stored, for callers that read them all: the walk
-        inverted once, exactly; a stored Q as it is."""
-        return Proximity(matrix=_inverse(self.w, self.damping)) if self.matrix is None else self
 
 
 def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
@@ -232,8 +222,9 @@ def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
     up to p = 0.2 the walk, solved on demand, above it inverted once."""
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    q = Proximity(w=w, damping=damping)
-    return q.inverted() if damping > _WALK_MAX_DAMPING else q
+    if damping > _WALK_MAX_DAMPING:
+        return Proximity(matrix=_inverse(w, damping))
+    return Proximity(w=w, damping=damping)
 
 
 def adjacency_similarity(g: ComparabilityGraph) -> Proximity:

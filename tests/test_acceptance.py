@@ -36,6 +36,7 @@ from biasaudit.mitigation import (
     synthesize_fair_samples,
 )
 from biasaudit.model import predict, train_classifier
+from biasaudit import similarity
 from biasaudit.similarity import Proximity, rwr_proximity, symmetric_normalize
 from biasaudit.synth import (
     SynthConfig,
@@ -124,10 +125,12 @@ def test_criterion_3_rwr_backend_agreement():
         for p in (0.1, 0.5, 0.9):
             oracle = np.linalg.solve(np.eye(n) - p * w.toarray(), (1 - p) * np.eye(n))
             walk = Proximity(w=w, damping=p)  # solved at every damping, and inverted
-            for q in (walk.rows(every), walk.inverted().rows(every)):
+            inverted = Proximity(matrix=similarity._inverse(w, p))
+            for q in (walk.rows(every), inverted.rows(every)):
                 worst = max(worst, float(np.abs(q - oracle).max()))
         solved = rwr_proximity(w, damping=0.0)
-        for q0 in (solved.rows(every), solved.inverted().rows(every)):
+        inverted = Proximity(matrix=similarity._inverse(w, 0.0))
+        for q0 in (solved.rows(every), inverted.rows(every)):
             assert np.array_equal(q0, np.eye(n))
     check(3, f"proximity agrees with the dense solve oracle within 1e-8 "
              f"(worst {worst:.2e}), damping 0 gives the identity exactly", worst < 1e-8)
@@ -146,7 +149,8 @@ def test_criterion_4_contribution_decomposition():
         cred = estimate_credibility(data, q)
         bias = estimate_bias(data, q, cred)
         # the shares from solved rows, and from the inverse as `attribute` reads them
-        for rows_of in (q, q.inverted()):
+        inverted = Proximity(matrix=similarity._inverse(q.w, 0.1))
+        for rows_of in (q, inverted):
             for i in range(data.n):
                 if not bias.defined[i]:
                     continue

@@ -439,7 +439,7 @@ def kernel_entries(d, q):
     if q.matrix is not None:
         return q.rows(np.arange(d.n))
     first = d.groups == 0
-    block = q.cross_block(first)
+    block = similarity_module._cross_block(q.w, q.damping, first)
     qm = np.zeros((d.n, d.n))
     qm[np.ix_(first, ~first)] = block
     qm[np.ix_(~first, first)] = block.T
@@ -519,6 +519,31 @@ class TestBatchedKernel:
             assert np.array_equal(a, b)
         for i in range(n):
             assert bias_contributions(d, stored, c, i, k) == bias_contributions(d, dense, c, i, k)
+
+    def test_walk_solves_the_cross_block_for_many_rows_only(self, monkeypatch):
+        # Every defined row of a walk is read from one cross-block solve; a
+        # single row, as `bias_contributions` asks, is solved alone.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cross_block(*args)
+
+        cross_block = similarity_module._cross_block
+        monkeypatch.setattr(similarity_module, "_cross_block", counted)
+        rng = np.random.default_rng(5)
+        # equal groups, so the solve eliminates group 0 without recursing
+        d = make_dataset(rng.random(30), [], rng.integers(0, 2, size=30), np.arange(30) % 2)
+        graph = build_comparability_graph(d, ComparabilityConfig(0.3, 0))
+        q = Proximity(w=symmetric_normalize(graph), damping=0.1)
+        c = estimate_credibility(d, q)
+        rows = np.flatnonzero(estimate_bias(d, q, c).defined)
+        assert len(rows) > 1
+        defined, _ = _explanations(d, q, c, rows, 5)
+        assert np.array_equal(defined, rows) and len(calls) == 1
+        for i in rows:
+            bias_contributions(d, q, c, i, 5)
+        assert len(calls) == 1
 
     def test_nothing_explained_solves_nothing(self, monkeypatch):
         def refused(*args, **kwargs):

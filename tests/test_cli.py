@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biasaudit import attribution
 from biasaudit.cli import main
 from biasaudit.data import (
     load_dataset,
@@ -16,6 +17,10 @@ from biasaudit.synth import (
     inject_group_bias,
     save_truth,
 )
+
+
+def graph_refused(*args, **kwargs):
+    raise AssertionError("graph built")
 
 
 def write_inputs(tmp_path, dataset, name="data"):
@@ -340,15 +345,51 @@ class TestMitigate:
             assert captured.out == ""
             assert not out.exists()
 
+    def test_aug_control_of_one_class_rejected_first(self, synth_inputs, tmp_path, capsys,
+                                                     monkeypatch):
+        # One row short of the training split, the control keeps a single
+        # row, so its model could not train: this is known from the draw alone.
+        from biasaudit import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("attribution ran")
+
+        monkeypatch.setattr(cli, "attribute", unreachable)
+        data_path, schema_path, _, biased = synth_inputs
+        budget = len(stratified_split(biased, seed=0)[0][0]) - 1
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", str(budget),
+                     "--control", "random"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"--budget {budget} keeps a single class" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["rem", "aug"])
     def test_negative_budget_exits_one_without_output(self, synth_inputs, tmp_path,
-                                                       capsys, strategy):
+                                                       capsys, monkeypatch, strategy):
+        # rejected before the graph is built
+        monkeypatch.setattr(attribution, "build_comparability_graph", graph_refused)
         data_path, schema_path, _, _ = synth_inputs
         out = tmp_path / "out"
         code = main(["mitigate", "--input", data_path, "--schema", schema_path,
                      "--out", str(out), "--strategy", strategy, "--budget", "-5"])
         assert code == 1
-        assert "budget must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: budget must be non-negative\n"
+        assert not out.exists()
+
+    def test_empty_neighborhood_exits_one_before_the_graph(self, synth_inputs, tmp_path,
+                                                           capsys, monkeypatch):
+        monkeypatch.setattr(attribution, "build_comparability_graph", graph_refused)
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", "10",
+                     "--neighbors", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: neighborhood size must be at least 1\n"
         assert not out.exists()
 
     def test_augmentation_deterministic(self, synth_inputs, tmp_path):

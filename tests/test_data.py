@@ -292,6 +292,17 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="'age' appears 2 times"):
             load_dataset(f, SCHEMA)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "age,job,sex,income\n30,A,0,1\n40,B,1,0\n"
+        plain = load_dataset(write_csv(tmp_path / "plain.csv", text), SCHEMA)
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_dataset(marked, SCHEMA).equals(plain)
+        out = tmp_path / "out.csv"
+        save_dataset(plain, out)
+        assert out.read_bytes().startswith(b"age,")  # written without a mark
+
     def test_duplicate_undeclared_column_allowed(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "age,note,job,note,sex,income\n30,x,A,y,0,1\n")
         assert load_dataset(f, SCHEMA).n == 1
@@ -346,6 +357,23 @@ class TestSchemaFile:
         path = tmp_path / "schema.txt"
         save_schema(schema, path)
         assert load_schema(path) == schema
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_text("numerical = a\nlabel = y\ngroup = s\n", encoding="utf-8-sig")
+        assert load_schema(path) == FeatureSchema(("a",), (), "y", "s")
+
+    @pytest.mark.parametrize("text, key", [
+        ("numerical = x1, x2\ncategorical = c\nnumerical = x2\nlabel = y\ngroup = s\n",
+         "numerical"),
+        ("numerical = x1\nlabel = y\ngroup = s\nLabel = s\n", "label"),
+    ], ids=["numerical", "label"])
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        # a later line must not silently replace an earlier one
+        path = tmp_path / "schema.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"repeated schema key '{key}'"):
+            load_schema(path)
 
     def test_schema_invariants(self):
         with pytest.raises(SchemaError):

@@ -227,7 +227,7 @@ class TestProximityOperator:
         idx = rng.integers(0, g.n, size=rng.integers(1, g.n + 1))
         exact = Proximity(matrix=oracle)
         cred_oracle = estimate_credibility(d, exact)
-        for q in (walk, walk.inverted()):
+        for q in (walk, Proximity(matrix=similarity._inverse(w, p))):
             assert np.abs(q.apply(v) - oracle @ v).max() <= 1e-8
             assert np.abs(q.rows(idx) - oracle[idx]).max() <= 1e-8
             cred = estimate_credibility(d, q)
@@ -236,7 +236,7 @@ class TestProximityOperator:
             assert np.array_equal(bias.defined, estimate_bias(d, exact, cred_oracle).defined)
         # the cross-group block, also with one side empty; Q = I at p = 0
         for first in (d.groups == 0, np.ones(g.n, dtype=bool)):
-            block = walk.cross_block(first)
+            block = similarity._cross_block(w, p, first)
             want = oracle[np.ix_(first, ~first)]
             assert block.shape == want.shape
             assert np.abs(block - want).max(initial=0.0) <= 1e-8
@@ -246,7 +246,7 @@ class TestProximityOperator:
         cred = estimate_credibility(d, walk)
         bias = estimate_bias(d, walk, cred)
         # shares from solved rows, and from the inverse as `attribute` reads them
-        for rows_of in (walk, walk.inverted()):
+        for rows_of in (walk, Proximity(matrix=similarity._inverse(w, p))):
             for i in np.flatnonzero(bias.defined):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, d.n))
                 assert abs(total - bias.values[i]) <= 1e-10
@@ -278,11 +278,12 @@ class TestProximityOperator:
         labels[1::3] = 1
         labels[-1] = 1
         d = make_dataset(np.zeros(n), [], labels, groups)
-        q = Proximity(w=symmetric_normalize(g), damping=p)  # the walk, also above 0.2
+        w = symmetric_normalize(g)
+        q = Proximity(w=w, damping=p)  # the walk, also above 0.2
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         assert bias.defined.all()
-        for rows_of in (q, q.inverted()):
+        for rows_of in (q, Proximity(matrix=similarity._inverse(w, p))):
             for i in range(n):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, n))
                 assert abs(total - bias.values[i]) <= 1e-10
@@ -293,21 +294,25 @@ class TestProximityOperator:
         assert np.array_equal(report.bias.defined, bias.defined)
         assert np.abs(report.bias.values - bias.values).max() <= 1e-10
         for (rows, _, share, *_), values in (
-                (_explanations(d, q, cred, np.arange(n), n, block=True)[1], bias.values),
+                (_explanations(d, q, cred, np.arange(n), n)[1], bias.values),
                 (report.explained, report.bias.values)):
             assert np.abs(np.bincount(rows, weights=share, minlength=n) - values).max() <= 1e-10
 
-    def test_signed_apply_matches_dense_oracle(self):
+    def test_apply_rejects_signed_and_non_finite_v(self):
+        # Every storage takes only the finite, non-negative V the estimates
+        # build, and the walk's fixed point relies on it.
         rng = np.random.default_rng(11)
         w = symmetric_normalize(random_graph(rng, 50, 0.08))
-        q = Proximity(w=w, damping=0.5)  # the walk
-        v = rng.random((50, 3))
-        v -= v.mean(axis=0)  # centred: every column signed
-        assert np.abs(q.apply(v) - dense_oracle(w, 0.5) @ v).max() <= 1e-8
-        for bad in (np.nan, np.inf):
-            v[3, 1] = bad
-            with pytest.raises(ValueError, match="finite"):
-                q.apply(v)
+        stored = dense_oracle(w, 0.5)
+        for q in (Proximity(w=w, damping=0.5), Proximity(matrix=stored),
+                  Proximity(matrix=sparse.csr_matrix(stored))):
+            v = rng.random((50, 3))
+            assert np.abs(q.apply(v) - stored @ v).max() <= 1e-8
+            for bad in (-1e-300, -1.0, np.nan, np.inf, -np.inf):
+                signed = v.copy()
+                signed[3, 1] = bad
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    q.apply(signed)
 
     def test_walk_only_up_to_the_damping_threshold(self, monkeypatch):
         # Above p = 0.2 the walk needs more steps than one inversion is worth,

@@ -10,8 +10,10 @@ mitigate:  additionally 4 on an exact class tie without --tie-label.
 Any subcommand exits 2 on a usage error, e.g. --topk on `mitigate`.
 
 Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
---topk > 0` solves its cross-group block once, and `explain` and `mitigate
---strategy aug` solve the rows they read.
+--topk > 0` solves its cross-group block once, `explain` solves the row it
+reads, and `mitigate --strategy aug` walks from each seed only until its
+nearest same-cell neighbours are proven. `attribute` and `mitigate` warn on
+stderr when every bias value is undefined, and still exit 0.
 All report files are written atomically (temp file then rename), and
 `mitigate` computes every result, the control included, before the first.
 """
@@ -86,14 +88,18 @@ def _attribute_from_args(args, dataset, top_k):
     return report, normalized, params
 
 
+def _warn_if_undefined(report):
+    if not report.bias.defined.any():
+        print("warning: no sample has comparable other-group evidence; "
+              "all bias entries are undefined", file=sys.stderr)
+
+
 def cmd_attribute(args) -> int:
     report, _, _ = _attribute_from_args(args, _load(args), args.topk)
     out_path = os.path.join(args.out, "bias_report.txt")
     os.makedirs(args.out, exist_ok=True)
     _atomic_file(out_path, report.write)
-    if not report.bias.defined.any():
-        print("warning: no sample has comparable other-group evidence; "
-              "all bias entries are undefined", file=sys.stderr)
+    _warn_if_undefined(report)
     print(f"wrote {out_path}")
     return 0
 
@@ -148,6 +154,7 @@ def cmd_mitigate(args) -> int:
     test_raw = dataset.subset(test_idx)
 
     report, train, params = _attribute_from_args(args, train_raw, top_k=0)
+    _warn_if_undefined(report)
     test = apply_normalization(test_raw, params)
 
     if args.strategy == "rem":

@@ -4,8 +4,9 @@ Removal deletes the top-budget samples by bias score from the
 adaptively chosen (majority label, group) cell. Augmentation appends
 synthetic samples built by neighborhood mixup between low-bias seeds of
 the (minority label, group) cell and their most similar same-group
-same-label neighbors. Both directions counter class imbalance at the
-same time as unfairness.
+same-label neighbors, ranked by `Proximity.nearest`, which under the walk
+stops as soon as the list is proven. Both directions counter class
+imbalance at the same time as unfairness.
 
 Plans are columns: the removed indices, or the synthetic rows as one
 `Dataset` with the seed, target and lam arrays they were mixed from.
@@ -137,7 +138,8 @@ def synthesize_fair_samples(
     same-group, same-label samples; numericals interpolate linearly with
     weight lam ~ U(0, 1), each categorical takes the seed's value with
     probability lam and the target's otherwise. Synthetics inherit the
-    seed's label and group. Q is read one row per distinct seed drawn.
+    seed's label and group. The neighbours of each distinct seed drawn are
+    ranked once, by `Proximity.nearest`.
     """
     if m < 0:
         raise ValueError("budget must be non-negative")
@@ -155,12 +157,7 @@ def synthesize_fair_samples(
 
     @functools.cache
     def neighbor_pool(seed_idx):
-        sims = q.rows([seed_idx], entrywise=False)[0]  # ranks the largest in under half the steps
-        mask = same_cell & (sims > 0.0)
-        mask[seed_idx] = False
-        nbrs = np.nonzero(mask)[0]
-        order = np.lexsort((nbrs, -sims[nbrs]))
-        return nbrs[order][:n_nb]
+        return q.nearest(seed_idx, same_cell, n_nb)
 
     if not any(w > 0 and len(neighbor_pool(s)) for s, w in zip(pool.tolist(), weights)):
         raise ValueError("no candidate has a comparable same-group neighbor")

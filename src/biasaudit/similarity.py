@@ -15,11 +15,16 @@ walk); its `apply` leaves out the 1/degree row factor, which the estimates
 cancel. For any storage, `other_group_rows` reads Q's other-group entries in
 bounded row blocks, for the explanations; the walk solves one row alone, and
 more from the block Q[G0, G1], solved once by block Cholesky.
+
+`nearest(i, mask, k)` ranks a row's top k in a cell; the walk stops as soon as
+its truncated series and a bound on the rest prove them (as in Wei et al.,
+"TopPPR", SIGMOD 2018).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -30,20 +35,40 @@ _TOL = 1e-14  # largest relative fixed-point update
 _WALK_MAX_DAMPING = 0.2  # above it ~150 solved rows (mitigate, n = 2,400) cost more than inverting
 
 
-def _walk(w: sparse.csr_matrix, damping: float, b, entrywise: bool = True) -> np.ndarray:
+def _walk(w: sparse.csr_matrix, damping: float, b) -> np.ndarray:
     """(1 - p)(I - pW)^(-1) B, B >= 0, by the fixed point X <- (1 - p)B + pWX, rising
     as W >= 0 (p = 0 returns B). It stops once each entry's update is below `_TOL` of
-    the entry, so far, tiny entries are reached and accurate; with `entrywise=False`,
-    of the column's largest once the support is stable: fewer steps, ranks the largest."""
+    the entry, so far, tiny entries are reached and accurate."""
     b = (1.0 - damping) * b
     x, support = b, np.count_nonzero(b)
     while True:
         nxt = b + damping * (w @ x)
         grown = np.count_nonzero(nxt)
-        ref = nxt if entrywise else nxt.max(axis=0, initial=0.0)
-        if grown == support and (nxt - x <= _TOL * ref).all():
+        if grown == support and (nxt - x <= _TOL * nxt).all():
             return nxt
         x, support = nxt, grown
+
+
+def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+    """The k columns of `cand` with the largest positive entries of `row`,
+    by entry descending, then index ascending."""
+    nbrs = cand[row[cand] > 0.0]
+    return nbrs[np.lexsort((nbrs, -row[nbrs]))][:k]
+
+
+def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray):
+    """`_ranked` of every row q with x <= q <= x + tail (+ `_TOL` of x's largest,
+    for rounding) if the bounds prove it, else None: each of the k best lower
+    bounds exceeds the next one's upper bound, the k-th every other's."""
+    if len(cand) <= k:
+        return None
+    lo = x[cand]
+    best = np.argpartition(-lo, k - 1)[:k]
+    best = best[np.argsort(-lo[best], kind="stable")]
+    hi = lo + tail + _TOL * x.max()
+    chain = lo[best[:-1]] > hi[best[1:]]
+    hi[best] = -np.inf
+    return cand[best] if chain.all() and lo[best[-1]] > hi.max() else None
 
 
 def _eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
@@ -101,8 +126,9 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
 class Proximity:
     """Q as an operator. Either stored, Q = diag(scale) @ `matrix` (a read-only
     dense array, or CSR: the bypass keeps its 0/1 adjacency, scale = 1/degree),
-    or the walk on `w` with `damping`, solved on demand: `other_group_rows`
-    solves one row alone, and reads more from the cross-group block."""
+    or the walk on `w` (from `symmetric_normalize`) with `damping`, solved on
+    demand: `other_group_rows` solves one row alone, and reads more from the
+    cross-group block; `nearest` walks only until its top k is proven."""
 
     matrix: np.ndarray | sparse.csr_matrix | None = None
     scale: np.ndarray | None = None
@@ -148,17 +174,52 @@ class Proximity:
         col[at, pos], sim[at, pos] = block.indices, data
         return col, sim
 
-    def rows(self, idx, entrywise: bool = True) -> np.ndarray:
-        """Rows Q[idx] as a dense (len(idx), n) array; a solved row is
-        accurate in every entry, or with `entrywise=False` in its largest."""
+    def rows(self, idx) -> np.ndarray:
+        """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every entry."""
         idx = np.asarray(idx, dtype=int)
         if self.matrix is None:
             e = np.zeros((self.n, len(idx)))
             e[idx, np.arange(len(idx))] = 1.0
-            return _walk(self.w, self.damping, e, entrywise).T  # Q is symmetric
+            return _walk(self.w, self.damping, e).T  # Q is symmetric
         m = self.matrix[idx]
         m = m.toarray() if sparse.issparse(m) else m
         return m if self.scale is None else m * self.scale[idx, None]
+
+    @cached_property
+    def _tail(self) -> tuple:
+        """sqrt(d) and mu / sqrt(d), mu_j the largest 1/d_v over j's neighbours v
+        (0 if none). As W^k = D^(1/2) P^k D^(-1/2), P = D^-1 A, and P^k[i, j] <= mu_j,
+        the walk's steps after K add at most p^(K+1) sqrt(d_i) mu_j / sqrt(d_j) to
+        Q[i, j]. W[j, v] = 1/sqrt(d_j d_v) gives mu_j / d_j = max_v W[j, v]^2, read
+        in O(edges) without a copy of W."""
+        root = np.sqrt(np.diff(self.w.indptr))
+        return root, self.w.max(axis=1).toarray().ravel() ** 2 * root
+
+    def nearest(self, i: int, mask, k: int) -> np.ndarray:
+        """The k columns j != i of the boolean `mask` with the largest Q[i, j] > 0,
+        by Q descending, then index ascending. The walk ranks its truncated series
+        as soon as `_tail` certifies the list, else (exact ties, at most k
+        candidates) once the support is stable and every update is below `_TOL`
+        of the row's largest entry."""
+        cand = np.flatnonzero(mask)
+        cand = cand[cand != i]
+        if self.matrix is not None:
+            return _ranked(self.rows([i])[0], cand, k)
+        root, per_col = self._tail
+        tail = self.damping * root[i] * per_col[cand]  # the bound after 0 steps
+        b = np.zeros(self.n)
+        b[i] = 1.0 - self.damping
+        x, support = b, 1
+        while True:
+            nxt = b + self.damping * (self.w @ x)
+            grown = np.count_nonzero(nxt)
+            if grown == support and (nxt - x <= _TOL * nxt.max()).all():
+                return _ranked(nxt, cand, k)
+            tail *= self.damping
+            top = _certified(nxt, cand, k, tail)
+            if top is not None:
+                return top
+            x, support = nxt, grown
 
     def other_group_rows(self, first, rows):
         """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries

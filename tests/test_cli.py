@@ -268,6 +268,18 @@ class TestMitigate:
         assert (out / "plan.txt").exists()
         assert (out / "edited_dataset.csv").exists()
 
+    def test_all_undefined_bias_warns_and_still_plans(self, synth_inputs, tmp_path, capsys):
+        # At damping 0, Q = I holds no other-group evidence, so every bias is
+        # undefined; the plan then removes by index alone, and says so.
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "rem", "--budget", "20",
+                     "--damping", "0"])
+        assert code == 0
+        assert "all bias entries are undefined" in capsys.readouterr().err
+        assert len((out / "plan.txt").read_text().splitlines()) == 1 + 20
+
     def test_removal_outputs(self, synth_inputs, tmp_path):
         data_path, schema_path, _, biased = synth_inputs
         out = tmp_path / "out"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from biasaudit.attribution import Estimate, attribute
 from biasaudit.comparability import ComparabilityConfig
+from biasaudit.data import apply_normalization, fit_normalization, stratified_split
 from biasaudit.mitigation import (
     ClassBalanceTieError,
     RemovalPlan,
@@ -14,6 +16,7 @@ from biasaudit.mitigation import (
     write_plan,
 )
 from biasaudit.similarity import Proximity
+from biasaudit.synth import SynthConfig, generate_base, inject_group_bias
 
 from util import make_dataset, random_dataset
 
@@ -327,3 +330,35 @@ def test_full_pipeline_plans_from_attribution():
     plan = plan_removal(d, report.bias, 5)
     out = apply_plan(d, plan)
     assert out.n == d.n - len(plan.indices)
+
+
+def test_neighbour_ranking_stops_within_a_few_walk_steps(monkeypatch):
+    # The training split of the benchmark's group-bias table (2,397 rows,
+    # mean degree near 150, damping 0.1). The stop rule alone takes 12 walk
+    # steps per seed here; a top-5 certified from the truncated walk and its
+    # tail bound mostly takes 3 to 5, so a silent fallback fails this test.
+    cfg = SynthConfig(n_per_group=2000, dim=2, boundary_weights=(1.0, 0.0),
+                      group_shift=0.2, flip_rate=0.10, seed=3)
+    d, _ = inject_group_bias(generate_base(cfg), cfg)
+    train = d.subset(stratified_split(d, seed=0)[0][0])
+    train = apply_normalization(train, fit_normalization(train))
+    report = attribute(train, ComparabilityConfig(0.1, 2), damping=0.1, top_k=0)
+    matmul, nearest = sparse.csr_matrix.__matmul__, Proximity.nearest
+    matvecs, steps = [0], []
+
+    def counted_matmul(self, other):
+        matvecs[0] += 1
+        return matmul(self, other)
+
+    def counted_nearest(self, *args):
+        matvecs[0] = 0
+        top = nearest(self, *args)
+        steps.append(matvecs[0])
+        return top
+
+    monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Proximity, "nearest", counted_nearest)
+    plan = synthesize_fair_samples(train, report.bias, report.similarity, 200, n_nb=5)
+    steps = np.array(steps)
+    assert train.n == 2397 and len(steps) >= len(np.unique(plan.seeds)) > 100
+    assert steps.min() >= 1 and np.mean(steps <= 5) >= 0.9

@@ -187,17 +187,28 @@ def dense_oracle(w, p):
 
 
 @st.composite
-def graph_instances(draw):
-    """A graph of isolated vertices, paths and random blocks, shuffled so
-    the components interleave, with random groups, labels and damping."""
+def graph_instances(draw, kinds=("isolated", "path", "random")):
+    """A graph of components of the given kinds (isolated vertices, paths,
+    random blocks, stars, geometric graphs), shuffled so the components
+    interleave, with random groups, labels and damping."""
     blocks = []
-    for kind in draw(st.lists(st.sampled_from(["isolated", "path", "random"]),
-                              min_size=1, max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
         if kind == "isolated":
             blocks.append(np.zeros((1, 1), dtype=bool))
         elif kind == "path":
             size = draw(st.integers(2, 12))
             blocks.append(np.eye(size, k=1, dtype=bool) | np.eye(size, k=-1, dtype=bool))
+        elif kind == "star":
+            size = draw(st.integers(2, 10))
+            star = np.zeros((size, size), dtype=bool)
+            star[0, 1:] = star[1:, 0] = True
+            blocks.append(star)
+        elif kind == "geometric":  # points in the unit square, linked within a radius
+            size = draw(st.integers(2, 12))
+            xy = np.array(draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                                        min_size=size, max_size=size)))
+            near = np.hypot(*(xy[:, None, :] - xy[None, :, :]).T) <= draw(st.floats(0.2, 0.7))
+            blocks.append(near & ~np.eye(size, dtype=bool))
         else:
             size = draw(st.integers(2, 8))
             pairs = np.array(draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
@@ -332,22 +343,70 @@ class TestProximityOperator:
     @settings(max_examples=150, deadline=None)
     @given(graph_instances(), st.integers(1, 6))
     def test_largest_entries_rank_as_the_oracle(self, instance, k):
-        # `entrywise=False` stops early. The mixup neighbour ranking reads the
-        # k largest entries of a row within one (group, label) cell, here often
-        # far away: they must come out as the dense solve's. (Near-ties among
-        # entries ~1e-13 of the row's largest can still swap, on longer paths.)
+        # The mixup neighbour ranking reads the k largest entries of a row
+        # within one (group, label) cell, here often far away: they must come
+        # out as the dense solve's. A certified list is the exact Q's; only a
+        # row that falls back to the stop rule (support stable, updates below
+        # 1e-14 of the row's largest) can still swap near-ties among entries
+        # ~1e-13 of the row's largest, on longer paths.
         g, d, p = instance
         w = symmetric_normalize(g)
         oracle = dense_oracle(w, p)
-        rows = Proximity(w=w, damping=p).rows(np.arange(g.n), entrywise=False)
-        for i, (got, want) in enumerate(zip(rows, oracle)):
+        q = Proximity(w=w, damping=p)
+        for i, want in enumerate(oracle):
             cell = (d.groups == d.groups[i]) & (d.labels == d.labels[i])
+            top = q.nearest(i, cell, k)
             cell[i] = False
-            nbrs = np.flatnonzero(cell & (got > 0.0))
-            top = nbrs[np.lexsort((nbrs, -got[nbrs]))][:k]
             best = np.sort(want[cell & (want > 0.0)])[::-1][:k]
             assert len(top) == len(best)
             assert np.allclose(want[top], best, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_instances(("isolated", "path", "random", "star", "geometric")),
+           st.sampled_from([("walk", p) for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9)]
+                           + [("inverse", 0.3), ("inverse", 0.9), ("adjacency", None)]),
+           st.integers(1, 6), st.data())
+    def test_nearest_ranks_as_the_dense_inverse(self, instance, storage, k, data):
+        # Every storage's `nearest` against the order of an exact dense Q:
+        # the walk (up to damping 0.2 as `rwr_proximity` picks it, and above),
+        # the inverse stored above 0.2, and the adjacency CSR with its
+        # 1/degree `scale`. Cells are random masks, so some hold at most k
+        # candidates, and isolated seeds have none.
+        g, _, _ = instance
+        kind, p = storage
+        w = symmetric_normalize(g)
+        if kind == "adjacency":
+            q = adjacency_similarity(g)
+            oracle = g.adjacency.toarray() / np.maximum(g.degree, 1)[:, None]
+        else:
+            q = (rwr_proximity(w, damping=p) if p <= 0.2 or kind == "inverse"
+                 else Proximity(w=w, damping=p))
+            assert (q.matrix is None) == (kind == "walk")
+            oracle = (1 - p) * np.linalg.inv(np.eye(g.n) - p * w.toarray())
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        for i, want in enumerate(oracle):
+            top = q.nearest(i, mask, k)
+            assert len(set(top.tolist())) == len(top) and i not in top and mask[top].all()
+            cell = mask.copy()
+            cell[i] = False
+            best = np.sort(want[cell & (want > 0.0)])[::-1][:k]
+            assert len(top) == len(best)
+            assert np.allclose(want[top], best, rtol=1e-9, atol=0.0)
+
+    def test_nearest_bounds_the_walk_beyond_its_steps(self):
+        # From vertex 4, neighbour 0 leads after one step (W[4, 0] > W[4, 1]),
+        # but 1 gathers more over the two-step paths 4-0-1, 4-3-1 and 4-5-1.
+        # Only the tail bound keeps the walk going until 1 is proven first.
+        dense = np.zeros((6, 6), dtype=bool)
+        for a, b in [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)]:
+            dense[a, b] = dense[b, a] = True
+        w = symmetric_normalize(graph_from_dense(dense))
+        oracle = dense_oracle(w, 0.2)
+        assert w[4, 0] > w[4, 1] and oracle[4, 1] > oracle[4, 0] > oracle[4, 2] > 0.0
+        q = rwr_proximity(w, damping=0.2)
+        cell = np.isin(np.arange(6), [0, 1, 2])
+        assert q.nearest(4, cell, 1).tolist() == [1]
+        assert q.nearest(4, cell, 3).tolist() == [1, 0, 2]
 
     def test_csr_row_blocks_pad_within_the_budget(self, monkeypatch):
         # A budget of 28 makes blocks of at most 7 entries: several narrow

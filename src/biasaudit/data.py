@@ -141,18 +141,6 @@ class Dataset:
             tokens[:, j] = np.array(levels, dtype=object)[self.categoricals[:, j]]
         return tokens
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.schema == other.schema
-            and self.category_levels == other.category_levels
-            and self.label_tokens == other.label_tokens
-            and self.group_tokens == other.group_tokens
-            and np.array_equal(self.numericals, other.numericals)
-            and np.array_equal(self.categoricals, other.categoricals)
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.groups, other.groups)
-        )
-
 
 @dataclass(frozen=True)
 class NormalizationParams:

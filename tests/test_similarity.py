@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from biasaudit.similarity import (
     rwr_proximity,
     symmetric_normalize,
 )
+from biasaudit.synth import SynthConfig, generate_base
 
 from util import make_dataset, random_dataset
 
@@ -407,6 +410,46 @@ class TestProximityOperator:
         cell = np.isin(np.arange(6), [0, 1, 2])
         assert q.nearest(4, cell, 1).tolist() == [1]
         assert q.nearest(4, cell, 3).tolist() == [1, 0, 2]
+
+    def test_nearest_rejects_a_negative_k_and_an_index_outside_n(self):
+        # Every storage: k = 0 ranks nothing, a negative k does not slice from
+        # the end, and a negative i does not wrap to the last row.
+        d = generate_base(SynthConfig(n_per_group=100, seed=1))
+        g = build_comparability_graph(d, ComparabilityConfig(0.1, 2))
+        w = symmetric_normalize(g)
+        mask = np.ones(g.n, dtype=bool)
+        for q in (rwr_proximity(w, damping=0.1), rwr_proximity(w, damping=0.5),
+                  adjacency_similarity(g)):
+            assert len(q.nearest(0, mask, 3)) == 3
+            assert q.nearest(0, mask, 0).tolist() == []
+            with pytest.raises(ValueError):
+                q.nearest(0, mask, -1)
+            for i in (-1, g.n):
+                with pytest.raises(IndexError):
+                    q.nearest(i, mask, 3)
+
+    @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
+                                              (500, 300, True)])
+    def test_cross_block_holds_two_of_its_arrays_at_the_peak(self, m0, m1, flip):
+        # The eliminated side's factor L (m0 x m0) and the block Z (m0 x m1) are
+        # the peak; the Schur complement is formed only after L is dropped. The
+        # larger side is eliminated also when `first` is the smaller one.
+        from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
+
+        rng = np.random.default_rng(0)
+        n = m0 + m1
+        groups = np.r_[np.zeros(m0, dtype=int), np.ones(m1, dtype=int)]
+        d = make_dataset(rng.random((n, 2)), [], rng.integers(0, 2, n), groups)
+        w = symmetric_normalize(build_comparability_graph(d, ComparabilityConfig(0.1, 2)))
+        first = groups == (1 if flip else 0)
+        tracemalloc.start()
+        try:
+            block = similarity._cross_block(w, 0.1, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == ((m1, m0) if flip else (m0, m1))
+        assert peak <= 1.2 * m0 * (m0 + m1) * 8
 
     def test_csr_row_blocks_pad_within_the_budget(self, monkeypatch):
         # A budget of 28 makes blocks of at most 7 entries: several narrow

@@ -23,6 +23,18 @@ def make_dataset(num, cat, labels, groups, levels=None, num_names=None, cat_name
     return Dataset(schema, num, cat, labels, groups, levels)
 
 
+def same_dataset(a, b):
+    """Whether two datasets hold the same schema, tokens and columns."""
+    return (
+        a.schema == b.schema
+        and a.category_levels == b.category_levels
+        and a.label_tokens == b.label_tokens
+        and a.group_tokens == b.group_tokens
+        and all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("numericals", "categoricals", "labels", "groups"))
+    )
+
+
 def random_dataset(rng, n, n_num=2, n_cat=1, n_levels=3):
     num = rng.random((n, n_num))
     cat = rng.integers(0, n_levels, size=(n, n_cat)) if n_cat else np.zeros((n, 0), dtype=int)

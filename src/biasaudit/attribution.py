@@ -205,10 +205,12 @@ def bias_contributions(
     A contributor is any other-group sample with positive weight
     c_j * Q[i, j]; over the full contributor list the shares sum to b_i
     exactly. Ties are broken by ascending sample index, and k beyond the
-    contributor count returns the full list; a negative k is a ValueError.
-    This is the one-row call of the kernel that `attribute` runs over all
-    samples at once.
+    contributor count returns the full list; a negative k is a ValueError,
+    an i outside [0, n) an IndexError. This is the one-row call of the kernel
+    that `attribute` runs over all samples at once.
     """
+    if not 0 <= i < d.n:
+        raise IndexError(f"sample index {i} out of range for {d.n} samples")
     defined, columns = _explanations(d, q, c, [i], k)
     if not len(defined):
         raise UndefinedBiasError("no comparable other-group evidence")

@@ -18,9 +18,11 @@ more from the block Q[G0, G1], solved once by block Cholesky in an order that
 never holds the factor, the block and the Schur complement at once (two
 n/2 x n/2 arrays at the peak for equal groups).
 
-`nearest(i, mask, k)` ranks a row's top k in a cell; the walk stops as soon as
-its truncated series and a bound on the rest prove them (as in Wei et al.,
-"TopPPR", SIGMOD 2018).
+`_walk` is the only fixed-point loop, and its entrywise rule the only stop rule.
+`nearest(i, mask, k)` ranks a row's top k in a cell from that walk, ended early
+at the first step whose truncated series and a bound on the rest prove them (as
+in Wei et al., "TopPPR", SIGMOD 2018); a list no bound can prove is ranked from
+the settled row.
 """
 
 from __future__ import annotations
@@ -37,16 +39,17 @@ _TOL = 1e-14  # largest relative fixed-point update
 _WALK_MAX_DAMPING = 0.2  # above it ~150 solved rows (mitigate, n = 2,400) cost more than inverting
 
 
-def _walk(w: sparse.csr_matrix, damping: float, b) -> np.ndarray:
+def _walk(w: sparse.csr_matrix, damping: float, b, done=None) -> np.ndarray:
     """(1 - p)(I - pW)^(-1) B, B >= 0, by the fixed point X <- (1 - p)B + pWX, rising
     as W >= 0 (p = 0 returns B). It stops once each entry's update is below `_TOL` of
-    the entry, so far, tiny entries are reached and accurate."""
+    the entry, so far, tiny entries are reached and accurate, or at the first iterate
+    for which `done` holds, if given."""
     b = (1.0 - damping) * b
     x, support = b, np.count_nonzero(b)
     while True:
         nxt = b + damping * (w @ x)
         grown = np.count_nonzero(nxt)
-        if grown == support and (nxt - x <= _TOL * nxt).all():
+        if grown == support and (nxt - x <= _TOL * nxt).all() or done and done(nxt):
             return nxt
         x, support = nxt, grown
 
@@ -58,19 +61,20 @@ def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
     return nbrs[np.lexsort((nbrs, -row[nbrs]))][:k]
 
 
-def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray):
-    """`_ranked` of every row q with x <= q <= x + tail (+ `_TOL` of x's largest,
-    for rounding) if the bounds prove it, else None: each of the k best lower
-    bounds exceeds the next one's upper bound, the k-th every other's."""
+def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> bool:
+    """Whether the bounds prove the top k of every row q with x <= q <= x + tail
+    (+ `_TOL` of x's largest, for rounding): each of the k best lower bounds exceeds
+    the next one's upper bound, the k-th every other's. Then those k lower bounds
+    are positive and strictly ordered, so `_ranked(x, cand, k)` is the proven list."""
     if len(cand) <= k:
-        return None
+        return False
     lo = x[cand]
     best = np.argpartition(-lo, k - 1)[:k]
     best = best[np.argsort(-lo[best], kind="stable")]
     hi = lo + tail + _TOL * x.max()
     chain = lo[best[:-1]] > hi[best[1:]]
     hi[best] = -np.inf
-    return cand[best] if chain.all() and lo[best[-1]] > hi.max() else None
+    return bool(chain.all() and lo[best[-1]] > hi.max())
 
 
 def _eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
@@ -211,16 +215,18 @@ class Proximity:
         return root, self.w.max(axis=1).toarray().ravel() ** 2 * root
 
     def nearest(self, i: int, mask, k: int) -> np.ndarray:
-        """The k columns j != i of the boolean `mask` with the largest Q[i, j] > 0,
-        by Q descending, then index ascending. The walk ranks its truncated series
-        as soon as `_tail` certifies the list, else (exact ties, at most k
-        candidates) once the support is stable and every update is below `_TOL`
-        of the row's largest entry. A negative k is a ValueError, k = 0 gives an
-        empty list, and an i outside [0, n) is an IndexError."""
+        """The k columns j != i of the boolean `mask` (length n) with the largest
+        Q[i, j] > 0, by Q descending, then index ascending. The walk ends early at
+        the first step whose truncated series `_tail` certifies the list; else (exact
+        ties, at most k candidates) it ranks the row `rows([i])` gives. A mask of
+        another length and a negative k are a ValueError, k = 0 gives an empty
+        list, and an i outside [0, n) is an IndexError."""
         if k < 0:
             raise ValueError("k must be non-negative")
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range for {self.n} samples")
+        if len(mask) != self.n:
+            raise ValueError(f"mask over {len(mask)} rows does not match the {self.n} rows of Q")
         cand = np.flatnonzero(mask)
         cand = cand[cand != i]
         if k == 0:
@@ -229,19 +235,15 @@ class Proximity:
             return _ranked(self.rows([i])[0], cand, k)
         root, per_col = self._tail
         tail = self.damping * root[i] * per_col[cand]  # the bound after 0 steps
-        b = np.zeros(self.n)
-        b[i] = 1.0 - self.damping
-        x, support = b, 1
-        while True:
-            nxt = b + self.damping * (self.w @ x)
-            grown = np.count_nonzero(nxt)
-            if grown == support and (nxt - x <= _TOL * nxt.max()).all():
-                return _ranked(nxt, cand, k)
-            tail *= self.damping
-            top = _certified(nxt, cand, k, tail)
-            if top is not None:
-                return top
-            x, support = nxt, grown
+
+        def proven(x):
+            nonlocal tail
+            tail *= self.damping  # the bound after one more step
+            return _certified(x, cand, k, tail)
+
+        e = np.zeros(self.n)
+        e[i] = 1.0
+        return _ranked(_walk(self.w, self.damping, e, proven), cand, k)
 
     def other_group_rows(self, first, rows):
         """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries

@@ -334,6 +334,19 @@ class TestAttributeEndToEnd:
             with pytest.raises(IndexError, match=f"sample index {i} out of range for 200"):
                 report.explanations(i)
 
+    def test_contributions_of_an_index_outside_n_raise(self):
+        # Under the walk and the adjacency bypass alike, -1 does not wrap to
+        # the last row and n is not left to numpy's bare IndexError.
+        cfg = SynthConfig(n_per_group=100, seed=3)
+        d = inject_individual_bias(generate_base(cfg), cfg)[0]
+        for similarity in ("rwr", "adjacency"):
+            report = attribute(d, ComparabilityConfig(0.1, 2), top_k=0, similarity=similarity)
+            q, c = report.similarity, report.credibility
+            assert len(bias_contributions(d, q, c, d.n - 1, 3)) == 3
+            for i in (-1, d.n):
+                with pytest.raises(IndexError, match=f"sample index {i} out of range for 200"):
+                    bias_contributions(d, q, c, i, 3)
+
     def test_adjacency_similarity_variant(self):
         rng = np.random.default_rng(7)
         d = random_dataset(rng, 25)

@@ -348,10 +348,7 @@ class TestProximityOperator:
     def test_largest_entries_rank_as_the_oracle(self, instance, k):
         # The mixup neighbour ranking reads the k largest entries of a row
         # within one (group, label) cell, here often far away: they must come
-        # out as the dense solve's. A certified list is the exact Q's; only a
-        # row that falls back to the stop rule (support stable, updates below
-        # 1e-14 of the row's largest) can still swap near-ties among entries
-        # ~1e-13 of the row's largest, on longer paths.
+        # out as the dense solve's.
         g, d, p = instance
         w = symmetric_normalize(g)
         oracle = dense_oracle(w, p)
@@ -411,9 +408,25 @@ class TestProximityOperator:
         assert q.nearest(4, cell, 1).tolist() == [1]
         assert q.nearest(4, cell, 3).tolist() == [1, 0, 2]
 
+    def test_nearest_ranks_far_near_ties_on_a_path(self):
+        # Vertex 15 of a 30-vertex path, the cell all vertices at least 10 hops
+        # away: entries 1e-13 of the row's largest and below, whose true relative
+        # gaps (4e-11, 1.6e-8) no certificate with its rounding slack can prove.
+        # The list then comes from the row walked until every entry has settled.
+        n = 30
+        line = np.zeros((n, n), dtype=bool)
+        line[np.arange(n - 1), np.arange(1, n)] = True
+        w = symmetric_normalize(graph_from_dense(line | line.T))
+        oracle = dense_oracle(w, 0.1)[15]
+        cell = np.abs(np.arange(n) - 15) >= 10
+        want = np.flatnonzero(cell)[np.argsort(-oracle[cell], kind="stable")][:5]
+        assert want.tolist() == [25, 5, 26, 4, 27]
+        assert rwr_proximity(w, damping=0.1).nearest(15, cell, 5).tolist() == want.tolist()
+
     def test_nearest_rejects_a_negative_k_and_an_index_outside_n(self):
         # Every storage: k = 0 ranks nothing, a negative k does not slice from
-        # the end, and a negative i does not wrap to the last row.
+        # the end, a negative i does not wrap to the last row, and a mask of
+        # another length neither ranks a prefix of the rows nor indexes past them.
         d = generate_base(SynthConfig(n_per_group=100, seed=1))
         g = build_comparability_graph(d, ComparabilityConfig(0.1, 2))
         w = symmetric_normalize(g)
@@ -427,6 +440,9 @@ class TestProximityOperator:
             for i in (-1, g.n):
                 with pytest.raises(IndexError):
                     q.nearest(i, mask, 3)
+            for m in (50, 300):
+                with pytest.raises(ValueError, match="mask over"):
+                    q.nearest(0, np.ones(m, dtype=bool), 3)
 
     @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
                                               (500, 300, True)])

@@ -37,11 +37,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comparability import ComparabilityConfig, build_comparability_graph
+from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparability_graph
 from .data import Dataset
-from .similarity import Proximity, adjacency_similarity, rwr_proximity, symmetric_normalize
+from .similarity import (
+    Proximity,
+    _row_blocks,
+    adjacency_similarity,
+    rwr_proximity,
+    symmetric_normalize,
+)
 
 BIAS_THRESHOLD = 0.5
+_REPORT_ITEMS = _BLOCK_ENTRIES // 64  # rows plus explanations per report chunk
 
 
 class UndefinedBiasError(ValueError):
@@ -98,25 +105,33 @@ class BiasReport:
         lo, hi = np.searchsorted(self.explained[0], [i, i + 1])
         return _as_explanations(self.explained, lo, hi)
 
+    def _text_chunks(self):
+        """The report's text: the header line, then the sample lines in row
+        chunks of at most `_REPORT_ITEMS` rows plus explanations (a row with
+        more alone), each chunk formatted from its own slices of the columns."""
+        n = len(self.groups)
+        bounds = np.searchsorted(self.explained[0], np.arange(n + 1))  # row i's explanations
+        samples = (self.groups, self.labels, self.credibility.values, self.bias.values,
+                   self.bias.defined)
+        yield "# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)\n"
+        for lo, hi in _row_blocks(bounds + np.arange(n + 1), _REPORT_ITEMS):
+            first, last = bounds[lo], bounds[hi]
+            entries = [f"{j}:{s:.6f}:{cj:.6f}:{x:.6f}" for j, s, cj, x in
+                       zip(*(col[first:last].tolist() for col in self.explained[1:]))]
+            ends = (bounds[lo:hi + 1] - first).tolist()
+            yield "".join(
+                f"{i}\t{g}\t{y}\t{c:.6f}\t{b:.6f}\t{int(ok)}\t{';'.join(entries[e0:e1])}\n"
+                for i, (g, y, c, b, ok), e0, e1 in zip(
+                    range(lo, hi), zip(*(col[lo:hi].tolist() for col in samples)), ends, ends[1:]))
+
     def to_text(self) -> str:
-        row, index, contribution, credibility, similarity = self.explained
-        entries = [
-            f"{j}:{s:.6f}:{cj:.6f}:{x:.6f}"
-            for j, s, cj, x in zip(index.tolist(), contribution.tolist(),
-                                   credibility.tolist(), similarity.tolist())
-        ]
-        bounds = np.searchsorted(row, np.arange(len(self.groups) + 1)).tolist()
-        lines = ["# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)"]
-        for i, (g, y, c, b, ok) in enumerate(zip(
-                self.groups.tolist(), self.labels.tolist(), self.credibility.values.tolist(),
-                self.bias.values.tolist(), self.bias.defined.tolist())):
-            expl = ";".join(entries[bounds[i]:bounds[i + 1]])
-            lines.append(f"{i}\t{g}\t{y}\t{c:.6f}\t{b:.6f}\t{int(ok)}\t{expl}")
-        return "\n".join(lines) + "\n"
+        return "".join(self._text_chunks())
 
     def write(self, path) -> None:
+        """Write the bytes of `to_text()` to `path` one chunk at a time, so at most
+        one chunk's text and Python objects are alive at once."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+            fh.writelines(self._text_chunks())
 
 
 def _check_rows(d: Dataset, *parts) -> None:

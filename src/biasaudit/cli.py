@@ -14,8 +14,9 @@ Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
 reads, and `mitigate --strategy aug` walks from each seed only until its
 nearest same-cell neighbours are proven. `attribute` and `mitigate` warn on
 stderr when every bias value is undefined, and still exit 0.
-All report files are written atomically (temp file then rename), and
-`mitigate` computes every result, the control included, before the first.
+All report files are written atomically (temp file then rename) with the
+mode a plain `open` would give under the umask, and `mitigate` computes
+every result, the control included, before the first.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ from .model import train_classifier
 
 
 def _atomic_file(path, writer):
-    """Run `writer(tmp_path)` and rename the result into place."""
+    """Run `writer(tmp_path)` and rename the result into place, with the mode
+    `open(path, "w")` would give (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:

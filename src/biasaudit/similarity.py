@@ -11,12 +11,14 @@ mass on the diagonal and therefore more locality. Q is an operator whose
 solve only this module picks: up to p = 0.2 the walk solves `apply(V)` =
 Q @ V and `rows(idx)` on the sparse W; above p = 0.2, I - pW is inverted
 once. A cheap bypass uses the row-normalized adjacency D^-1 A directly (no
-walk); its `apply` leaves out the 1/degree row factor, which the estimates
-cancel. For any storage, `other_group_rows` reads Q's other-group entries in
-bounded row blocks, for the explanations; the walk solves one row alone, and
-more from the block Q[G0, G1], solved once by block Cholesky in an order that
-never holds the factor, the block and the Schur complement at once (two
-n/2 x n/2 arrays at the peak for equal groups).
+walk), kept as the graph's boolean CSR: its `apply` leaves out the 1/degree
+row factor, which the estimates cancel, and multiplies in row blocks of at
+most `_BLOCK_ENTRIES` stored entries, so only one block's entries are ever
+held as floats. For any storage, `other_group_rows` reads Q's other-group
+entries in bounded row blocks, for the explanations; the walk solves one row
+alone, and more from the block Q[G0, G1], solved once by block Cholesky in an
+order that never holds the factor, the block and the Schur complement at once
+(two n/2 x n/2 arrays at the peak for equal groups).
 
 `_walk` is the only fixed-point loop, and its entrywise rule the only stop rule.
 `nearest(i, mask, k)` ranks a row's top k in a cell from that walk, ended early
@@ -52,6 +54,17 @@ def _walk(w: sparse.csr_matrix, damping: float, b, done=None) -> np.ndarray:
         if grown == support and (nxt - x <= _TOL * nxt).all() or done and done(nxt):
             return nxt
         x, support = nxt, grown
+
+
+def _row_blocks(ends: np.ndarray, budget: int):
+    """Yield (lo, hi) for consecutive row blocks that cover rows 0 to
+    len(ends) - 1, where row r holds ends[r + 1] - ends[r] entries (a CSR
+    indptr). A block holds at most `budget` entries, or one row wider than that."""
+    lo, n = 0, len(ends) - 1
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
@@ -144,9 +157,10 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
 @dataclass(frozen=True, eq=False)
 class Proximity:
     """Q as an operator. Either stored, Q = diag(scale) @ `matrix` (a read-only
-    dense array, or CSR: the bypass keeps its 0/1 adjacency, scale = 1/degree),
-    or the walk on `w` (from `symmetric_normalize`) with `damping`, solved on
-    demand: `other_group_rows` solves one row alone, and reads more from the
+    dense array, or CSR: a boolean one stays boolean, as the bypass's 0/1
+    adjacency with scale = 1/degree, any other becomes float64), or the walk
+    on `w` (from `symmetric_normalize`) with `damping`, solved on demand:
+    `other_group_rows` solves one row alone, and reads more from the
     cross-group block; `nearest` walks only until its top k is proven."""
 
     matrix: np.ndarray | sparse.csr_matrix | None = None
@@ -156,7 +170,7 @@ class Proximity:
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
-            m = sparse.csr_matrix(self.matrix, dtype=float)
+            m = sparse.csr_matrix(self.matrix, dtype=bool if self.matrix.dtype == bool else float)
             if not m.has_canonical_format:  # so each row's columns ascend, once each
                 m = m.copy()
                 m.sum_duplicates()
@@ -170,13 +184,22 @@ class Proximity:
         return (self.w if self.matrix is None else self.matrix).shape[0]
 
     def apply(self, v) -> np.ndarray:
-        """Q @ V for a finite V >= 0, for a stored Q without the row factor `scale`."""
+        """Q @ V for a finite V >= 0, for a stored Q without the row factor `scale`.
+        A CSR is multiplied in contiguous row blocks of at most `_BLOCK_ENTRIES`
+        stored entries (a wider row alone): scipy casts a boolean CSR's data to
+        float for each product, so a whole-matrix product would copy all of it.
+        Each row still sums in stored column order, as one product would."""
         v = np.asarray(v, dtype=float)
         if not (np.isfinite(v) & (v >= 0.0)).all():
             raise ValueError("V must be finite and non-negative")
-        if self.matrix is not None:
-            return np.asarray(self.matrix @ v)
-        return _walk(self.w, self.damping, v)
+        if self.matrix is None:
+            return _walk(self.w, self.damping, v)
+        if not sparse.issparse(self.matrix):
+            return self.matrix @ v
+        out = np.empty((self.n,) + v.shape[1:])
+        for lo, hi in _row_blocks(self.matrix.indptr, _BLOCK_ENTRIES):
+            out[lo:hi] = self.matrix[lo:hi] @ v
+        return out
 
     def _padded_rows(self, r, first) -> tuple:
         """Rows Q[r] of a CSR `matrix` as (len(r), widest) arrays of stored
@@ -201,7 +224,7 @@ class Proximity:
             e[idx, np.arange(len(idx))] = 1.0
             return _walk(self.w, self.damping, e).T  # Q is symmetric
         m = self.matrix[idx]
-        m = m.toarray() if sparse.issparse(m) else m
+        m = np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
         return m if self.scale is None else m * self.scale[idx, None]
 
     @cached_property
@@ -314,8 +337,10 @@ def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
 
 def adjacency_similarity(g: ComparabilityGraph) -> Proximity:
     """Row-normalized adjacency D^-1 A, bypassing the walk, for data too large
-    to solve Q: the 0/1 adjacency stays CSR, and with the graph build and the
-    explanations in bounded blocks the whole path runs in O(edges) memory.
+    to solve Q: Q's `matrix` is the graph's boolean CSR itself, on the same
+    index and data arrays, with scale = 1/degree. With the graph build, the
+    products and the explanations in bounded blocks, and no float copy of A,
+    the whole path runs in O(edges) memory.
     Isolated vertices get an all-zero row (diagonal included), so their
     estimates may be undefined."""
     inv_deg = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from biasaudit.attribution import (
+    BiasReport,
     Estimate,
     Explanation,
     UndefinedBiasError,
@@ -411,6 +412,31 @@ class TestReportSerialization:
         report.write(path)
         assert path.read_text() == text
 
+    def test_chunked_write_matches_the_line_format(self, tmp_path, monkeypatch):
+        # Chunks of at most 7 rows plus explanations: rows with 10 explanations
+        # each form a chunk alone, and undefined rows (no explanation) share
+        # one. Both `to_text` and `write` give every line as formatted one row
+        # at a time.
+        rng = np.random.default_rng(13)
+        x = np.r_[rng.random(40) * 0.1, np.linspace(0.25, 1.0, 6)]  # a clique, 6 isolated
+        d = make_dataset(x, [], rng.integers(0, 2, len(x)), rng.integers(0, 2, len(x)))
+        report = attribute(d, ComparabilityConfig(0.1, 0), similarity="adjacency", top_k=10)
+        counts = np.bincount(report.explained[0], minlength=d.n)
+        assert (~report.bias.defined).sum() > 1 and counts.max() > 7
+        lines = ["# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)"]
+        for i in range(d.n):
+            expl = ";".join(f"{e.index}:{e.contribution:.6f}:{e.credibility:.6f}:{e.similarity:.6f}"
+                            for e in report.explanations(i))
+            lines.append(f"{i}\t{d.groups[i]}\t{d.labels[i]}\t{report.credibility.values[i]:.6f}"
+                         f"\t{report.bias.values[i]:.6f}\t{int(report.bias.defined[i])}\t{expl}")
+        want = "\n".join(lines) + "\n"
+        monkeypatch.setattr(attribution, "_REPORT_ITEMS", 7)
+        assert len(list(report._text_chunks())) > 10
+        assert report.to_text() == want
+        path = tmp_path / "report.txt"
+        report.write(path)
+        assert path.read_bytes() == want.encode("utf-8")
+
     def test_undefined_rendered_as_nan(self):
         d = make_dataset([0.5], [], [1], [0])
         report = attribute(d, ComparabilityConfig(0.1, 2))
@@ -637,6 +663,32 @@ class TestBatchedKernel:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
+
+    def test_adjacency_stages_heap_does_not_grow_with_nnz(self, tmp_path):
+        # 1,000 rows with 4x the stored entries: from the graph on, the bypass
+        # keeps A boolean and multiplies it in row blocks, and the report is
+        # written in chunks, so no stage holds all entries as floats.
+        n = 1000
+        rng = np.random.default_rng(9)
+        d = random_dataset(rng, n, n_num=1, n_cat=0)
+        peaks = []
+        for density in (0.25, 1.0):
+            upper = np.triu(rng.random((n, n)) < density, k=1)
+            adjacency = sparse.csr_matrix(upper | upper.T)
+            del upper
+            g = ComparabilityGraph(n=n, adjacency=adjacency, degree=np.diff(adjacency.indptr))
+            tracemalloc.start()
+            try:
+                q = adjacency_similarity(g)
+                cred = estimate_credibility(d, q)
+                bias = estimate_bias(d, q, cred)
+                _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), 5)
+                BiasReport(groups=d.groups, labels=d.labels, credibility=cred, bias=bias,
+                           explained=explained, similarity=q).write(tmp_path / "report.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 # Two grid-valued numericals and one categorical: ties, exact-threshold
 # gaps and isolated vertices.

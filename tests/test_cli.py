@@ -565,6 +565,35 @@ def test_only_explained_attribute_factors_the_walk(synth_inputs, tmp_path, monke
     assert calls == ["_cross_block", "_inverse"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_umask_mode(synth_inputs, tmp_path, umask, mode):
+    # The atomic rename must not keep the temp file's private 0o600: every
+    # output gets the mode a plain open(path, "w") gives under the umask.
+    import os
+    import stat
+
+    data_path, schema_path, _, _ = synth_inputs
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["attribute", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out)]) == 0
+        assert main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", "10",
+                     "--control", "random"]) == 0
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["bias_report.txt", "edited_dataset.csv", "metrics_after.txt",
+                     "metrics_before.txt", "metrics_control.txt", "plan.txt"]
+    assert stat.S_IMODE(plain.stat().st_mode) == mode
+    for name in names:
+        assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
+
+
 def test_seed_is_a_mitigate_option_only(synth_inputs, tmp_path):
     data_path, schema_path, _, _ = synth_inputs
     files = ["--input", data_path, "--schema", schema_path]

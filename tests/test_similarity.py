@@ -173,6 +173,53 @@ class TestAdjacencySimilarity:
         row_normalized = g.adjacency.toarray() / np.maximum(g.degree, 1)[:, None]
         assert np.array_equal(rows, row_normalized[[3, 0, 3]])
 
+    def test_keeps_the_graph_csr_boolean(self):
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, 40, 0.1)
+        m = adjacency_similarity(g).matrix
+        assert g.adjacency.dtype == m.dtype == bool
+        for a, b in ((m.indptr, g.adjacency.indptr), (m.indices, g.adjacency.indices),
+                     (m.data, g.adjacency.data)):
+            assert np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_boolean_csr_reads_as_its_float64_copy(self, monkeypatch, scaled):
+        # One 0/1 adjacency stored as bool and as float64 gives the same bits
+        # from every reader. With a budget of 5 stored entries `apply` runs in
+        # several row blocks, rows wider than 5 each one block alone, and
+        # still equals one whole-matrix product.
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, 40, 0.15)
+        widths = np.diff(g.adjacency.indptr)
+        assert widths.max() > 5 and (widths < 5).any()
+        scale = 1.0 / np.maximum(g.degree, 1) if scaled else None
+        as_bool = Proximity(matrix=g.adjacency, scale=scale)
+        as_float = Proximity(matrix=g.adjacency.astype(float), scale=scale)
+        assert as_bool.matrix.dtype == bool and as_float.matrix.dtype == np.float64
+        monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 5)
+        blocks = list(similarity._row_blocks(g.adjacency.indptr, 5))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == g.n and len(blocks) < g.n
+        for lo, hi in blocks:
+            assert hi - lo == 1 or widths[lo:hi].sum() <= 5
+        v = rng.random((g.n, 4))
+        whole = g.adjacency.astype(float) @ v
+        first = np.arange(g.n) % 3 == 0
+        mask = rng.random(g.n) < 0.5
+        idx = rng.integers(0, g.n, 15)
+        for q in (as_bool, as_float):
+            assert np.array_equal(q.apply(v), whole)
+            assert np.array_equal(q.apply(v[:, 0]), whole[:, 0])
+            rows = q.rows(idx)
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, as_float.rows(idx))
+            for i in range(g.n):
+                assert np.array_equal(q.nearest(i, mask, 3), as_float.nearest(i, mask, 3))
+            for got, want in zip(q.other_group_rows(first, np.arange(g.n)),
+                                 as_float.other_group_rows(first, np.arange(g.n)), strict=True):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 def test_pipeline_from_comparability_graph():
     d = make_dataset([0.0, 0.1, 0.2], [], [1, 0, 1], [0, 0, 0])

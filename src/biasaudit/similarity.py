@@ -16,15 +16,17 @@ row factor, which the estimates cancel, and multiplies in row blocks of at
 most `_BLOCK_ENTRIES` stored entries, so only one block's entries are ever
 held as floats. For any storage, `other_group_rows` reads Q's other-group
 entries in bounded row blocks, for the explanations; the walk solves one row
-alone, and more from the block Q[G0, G1], solved once by block Cholesky in an
-order that never holds the factor, the block and the Schur complement at once
-(two n/2 x n/2 arrays at the peak for equal groups).
+alone, and more from the block Q[G0, G1], solved once by block Cholesky with
+its triangles in LAPACK's Rectangular Full Packed storage (Gustavson et al.,
+ACM TOMS 37(2), 2010), in an order that holds the block and one packed
+triangle at a time (one and a half n/2 x n/2 arrays at the peak for equal
+groups).
 
 `_walk` is the only fixed-point loop, and its entrywise rule the only stop rule.
 `nearest(i, mask, k)` ranks a row's top k in a cell from that walk, ended early
 at the first step whose truncated series and a bound on the rest prove them (as
-in Wei et al., "TopPPR", SIGMOD 2018); a list no bound can prove is ranked from
-the settled row.
+in Wei et al., "TopPPR", SIGMOD 2018), also when the list takes every candidate;
+a list no bound can prove is ranked from the settled row.
 """
 
 from __future__ import annotations
@@ -76,17 +78,16 @@ def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
 
 def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> bool:
     """Whether the bounds prove the top k of every row q with x <= q <= x + tail
-    (+ `_TOL` of x's largest, for rounding): each of the k best lower bounds exceeds
-    the next one's upper bound, the k-th every other's. Then those k lower bounds
-    are positive and strictly ordered, so `_ranked(x, cand, k)` is the proven list."""
-    if len(cand) <= k:
-        return False
+    (+ `_TOL` of x's largest, for rounding): each of the k best lower bounds (all
+    of them, if at most k) exceeds the next one's upper bound, and the last one
+    exceeds 0 and every other upper bound. Then those lower bounds are positive
+    and strictly ordered, so `_ranked(x, cand, k)` is the proven list."""
     lo = x[cand]
-    best = np.argpartition(-lo, k - 1)[:k]
+    best = np.argpartition(-lo, k - 1)[:k] if len(cand) > k else np.arange(len(cand))
     best = best[np.argsort(-lo[best], kind="stable")]
     hi = lo + tail + _TOL * x.max()
     chain = lo[best[:-1]] > hi[best[1:]]
-    hi[best] = -np.inf
+    hi[best] = 0.0  # as x >= 0, the others' upper bounds are too
     return bool(chain.all() and lo[best[-1]] > hi.max())
 
 
@@ -109,11 +110,40 @@ def _inverse(w: sparse.csr_matrix, damping: float) -> np.ndarray:
     return q.T  # Q is symmetric; the transpose is C-ordered, so rows read contiguously
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of the SPD block `m` of I - pW, in m's memory."""
+def _packed_eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
+    """The lower triangle of I - pW for a square m x m block of W in LAPACK's
+    Rectangular Full Packed storage (transr "N", uplo "L"), written from the
+    block's stored entries into m(m + 1)/2 zeroed doubles, no m x m array made.
+    With k = m/2 and ld = m + 1 for even m, entry (i, j), i >= j, sits at
+    i + 1 + j ld if j < k, else at (j - k) + (i - k) ld; with k = (m + 1)/2 and
+    ld = m for odd m, at i + j ld if j < k, else at (j - k) + (i - k + 1) ld.
+    Rows are placed in blocks of at most m stored entries, so index temporaries
+    stay O(m)."""
+    m = w.shape[0]
+    odd = m % 2
+    k, ld = (m + odd) // 2, m + 1 - odd
+
+    def at(i, j):
+        j = j.astype(np.int64)
+        return np.where(j < k, i + 1 - odd + j * ld, j - k + (i - k + odd) * ld)
+
+    packed = np.zeros(m * (m + 1) // 2)
+    for lo, hi in _row_blocks(w.indptr, m):
+        span = slice(w.indptr[lo], w.indptr[hi])
+        i, j = np.repeat(np.arange(lo, hi), np.diff(w.indptr[lo:hi + 1])), w.indices[span]
+        lower = i >= j
+        packed[at(i[lower], j[lower])] = w.data[span][lower] * -damping
+    diag = np.arange(m)
+    packed[at(diag, diag)] += 1.0
+    return packed
+
+
+def _cholesky(packed: np.ndarray, m: int) -> np.ndarray:
+    """The lower Cholesky factor of the SPD m x m block of I - pW held as
+    `_packed_eye_minus` gives it, in the same packed storage and memory."""
     from scipy.linalg import lapack
 
-    chol, bad = lapack.dpotrf(m, lower=1, clean=0, overwrite_a=1)
+    chol, bad = lapack.dpftrf(m, packed, transr="N", uplo="L", overwrite_a=1)
     if bad:
         raise ValueError("I - pW is not positive definite")
     return chol
@@ -126,30 +156,33 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     Q[first, ~first] = (1 - p) L^-T Z K^-T K^-1, clipped to [0, 1] as `_inverse` is.
     About 0.75 n^3 flops against 2 n^3 for the inverse, fewer when the larger
     side (m0 rows, m1 <= m0 on the other) is eliminated first, as here.
-    The solve order keeps at most two of L, Z and S alive: L goes once Z is
-    formed, the right solves by K run on Z in place, and L is then factored
-    again from the same block for the last solve. Keeping L instead would
-    hold all three; the refactor costs m0^3 / 3 flops (about 6% with equal
-    sides) and lowers the peak from m0^2 + m0 m1 + m1^2 doubles to
-    m0 (m0 + m1): two n/2 x n/2 arrays, not three. The result is Z's memory."""
-    from scipy.linalg import blas
+    The triangles M[first, first], S and their factors L and K live in packed
+    storage (`_packed_eye_minus`), m(m + 1)/2 doubles each, and the solve order
+    keeps at most one of them alive beside Z: L goes once Z is formed, the
+    right solves by K run on Z in place, and L is then factored again from the
+    same block for the last solve, at m0^3 / 3 flops (about 6% with equal
+    sides). The peak is m0 m1 + m0 (m0 + 1)/2 doubles: one and a half
+    n/2 x n/2 arrays for equal groups. The result is Z's memory."""
+    from scipy.linalg import lapack
 
     if np.count_nonzero(first) < len(first) / 2:
         return _cross_block(w, damping, ~first).T
     g0, g1 = np.flatnonzero(first), np.flatnonzero(~first)
-    if not len(g0) or not len(g1):
-        return np.zeros((len(g0), len(g1)))
+    m0, m1 = len(g0), len(g1)
+    if not m0 or not m1:
+        return np.zeros((m0, m1))
     top = w[g0]
-    chol_a = _cholesky(_eye_minus(top[:, g0], damping))
-    z = blas.dtrsm(damping, chol_a, top[:, g1].toarray(order="F"), lower=1, overwrite_b=1)
+    rfp = {"transr": "N", "uplo": "L"}
+    chol_a = _cholesky(_packed_eye_minus(top[:, g0], damping), m0)
+    z = lapack.dtfsm(damping, chol_a, top[:, g1].toarray(order="F"), **rfp, overwrite_b=1)
     del chol_a
-    chol_s = _cholesky(blas.dsyrk(-1.0, z, beta=1.0, c=_eye_minus(w[g1][:, g1], damping),
-                                  trans=1, lower=1, overwrite_c=1))
-    z = blas.dtrsm(1.0, chol_s, z, side=1, lower=1, trans_a=1, overwrite_b=1)  # Z K^-T
-    z = blas.dtrsm(1.0 - damping, chol_s, z, side=1, lower=1, overwrite_b=1)
+    chol_s = _cholesky(lapack.dsfrk(m1, m0, -1.0, z, 1.0, _packed_eye_minus(w[g1][:, g1], damping),
+                                    **rfp, trans="T", overwrite_c=1), m1)
+    z = lapack.dtfsm(1.0, chol_s, z, **rfp, side="R", trans="T", overwrite_b=1)  # Z K^-T
+    z = lapack.dtfsm(1.0 - damping, chol_s, z, **rfp, side="R", overwrite_b=1)
     del chol_s
-    chol_a = _cholesky(_eye_minus(top[:, g0], damping))
-    z = blas.dtrsm(1.0, chol_a, z, lower=1, trans_a=1, overwrite_b=1)  # L^-T Z S^-1
+    chol_a = _cholesky(_packed_eye_minus(top[:, g0], damping), m0)
+    z = lapack.dtfsm(1.0, chol_a, z, **rfp, trans="T", overwrite_b=1)  # L^-T Z S^-1
     np.clip(z, 0.0, 1.0, out=z)
     return z
 
@@ -241,7 +274,8 @@ class Proximity:
         """The k columns j != i of the boolean `mask` (length n) with the largest
         Q[i, j] > 0, by Q descending, then index ascending. The walk ends early at
         the first step whose truncated series `_tail` certifies the list; else (exact
-        ties, at most k candidates) it ranks the row `rows([i])` gives. A mask of
+        ties closer than its rounding slack, or a candidate never reached when the
+        list takes them all) it ranks the row `rows([i])` gives. A mask of
         another length and a negative k are a ValueError, k = 0 gives an empty
         list, and an i outside [0, n) is an IndexError."""
         if k < 0:
@@ -252,7 +286,7 @@ class Proximity:
             raise ValueError(f"mask over {len(mask)} rows does not match the {self.n} rows of Q")
         cand = np.flatnonzero(mask)
         cand = cand[cand != i]
-        if k == 0:
+        if k == 0 or not len(cand):
             return cand[:0]
         if self.matrix is not None:
             return _ranked(self.rows([i])[0], cand, k)

@@ -470,6 +470,43 @@ class TestProximityOperator:
         assert want.tolist() == [25, 5, 26, 4, 27]
         assert rwr_proximity(w, damping=0.1).nearest(15, cell, 5).tolist() == want.tolist()
 
+    def test_nearest_certifies_a_list_of_every_candidate(self, monkeypatch):
+        # With k at least the cell size the list holds every candidate, proven
+        # once all lower bounds are positive and strictly ordered: a few walk
+        # steps, not the 18 the stop rule takes here. Vertex 1 is then made a
+        # twin of vertex 0 (the same neighbours), so their entries tie exactly in
+        # every other row: no bound orders them, and those lists come from the
+        # settled row, ties by index. A candidate not reached yet has lower bound
+        # 0, which proves nothing: on a path from vertex 0, vertex 4 stays in the list.
+        line = np.eye(5, k=1, dtype=bool)
+        path = rwr_proximity(symmetric_normalize(graph_from_dense(line | line.T)), damping=0.1)
+        assert path.nearest(0, np.isin(np.arange(5), [1, 4]), 2).tolist() == [1, 4]
+        rng = np.random.default_rng(0)
+        dense = random_graph(rng, 80, 0.15).adjacency.toarray()
+        cell = rng.random(80) < 0.2
+        matmul, steps = sparse.csr_matrix.__matmul__, [0]
+
+        def counted(self, other):
+            steps[0] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
+        for twins in (False, True):
+            if twins:
+                dense[1, 2:] = dense[2:, 1] = dense[0, 2:]
+                cell[:2] = True
+            q = rwr_proximity(symmetric_normalize(graph_from_dense(dense)), damping=0.1)
+            for i in np.flatnonzero(cell):
+                steps[0] = 0
+                top = q.nearest(i, cell, 30)
+                walked, steps[0] = steps[0], 0
+                row = q.rows([i])[0]
+                assert steps[0] == 18
+                cand = np.flatnonzero(cell)
+                assert np.array_equal(top, similarity._ranked(row, cand[cand != i], 30))
+                assert len(top) == len(cand) - 1
+                assert walked == 18 if twins and i > 1 else walked <= 8
+
     def test_nearest_rejects_a_negative_k_and_an_index_outside_n(self):
         # Every storage: k = 0 ranks nothing, a negative k does not slice from
         # the end, a negative i does not wrap to the last row, and a mask of
@@ -493,9 +530,10 @@ class TestProximityOperator:
 
     @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
                                               (500, 300, True)])
-    def test_cross_block_holds_two_of_its_arrays_at_the_peak(self, m0, m1, flip):
-        # The eliminated side's factor L (m0 x m0) and the block Z (m0 x m1) are
-        # the peak; the Schur complement is formed only after L is dropped. The
+    def test_cross_block_peaks_at_z_and_one_packed_factor(self, m0, m1, flip, monkeypatch):
+        # The block Z (m0 x m1) and the eliminated side's packed factor L
+        # (m0 (m0 + 1) / 2 doubles) are the peak; the Schur complement is formed
+        # only after L is dropped, and no triangle is ever held as a square. The
         # larger side is eliminated also when `first` is the smaller one.
         from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
 
@@ -505,6 +543,7 @@ class TestProximityOperator:
         d = make_dataset(rng.random((n, 2)), [], rng.integers(0, 2, n), groups)
         w = symmetric_normalize(build_comparability_graph(d, ComparabilityConfig(0.1, 2)))
         first = groups == (1 if flip else 0)
+        monkeypatch.setattr(similarity, "_eye_minus", refuse)
         tracemalloc.start()
         try:
             block = similarity._cross_block(w, 0.1, first)
@@ -512,7 +551,51 @@ class TestProximityOperator:
         finally:
             tracemalloc.stop()
         assert block.shape == ((m1, m0) if flip else (m0, m1))
-        assert peak <= 1.2 * m0 * (m0 + m1) * 8
+        assert peak <= 1.3 * (m0 * m1 + m0 * (m0 + 1) / 2) * 8
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 64, 65])
+    def test_packed_block_is_the_lower_triangle_of_i_minus_pw(self, m):
+        # Read back by LAPACK's own RFP-to-full conversion, the packed block
+        # equals the dense one's lower triangle. The block is not symmetric, so
+        # only its lower entries may be read; a few rows have none at all, some
+        # have a stored diagonal, and at m = 64 and 65 the rows are placed in
+        # several blocks.
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(m)
+        dense = np.where(rng.random((m, m)) < 0.3, rng.random((m, m)), 0.0)
+        dense[rng.random(m) < 0.2] = 0.0
+        block = sparse.csr_matrix(dense)
+        for p in (0.0, 0.1, 0.9):
+            packed = similarity._packed_eye_minus(block, p)
+            assert packed.shape == (m * (m + 1) // 2,)
+            full_lower = np.tril(lapack.dtfttr(m, packed, transr="N", uplo="L")[0])
+            assert np.array_equal(full_lower, np.tril(similarity._eye_minus(block, p)))
+
+    def test_cross_block_rejects_an_indefinite_i_minus_pw(self, monkeypatch):
+        # 2W has eigenvalue 2, so I - 0.9 (2W) is indefinite. The eliminated side
+        # (group 0, the larger) is a 4-clique in the first graph, so its own
+        # block already is; no edge stays within a group in the second, so only
+        # the Schur complement is. Either factorization raises instead of solving.
+        clique = np.zeros((6, 6), dtype=bool)
+        clique[:4, :4] = ~np.eye(4, dtype=bool)
+        clique[[0, 4, 1, 5], [4, 0, 5, 1]] = True
+        bipartite = np.zeros((6, 6), dtype=bool)
+        bipartite[:3, 3:] = bipartite[3:, :3] = True
+        cholesky, calls = similarity._cholesky, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return cholesky(*args)
+
+        monkeypatch.setattr(similarity, "_cholesky", counted)
+        for dense, first, failing in ((clique, np.arange(6) < 4, [4]),
+                                      (bipartite, np.arange(6) < 3, [3, 3])):
+            calls.clear()
+            w = 2.0 * symmetric_normalize(graph_from_dense(dense))
+            with pytest.raises(ValueError, match="not positive definite"):
+                similarity._cross_block(w, 0.9, first)
+            assert calls == failing
 
     def test_csr_row_blocks_pad_within_the_budget(self, monkeypatch):
         # A budget of 28 makes blocks of at most 7 entries: several narrow

@@ -9,7 +9,7 @@ explain:   additionally 3 when the queried sample has no comparable
 mitigate:  additionally 4 on an exact class tie without --tie-label.
 Any subcommand exits 2 on a usage error, e.g. --topk on `mitigate`.
 
-Up to --damping 0.2 nothing inverts the walk proximity Q: `attribute
+At every --damping nothing inverts the walk proximity Q: `attribute
 --topk > 0` solves its cross-group block once, `explain` solves the row it
 reads, and `mitigate --strategy aug` walks from each seed only until its
 nearest same-cell neighbours are proven. `attribute` and `mitigate` warn on
@@ -202,7 +202,9 @@ def _add_common(parser):
     parser.add_argument("--td", type=int, default=2,
                         help="max count of differing categorical features (default 2)")
     parser.add_argument("--damping", type=float, default=0.1,
-                        help="walk continuation probability (default 0.1)")
+                        help="walk continuation probability in [0, 1) (default 0.1); "
+                             "the walk takes about ln(1e-14)/ln p steps, some 300 at "
+                             "0.9 and 3,200 at 0.99")
     parser.add_argument("--similarity", choices=("rwr", "adjacency"), default="rwr")
 
 

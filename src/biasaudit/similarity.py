@@ -8,13 +8,14 @@ proximity matrix is
 
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
 mass on the diagonal and therefore more locality. Q is an operator whose
-solve only this module picks: up to p = 0.2 the walk solves `apply(V)` =
-Q @ V and `rows(idx)` on the sparse W; above p = 0.2, I - pW is inverted
-once. A cheap bypass uses the row-normalized adjacency D^-1 A directly (no
+solve only this module picks: at every damping the walk solves `apply(V)` =
+Q @ V and `rows(idx)` on the sparse W, and no n x n array is ever made. Its
+steps grow as p nears 1, to about ln(1e-14) / ln p (some 300 at p = 0.9).
+A cheap bypass uses the row-normalized adjacency D^-1 A directly (no
 walk), kept as the graph's boolean CSR: its `apply` leaves out the 1/degree
 row factor, which the estimates cancel, and multiplies in row blocks of at
 most `_BLOCK_ENTRIES` stored entries, so only one block's entries are ever
-held as floats. For any storage, `other_group_rows` reads Q's other-group
+held as floats. For either storage, `other_group_rows` reads Q's other-group
 entries in bounded row blocks, for the explanations; the walk solves one row
 alone, and more from the block Q[G0, G1], solved once by block Cholesky with
 its triangles in LAPACK's Rectangular Full Packed storage (Gustavson et al.,
@@ -40,7 +41,6 @@ from scipy import sparse
 from .comparability import _BLOCK_ENTRIES, ComparabilityGraph
 
 _TOL = 1e-14  # largest relative fixed-point update
-_WALK_MAX_DAMPING = 0.2  # above it ~150 solved rows (mitigate, n = 2,400) cost more than inverting
 
 
 def _walk(w: sparse.csr_matrix, damping: float, b, done=None) -> np.ndarray:
@@ -91,25 +91,6 @@ def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> boo
     return bool(chain.all() and lo[best[-1]] > hi.max())
 
 
-def _eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
-    """I - pW of a square block of W, dense and F-ordered for LAPACK."""
-    m = w.toarray(order="F")
-    m *= -damping
-    m[np.diag_indices(m.shape[0])] += 1.0
-    return m
-
-
-def _inverse(w: sparse.csr_matrix, damping: float) -> np.ndarray:
-    """Every row of Q by one exact in-place inversion of the SPD I - pW,
-    clipped to [0, 1]; the n x n result is the only dense allocation."""
-    from scipy import linalg
-
-    q = linalg.inv(_eye_minus(w, damping), overwrite_a=True, check_finite=False)
-    q *= 1.0 - damping
-    np.clip(q, 0.0, 1.0, out=q)
-    return q.T  # Q is symmetric; the transpose is C-ordered, so rows read contiguously
-
-
 def _packed_eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
     """The lower triangle of I - pW for a square m x m block of W in LAPACK's
     Rectangular Full Packed storage (transr "N", uplo "L"), written from the
@@ -153,9 +134,10 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     """Q[first, ~first], exactly, by block elimination on the SPD M = I - pW
     (eigenvalues in [1 - p, 1 + p]): with M[first, first] = LL^T, Z = L^-1 pW[first, ~first]
     and the Schur complement S = M[~first, ~first] - Z^T Z = KK^T,
-    Q[first, ~first] = (1 - p) L^-T Z K^-T K^-1, clipped to [0, 1] as `_inverse` is.
-    About 0.75 n^3 flops against 2 n^3 for the inverse, fewer when the larger
-    side (m0 rows, m1 <= m0 on the other) is eliminated first, as here.
+    Q[first, ~first] = (1 - p) L^-T Z K^-T K^-1, clipped to [0, 1], where Q's entries lie.
+    About 0.75 n^3 flops against 2 n^3 for a whole inverse, fewer when the larger
+    side (m0 rows, m1 <= m0 on the other) is eliminated first, as here. It is
+    the only dense solve, read only for the explanations of many rows.
     The triangles M[first, first], S and their factors L and K live in packed
     storage (`_packed_eye_minus`), m(m + 1)/2 doubles each, and the solve order
     keeps at most one of them alive beside Z: L goes once Z is formed, the
@@ -189,28 +171,28 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
 
 @dataclass(frozen=True, eq=False)
 class Proximity:
-    """Q as an operator. Either stored, Q = diag(scale) @ `matrix` (a read-only
-    dense array, or CSR: a boolean one stays boolean, as the bypass's 0/1
-    adjacency with scale = 1/degree, any other becomes float64), or the walk
-    on `w` (from `symmetric_normalize`) with `damping`, solved on demand:
-    `other_group_rows` solves one row alone, and reads more from the
-    cross-group block; `nearest` walks only until its top k is proven."""
+    """Q as an operator. Either stored, Q = diag(scale) @ `matrix`, a CSR (a
+    boolean one stays boolean, as the bypass's 0/1 adjacency with scale =
+    1/degree, any other becomes float64; anything else is a TypeError), or the
+    walk on `w` (from `symmetric_normalize`) with `damping`, solved on demand
+    at every damping: `other_group_rows` solves one row alone, and reads more
+    from the cross-group block; `nearest` walks only until its top k is proven."""
 
-    matrix: np.ndarray | sparse.csr_matrix | None = None
+    matrix: sparse.csr_matrix | None = None
     scale: np.ndarray | None = None
     w: sparse.csr_matrix | None = None
     damping: float = 0.0
 
     def __post_init__(self):
-        if sparse.issparse(self.matrix):
-            m = sparse.csr_matrix(self.matrix, dtype=bool if self.matrix.dtype == bool else float)
-            if not m.has_canonical_format:  # so each row's columns ascend, once each
-                m = m.copy()
-                m.sum_duplicates()
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-            self.matrix.setflags(write=False)
+        if self.matrix is None:
+            return
+        if not sparse.issparse(self.matrix):
+            raise TypeError("a stored Q must be a scipy sparse matrix")
+        m = sparse.csr_matrix(self.matrix, dtype=bool if self.matrix.dtype == bool else float)
+        if not m.has_canonical_format:  # so each row's columns ascend, once each
+            m = m.copy()
+            m.sum_duplicates()
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
@@ -218,7 +200,7 @@ class Proximity:
 
     def apply(self, v) -> np.ndarray:
         """Q @ V for a finite V >= 0, for a stored Q without the row factor `scale`.
-        A CSR is multiplied in contiguous row blocks of at most `_BLOCK_ENTRIES`
+        The CSR is multiplied in contiguous row blocks of at most `_BLOCK_ENTRIES`
         stored entries (a wider row alone): scipy casts a boolean CSR's data to
         float for each product, so a whole-matrix product would copy all of it.
         Each row still sums in stored column order, as one product would."""
@@ -227,8 +209,6 @@ class Proximity:
             raise ValueError("V must be finite and non-negative")
         if self.matrix is None:
             return _walk(self.w, self.damping, v)
-        if not sparse.issparse(self.matrix):
-            return self.matrix @ v
         out = np.empty((self.n,) + v.shape[1:])
         for lo, hi in _row_blocks(self.matrix.indptr, _BLOCK_ENTRIES):
             out[lo:hi] = self.matrix[lo:hi] @ v
@@ -250,14 +230,17 @@ class Proximity:
         return col, sim
 
     def rows(self, idx) -> np.ndarray:
-        """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every entry."""
+        """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every
+        entry. An index outside [0, n) is an IndexError."""
         idx = np.asarray(idx, dtype=int)
+        outside = idx[(idx < 0) | (idx >= self.n)]
+        if len(outside):
+            raise IndexError(f"sample index {outside[0]} out of range for {self.n} samples")
         if self.matrix is None:
             e = np.zeros((self.n, len(idx)))
             e[idx, np.arange(len(idx))] = 1.0
             return _walk(self.w, self.damping, e).T  # Q is symmetric
-        m = self.matrix[idx]
-        m = np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
+        m = self.matrix[idx].toarray().astype(float, copy=False)
         return m if self.scale is None else m * self.scale[idx, None]
 
     @cached_property
@@ -275,9 +258,9 @@ class Proximity:
         Q[i, j] > 0, by Q descending, then index ascending. The walk ends early at
         the first step whose truncated series `_tail` certifies the list; else (exact
         ties closer than its rounding slack, or a candidate never reached when the
-        list takes them all) it ranks the row `rows([i])` gives. A mask of
-        another length and a negative k are a ValueError, k = 0 gives an empty
-        list, and an i outside [0, n) is an IndexError."""
+        list takes them all) it ranks the row `rows([i])` gives, as it does for a
+        stored CSR. A mask of another length and a negative k are a ValueError,
+        k = 0 gives an empty list, and an i outside [0, n) is an IndexError."""
         if k < 0:
             raise ValueError("k must be non-negative")
         if not 0 <= i < self.n:
@@ -305,10 +288,10 @@ class Proximity:
     def other_group_rows(self, first, rows):
         """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries
         of `rows`, the groups split by the boolean mask `first`, with columns
-        ascending within a row: for a CSR Q, its rows
-        zero-padded to the block's widest, same-group entries zeroed; for the
-        walk (one row solved alone, more read from the cross block, solved once)
-        and a dense Q, col = other[None, :]. A block has at least one row and one
+        ascending within a row: for a stored CSR Q, its rows zero-padded to the
+        block's widest, same-group entries zeroed; for the walk (one row solved
+        alone, more read from the cross block, solved once), every other-group
+        column, col = other[None, :]. A block has at least one row and one
         column and at most a quarter of `_BLOCK_ENTRIES` entries, as its reader
         holds about a dozen temporaries of its size."""
         first = np.asarray(first, dtype=bool)
@@ -327,8 +310,7 @@ class Proximity:
                 r, start = rows[start:stop], stop
                 yield (r, *self._padded_rows(r, first))
             return
-        cross = (_cross_block(self.w, self.damping, first)
-                 if self.matrix is None and len(rows) > 1 else None)
+        cross = _cross_block(self.w, self.damping, first) if len(rows) > 1 else None
         for side in (True, False):
             same = first == side
             other = np.flatnonzero(~same)
@@ -361,11 +343,9 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
 def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
     """Q = (1 - p)(I - p W)^(-1) for W from `symmetric_normalize` (spectral
     radius <= 1) and the damping factor p, 0 <= p < 1 (p = 0 gives Q = I):
-    up to p = 0.2 the walk, solved on demand, above it inverted once."""
+    the walk, solved on demand at every damping."""
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    if damping > _WALK_MAX_DAMPING:
-        return Proximity(matrix=_inverse(w, damping))
     return Proximity(w=w, damping=damping)
 
 

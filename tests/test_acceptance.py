@@ -36,7 +36,6 @@ from biasaudit.mitigation import (
     synthesize_fair_samples,
 )
 from biasaudit.model import predict, train_classifier
-from biasaudit import similarity
 from biasaudit.similarity import Proximity, rwr_proximity, symmetric_normalize
 from biasaudit.synth import (
     SynthConfig,
@@ -47,7 +46,7 @@ from biasaudit.synth import (
     reference_labels,
 )
 
-from util import make_dataset, random_dataset
+from util import dense_oracle, make_dataset, random_dataset
 
 
 def check(number, description, ok):
@@ -56,12 +55,13 @@ def check(number, description, ok):
 
 
 def random_graph_dataset(rng, n):
-    """Random dataset plus a dense symmetric similarity with positive diagonal."""
+    """Random dataset plus a symmetric similarity with positive diagonal, every
+    entry stored in a CSR."""
     d = random_dataset(rng, n, n_num=1, n_cat=0)
     raw = rng.random((n, n))
     q = (raw + raw.T) / 2
     np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, Proximity(matrix=q)
+    return d, Proximity(matrix=sparse.csr_matrix(q))
 
 
 def grid_scan_minimizer(weights, targets):
@@ -123,15 +123,9 @@ def test_criterion_3_rwr_backend_agreement():
         w = symmetric_normalize(g)
         every = np.arange(n)
         for p in (0.1, 0.5, 0.9):
-            oracle = np.linalg.solve(np.eye(n) - p * w.toarray(), (1 - p) * np.eye(n))
-            walk = Proximity(w=w, damping=p)  # solved at every damping, and inverted
-            inverted = Proximity(matrix=similarity._inverse(w, p))
-            for q in (walk.rows(every), inverted.rows(every)):
-                worst = max(worst, float(np.abs(q - oracle).max()))
-        solved = rwr_proximity(w, damping=0.0)
-        inverted = Proximity(matrix=similarity._inverse(w, 0.0))
-        for q0 in (solved.rows(every), inverted.rows(every)):
-            assert np.array_equal(q0, np.eye(n))
+            walk = rwr_proximity(w, damping=p)  # the walk, at every damping
+            worst = max(worst, float(np.abs(walk.rows(every) - dense_oracle(w, p)).max()))
+        assert np.array_equal(rwr_proximity(w, damping=0.0).rows(every), np.eye(n))
     check(3, f"proximity agrees with the dense solve oracle within 1e-8 "
              f"(worst {worst:.2e}), damping 0 gives the identity exactly", worst < 1e-8)
 
@@ -148,9 +142,9 @@ def test_criterion_4_contribution_decomposition():
         q = rwr_proximity(symmetric_normalize(graph), damping=0.1)
         cred = estimate_credibility(data, q)
         bias = estimate_bias(data, q, cred)
-        # the shares from solved rows, and from the inverse as `attribute` reads them
-        inverted = Proximity(matrix=similarity._inverse(q.w, 0.1))
-        for rows_of in (q, inverted):
+        # the shares from solved rows, and from the dense oracle's rows
+        oracle = Proximity(matrix=sparse.csr_matrix(dense_oracle(q.w, 0.1)))
+        for rows_of in (q, oracle):
             for i in range(data.n):
                 if not bias.defined[i]:
                     continue

@@ -29,7 +29,8 @@ from util import make_dataset, random_dataset
 
 
 def sim(matrix):
-    return Proximity(matrix=np.asarray(matrix, dtype=float))
+    """A stored Q with the given entries, as a float CSR."""
+    return Proximity(matrix=sparse.csr_matrix(matrix, dtype=float))
 
 
 def path3_dataset(labels, groups):
@@ -46,7 +47,7 @@ Q_PATH = np.array([
 
 
 def random_instance(rng, n):
-    """Random dataset with a dense symmetric positive similarity."""
+    """Random dataset with a symmetric positive similarity, every entry stored."""
     d = random_dataset(rng, n, n_num=1, n_cat=0)
     raw = rng.random((n, n))
     q = (raw + raw.T) / 2
@@ -366,7 +367,7 @@ class TestAttributeEndToEnd:
         assert np.array_equal(report.bias.defined, expected.defined)
         assert np.allclose(report.bias.values, expected.values, atol=1e-8, equal_nan=True)
 
-    @pytest.mark.parametrize("damping", [0.1, 0.5])  # the cross-group block; the stored inverse
+    @pytest.mark.parametrize("damping", [0.1, 0.5])  # the cross-group block at both
     def test_explanations_meet_the_dense_solve_contract(self, damping):
         # Shares within 1e-9 of a dense solve's; indices as the solve ranks
         # them wherever neighbouring shares differ by more than that.
@@ -522,7 +523,9 @@ class TestBatchedKernel:
         raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
         qm = np.triu(raw) + np.triu(raw, 1).T
         c = Estimate(values=rng.choice([0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
-        for q in (sim(qm), Proximity(matrix=sparse.csr_matrix(qm))):
+        every = sparse.csr_matrix((qm.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
+                                  shape=(n, n))  # each entry stored, the zeros too
+        for q in (Proximity(matrix=every), Proximity(matrix=sparse.csr_matrix(qm))):
             for k in (1, 5, n):
                 defined, columns = _explanations(d, q, c, np.arange(n), k)
                 assert np.all(np.diff(columns[0]) >= 0)  # sorted by row
@@ -543,21 +546,28 @@ class TestBatchedKernel:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(16, 40), st.integers(0, 2**32 - 1))
     def test_shares_do_not_depend_on_storage(self, n, seed):
-        # Non-dyadic entries and at least 8 other-group entries a row: sums
-        # in two orders would part in the last bit.
+        # The walk's row blocks (every other-group column, from the cross block
+        # or a row solved alone) and a CSR of the same entries give the same
+        # bits. A path through all vertices keeps every entry positive, so each
+        # row has at least 8 non-dyadic other-group entries: sums in two orders
+        # would part in the last bit.
         rng = np.random.default_rng(seed)
         d = make_dataset(rng.random(n), [], rng.integers(0, 2, size=n),
                          rng.permutation(np.arange(n) % 2))
-        raw = rng.random((n, n))
-        qm = (raw + raw.T) / 2
+        upper = np.triu(rng.random((n, n)) < 0.3, k=1) | np.eye(n, k=1, dtype=bool)
+        adjacency = sparse.csr_matrix(upper | upper.T)
+        graph = ComparabilityGraph(n=n, adjacency=adjacency,
+                                   degree=np.diff(adjacency.indptr).astype(int))
+        walk = Proximity(w=symmetric_normalize(graph), damping=0.5)
         c = Estimate(values=rng.random(n), defined=rng.random(n) < 0.9)
         k = int(rng.integers(1, n + 1))
-        dense, stored = Proximity(matrix=qm), Proximity(matrix=sparse.csr_matrix(qm))
-        want, got = (_explanations(d, q, c, np.arange(n), k) for q in (dense, stored))
+        block = Proximity(matrix=sparse.csr_matrix(kernel_entries(d, walk)))
+        want, got = (_explanations(d, q, c, np.arange(n), k) for q in (walk, block))
         for a, b in zip((want[0], *want[1]), (got[0], *got[1])):
             assert np.array_equal(a, b)
+        solved = Proximity(matrix=sparse.csr_matrix(np.vstack([walk.rows([i]) for i in range(n)])))
         for i in range(n):
-            assert bias_contributions(d, stored, c, i, k) == bias_contributions(d, dense, c, i, k)
+            assert bias_contributions(d, solved, c, i, k) == bias_contributions(d, walk, c, i, k)
 
     def test_walk_solves_the_cross_block_for_many_rows_only(self, monkeypatch):
         # Every defined row of a walk is read from one cross-block solve; a

@@ -528,41 +528,32 @@ def test_invalid_damping_exits_one_under_adjacency(synth_inputs, tmp_path, capsy
 
 
 def test_only_explained_attribute_factors_the_walk(synth_inputs, tmp_path, monkeypatch):
-    # Up to damping 0.2 nothing inverts Q, and only `attribute --topk > 0`
-    # factors the cross-group block, once: everything else solves on the sparse W.
+    # At every damping only `attribute --topk > 0` factors the cross-group
+    # block, once: everything else solves on the sparse W.
     from biasaudit import similarity
 
-    inverse, cross_block = similarity._inverse, similarity._cross_block
+    cross_block, calls = similarity._cross_block, []
 
-    def refused(*args, **kwargs):
-        raise AssertionError("unexpected solver")
+    def counted(*args, **kwargs):
+        calls.append("_cross_block")
+        return cross_block(*args, **kwargs)
 
-    monkeypatch.setattr(similarity, "_inverse", refused)
-    monkeypatch.setattr(similarity, "_cross_block", refused)
+    monkeypatch.setattr(similarity, "_cross_block", counted)
     data_path, schema_path, _, _ = synth_inputs
     files = ["--input", data_path, "--schema", schema_path]
-    for argv in (["mitigate", *files, "--out", str(tmp_path / "mit"),
-                  "--strategy", "aug", "--budget", "5"],
-                 ["explain", *files, "--index", "3"],
-                 ["attribute", *files, "--out", str(tmp_path / "att0"), "--topk", "0"]):
-        assert main(argv) == 0
-
-    calls = []
-
-    def counted(solve):
-        def solver(*args, **kwargs):
-            calls.append(solve.__name__)
-            return solve(*args, **kwargs)
-        return solver
-
-    monkeypatch.setattr(similarity, "_cross_block", counted(cross_block))
-    assert main(["attribute", *files, "--out", str(tmp_path / "att5"), "--topk", "5"]) == 0
-    assert calls == ["_cross_block"]
-    # above damping 0.2 every command inverts once instead of walking
-    monkeypatch.setattr(similarity, "_inverse", counted(inverse))
-    monkeypatch.setattr(similarity, "_walk", refused)
-    assert main(["explain", *files, "--index", "3", "--damping", "0.9"]) == 0
-    assert calls == ["_cross_block", "_inverse"]
+    for damping in ("0.1", "0.9"):
+        calls.clear()
+        common = [*files, "--damping", damping]
+        for argv in (["mitigate", *common, "--out", str(tmp_path / f"mit{damping}"),
+                      "--strategy", "aug", "--budget", "5"],
+                     ["explain", *common, "--index", "3"],
+                     ["attribute", *common, "--out", str(tmp_path / f"att0-{damping}"),
+                      "--topk", "0"]):
+            assert main(argv) == 0
+        assert calls == []
+        assert main(["attribute", *common, "--out", str(tmp_path / f"att5-{damping}"),
+                     "--topk", "5"]) == 0
+        assert calls == ["_cross_block"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -111,7 +111,7 @@ def mixup_fixture(n=40, seed=0):
     labels[: n // 2] = 0  # make positives the minority
     d = make_dataset(d.numericals, d.categoricals, labels, d.groups)
     raw = rng.random((n, n)) * 0.5 + 0.25
-    q = Proximity(matrix=(raw + raw.T) / 2)
+    q = Proximity(matrix=sparse.csr_matrix((raw + raw.T) / 2))
     b = Estimate(values=rng.random(n), defined=np.ones(n, dtype=bool))
     return d, q, b
 
@@ -222,7 +222,7 @@ class TestSynthesizeFairSamples:
         q = np.full((6, 6), 0.2)
         q[0, 1] = q[1, 0] = 0.0
         np.fill_diagonal(q, 0.5)
-        sim = Proximity(matrix=q)
+        sim = Proximity(matrix=sparse.csr_matrix(q))
         b = Estimate(values=np.zeros(6), defined=np.ones(6, dtype=bool))
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)

@@ -23,7 +23,7 @@ from biasaudit.similarity import (
 )
 from biasaudit.synth import SynthConfig, generate_base
 
-from util import make_dataset, random_dataset
+from util import dense_oracle, make_dataset, random_dataset
 
 
 def graph_from_dense(dense):
@@ -104,8 +104,7 @@ class TestRwrProximity:
         w = symmetric_normalize(g)
         p = 0.37
         q = full(rwr_proximity(w, damping=p))
-        oracle = (1 - p) * np.linalg.inv(np.eye(30) - p * w.toarray())
-        assert np.abs(q - oracle).max() < 1e-10
+        assert np.abs(q - dense_oracle(w, p)).max() < 1e-10
 
     def test_isolated_vertex_rows(self):
         g = graph_from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
@@ -119,8 +118,7 @@ class TestRwrProximity:
             g = random_graph(rng, 80, 0.08)
             w = symmetric_normalize(g)
             q = full(rwr_proximity(w, damping=p))
-            oracle = np.linalg.solve(np.eye(80) - p * w.toarray(), (1 - p) * np.eye(80))
-            assert np.abs(q - oracle).max() < 1e-8
+            assert np.abs(q - dense_oracle(w, p)).max() < 1e-8
 
     def test_entries_in_unit_interval_and_diagonal_floor(self):
         rng = np.random.default_rng(2)
@@ -228,14 +226,6 @@ def test_pipeline_from_comparability_graph():
     assert q[0, 0] == pytest.approx(7 / 12, abs=1e-12)
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("unexpected solver")
-
-
-def dense_oracle(w, p):
-    return np.linalg.solve(np.eye(w.shape[0]) - p * w.toarray(), (1 - p) * np.eye(w.shape[0]))
-
-
 @st.composite
 def graph_instances(draw, kinds=("isolated", "path", "random")):
     """A graph of components of the given kinds (isolated vertices, paths,
@@ -282,19 +272,18 @@ class TestProximityOperator:
         g, d, p = instance
         w = symmetric_normalize(g)
         oracle = dense_oracle(w, p)
-        walk = Proximity(w=w, damping=p)  # the walk at any damping, not only up to 0.2
+        walk = rwr_proximity(w, damping=p)  # the walk, at every damping
         rng = np.random.default_rng(seed)
         v = rng.random((g.n, 3))
         idx = rng.integers(0, g.n, size=rng.integers(1, g.n + 1))
-        exact = Proximity(matrix=oracle)
+        exact = Proximity(matrix=sparse.csr_matrix(oracle))
         cred_oracle = estimate_credibility(d, exact)
-        for q in (walk, Proximity(matrix=similarity._inverse(w, p))):
-            assert np.abs(q.apply(v) - oracle @ v).max() <= 1e-8
-            assert np.abs(q.rows(idx) - oracle[idx]).max() <= 1e-8
-            cred = estimate_credibility(d, q)
-            assert np.array_equal(cred.defined, cred_oracle.defined)
-            bias = estimate_bias(d, q, cred)
-            assert np.array_equal(bias.defined, estimate_bias(d, exact, cred_oracle).defined)
+        assert np.abs(walk.apply(v) - oracle @ v).max() <= 1e-8
+        assert np.abs(walk.rows(idx) - oracle[idx]).max() <= 1e-8
+        cred = estimate_credibility(d, walk)
+        assert np.array_equal(cred.defined, cred_oracle.defined)
+        bias = estimate_bias(d, walk, cred)
+        assert np.array_equal(bias.defined, estimate_bias(d, exact, cred_oracle).defined)
         # the cross-group block, also with one side empty; Q = I at p = 0
         for first in (d.groups == 0, np.ones(g.n, dtype=bool)):
             block = similarity._cross_block(w, p, first)
@@ -304,10 +293,8 @@ class TestProximityOperator:
             assert np.array_equal(block > 0.0, want > 0.0)
             assert p > 0.0 or not block.any()
 
-        cred = estimate_credibility(d, walk)
-        bias = estimate_bias(d, walk, cred)
-        # shares from solved rows, and from the inverse as `attribute` reads them
-        for rows_of in (walk, Proximity(matrix=similarity._inverse(w, p))):
+        # shares from solved rows, and from the oracle's rows
+        for rows_of in (walk, exact):
             for i in np.flatnonzero(bias.defined):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, d.n))
                 assert abs(total - bias.values[i]) <= 1e-10
@@ -340,11 +327,11 @@ class TestProximityOperator:
         labels[-1] = 1
         d = make_dataset(np.zeros(n), [], labels, groups)
         w = symmetric_normalize(g)
-        q = Proximity(w=w, damping=p)  # the walk, also above 0.2
+        q = rwr_proximity(w, damping=p)  # the walk, at every damping
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         assert bias.defined.all()
-        for rows_of in (q, Proximity(matrix=similarity._inverse(w, p))):
+        for rows_of in (q, Proximity(matrix=sparse.csr_matrix(dense_oracle(w, p)))):
             for i in range(n):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, n))
                 assert abs(total - bias.values[i]) <= 1e-10
@@ -365,30 +352,30 @@ class TestProximityOperator:
         rng = np.random.default_rng(11)
         w = symmetric_normalize(random_graph(rng, 50, 0.08))
         stored = dense_oracle(w, 0.5)
-        for q in (Proximity(w=w, damping=0.5), Proximity(matrix=stored),
-                  Proximity(matrix=sparse.csr_matrix(stored))):
+        zero_one = stored > 0.01
+        for q, want in ((Proximity(w=w, damping=0.5), stored),
+                        (Proximity(matrix=sparse.csr_matrix(stored)), stored),
+                        (Proximity(matrix=sparse.csr_matrix(zero_one)), zero_one)):
             v = rng.random((50, 3))
-            assert np.abs(q.apply(v) - stored @ v).max() <= 1e-8
+            assert np.abs(q.apply(v) - want @ v).max() <= 1e-8
             for bad in (-1e-300, -1.0, np.nan, np.inf, -np.inf):
                 signed = v.copy()
                 signed[3, 1] = bad
                 with pytest.raises(ValueError, match="finite and non-negative"):
                     q.apply(signed)
 
-    def test_walk_only_up_to_the_damping_threshold(self, monkeypatch):
-        # Above p = 0.2 the walk needs more steps than one inversion is worth,
-        # up to about 1/(1 - p) as p nears 1, so Q is inverted once instead;
-        # at or below it nothing is inverted.
+    def test_walk_at_every_damping(self):
+        # One regime: the walk solves Q @ V and rows at every damping, also
+        # near 1, where it takes thousands of steps.
         rng = np.random.default_rng(12)
         w = symmetric_normalize(random_graph(rng, 40, 0.1))
         v = rng.random((40, 4))
-        for p, kind in ((0.0, "_inverse"), (0.2, "_inverse"), (0.3, "_walk"), (0.99, "_walk")):
+        for p in (0.0, 0.2, 0.3, 0.9, 0.99):
             oracle = dense_oracle(w, p)
-            with monkeypatch.context() as patch:
-                patch.setattr(similarity, kind, refuse)
-                q = rwr_proximity(w, damping=p)
-                assert np.abs(q.apply(v) - oracle @ v).max() <= 1e-8
-                assert np.abs(q.rows([0, 7]) - oracle[[0, 7]]).max() <= 1e-8
+            q = rwr_proximity(w, damping=p)
+            assert q.matrix is None and q.damping == p
+            assert np.abs(q.apply(v) - oracle @ v).max() <= 1e-8
+            assert np.abs(q.rows([0, 7]) - oracle[[0, 7]]).max() <= 1e-8
 
     @settings(max_examples=150, deadline=None)
     @given(graph_instances(), st.integers(1, 6))
@@ -410,15 +397,14 @@ class TestProximityOperator:
 
     @settings(max_examples=200, deadline=None)
     @given(graph_instances(("isolated", "path", "random", "star", "geometric")),
-           st.sampled_from([("walk", p) for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9)]
-                           + [("inverse", 0.3), ("inverse", 0.9), ("adjacency", None)]),
+           st.sampled_from([("walk", p) for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9)]
+                           + [("adjacency", None)]),
            st.integers(1, 6), st.data())
     def test_nearest_ranks_as_the_dense_inverse(self, instance, storage, k, data):
-        # Every storage's `nearest` against the order of an exact dense Q:
-        # the walk (up to damping 0.2 as `rwr_proximity` picks it, and above),
-        # the inverse stored above 0.2, and the adjacency CSR with its
-        # 1/degree `scale`. Cells are random masks, so some hold at most k
-        # candidates, and isolated seeds have none.
+        # Each storage's `nearest` against the order of an exact dense Q: the
+        # walk, at every damping, and the adjacency CSR with its 1/degree
+        # `scale`. Cells are random masks, so some hold at most k candidates,
+        # and isolated seeds have none.
         g, _, _ = instance
         kind, p = storage
         w = symmetric_normalize(g)
@@ -426,10 +412,8 @@ class TestProximityOperator:
             q = adjacency_similarity(g)
             oracle = g.adjacency.toarray() / np.maximum(g.degree, 1)[:, None]
         else:
-            q = (rwr_proximity(w, damping=p) if p <= 0.2 or kind == "inverse"
-                 else Proximity(w=w, damping=p))
-            assert (q.matrix is None) == (kind == "walk")
-            oracle = (1 - p) * np.linalg.inv(np.eye(g.n) - p * w.toarray())
+            q = rwr_proximity(w, damping=p)
+            oracle = dense_oracle(w, p)
         mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
         for i, want in enumerate(oracle):
             top = q.nearest(i, mask, k)
@@ -528,13 +512,51 @@ class TestProximityOperator:
                 with pytest.raises(ValueError, match="mask over"):
                     q.nearest(0, np.ones(m, dtype=bool), 3)
 
+    def test_rows_reject_an_index_outside_n(self):
+        # Under the walk and a stored CSR alike, -1 does not wrap to the last
+        # row and n does not reach numpy's own message: both name the index.
+        w = symmetric_normalize(PATH3)
+        for q in (rwr_proximity(w, damping=0.1), adjacency_similarity(PATH3),
+                  Proximity(matrix=sparse.csr_matrix(dense_oracle(w, 0.5)))):
+            assert q.rows([0, 2]).shape == (2, 3) and q.rows([]).shape == (0, 3)
+            for bad in (-1, 3):
+                with pytest.raises(IndexError, match=f"sample index {bad} out of range for 3"):
+                    q.rows([0, bad])
+
+    def test_a_stored_q_is_a_sparse_matrix(self):
+        # A dense array is no storage of Q: it is refused, not kept.
+        with pytest.raises(TypeError, match="sparse matrix"):
+            Proximity(matrix=np.eye(3))
+
+    def test_no_damping_allocates_n_by_n(self):
+        # The estimates and a one-row explanation at p = 0.9 hold O(edges + n)
+        # memory (the graph build's blocks peak at about 2.5 MB here); one
+        # n x n float array alone would be n^2 * 8 = 8 MB.
+        from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
+
+        d = generate_base(SynthConfig(n_per_group=500, seed=2))
+        cfg = ComparabilityConfig(0.1, 2)
+        square = d.n ** 2 * 8
+        tracemalloc.start()
+        try:
+            report = attribute(d, cfg, damping=0.9, top_k=0)
+            estimates_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            i = int(np.flatnonzero(report.bias.defined)[0])
+            bias_contributions(d, report.similarity, report.credibility, i, 5)
+            row_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimates_peak < square / 2 and row_peak < square / 2
+
     @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
                                               (500, 300, True)])
-    def test_cross_block_peaks_at_z_and_one_packed_factor(self, m0, m1, flip, monkeypatch):
+    def test_cross_block_peaks_at_z_and_one_packed_factor(self, m0, m1, flip):
         # The block Z (m0 x m1) and the eliminated side's packed factor L
         # (m0 (m0 + 1) / 2 doubles) are the peak; the Schur complement is formed
-        # only after L is dropped, and no triangle is ever held as a square. The
-        # larger side is eliminated also when `first` is the smaller one.
+        # only after L is dropped, and no triangle is ever held as a square (an
+        # m0 x m0 array would break the bound). The larger side is eliminated
+        # also when `first` is the smaller one.
         from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
 
         rng = np.random.default_rng(0)
@@ -543,7 +565,6 @@ class TestProximityOperator:
         d = make_dataset(rng.random((n, 2)), [], rng.integers(0, 2, n), groups)
         w = symmetric_normalize(build_comparability_graph(d, ComparabilityConfig(0.1, 2)))
         first = groups == (1 if flip else 0)
-        monkeypatch.setattr(similarity, "_eye_minus", refuse)
         tracemalloc.start()
         try:
             block = similarity._cross_block(w, 0.1, first)
@@ -570,7 +591,7 @@ class TestProximityOperator:
             packed = similarity._packed_eye_minus(block, p)
             assert packed.shape == (m * (m + 1) // 2,)
             full_lower = np.tril(lapack.dtfttr(m, packed, transr="N", uplo="L")[0])
-            assert np.array_equal(full_lower, np.tril(similarity._eye_minus(block, p)))
+            assert np.array_equal(full_lower, np.tril(np.eye(m) - p * block.toarray()))
 
     def test_cross_block_rejects_an_indefinite_i_minus_pw(self, monkeypatch):
         # 2W has eigenvalue 2, so I - 0.9 (2W) is indefinite. The eliminated side

@@ -41,3 +41,9 @@ def random_dataset(rng, n, n_num=2, n_cat=1, n_levels=3):
     labels = rng.integers(0, 2, size=n)
     groups = rng.integers(0, 2, size=n)
     return make_dataset(num, cat, labels, groups)
+
+
+def dense_oracle(w, p):
+    """Q = (1 - p)(I - pW)^-1 for a sparse W, by one dense linear solve."""
+    n = w.shape[0]
+    return np.linalg.solve(np.eye(n) - p * w.toarray(), (1 - p) * np.eye(n))

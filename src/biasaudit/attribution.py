@@ -18,7 +18,7 @@ from Q @ V (`Proximity.apply`; a row factor of Q cancels), where V holds
 the four cell indicator columns. Credibility takes i's own cell with unit
 weights, bias the opposite group and label with credibility weights. A
 zero denominator means there is no evidence to estimate from; the entry is
-flagged undefined rather than raised.
+NaN, undefined, rather than raised.
 Each defined bias value decomposes exactly into per-contributor shares.
 
 All explanations come from one kernel over the row blocks that
@@ -57,18 +57,22 @@ class UndefinedBiasError(ValueError):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Per-sample credibility or bias in [0, 1]; NaN where undefined."""
+    """Per-sample credibility or bias in [0, 1], NaN exactly where undefined:
+    a read-only 1-D float copy of `values`, from which `defined` is derived.
+    Any other shape is a ValueError."""
 
     values: np.ndarray
-    defined: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        defined = np.asarray(self.defined, dtype=bool)
-        for arr in (values, defined):
-            arr.setflags(write=False)
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("an Estimate holds one value per sample, a 1-D array")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "defined", defined)
+
+    @property
+    def defined(self) -> np.ndarray:
+        return ~np.isnan(self.values)
 
 
 class Explanation(NamedTuple):
@@ -155,10 +159,7 @@ def _cell_ratio(d: Dataset, q: Proximity, weight, flip: int) -> Estimate:
     rows, cell = np.arange(d.n), 2 * (d.groups ^ flip)
     den = mass[rows, cell] + mass[rows, cell + 1]
     num = mass[rows, cell + (d.labels ^ flip)]
-    defined = den > 0.0
-    values = np.full(d.n, np.nan)
-    values[defined] = num[defined] / den[defined]
-    return Estimate(values=values, defined=defined)
+    return Estimate(np.divide(num, den, out=np.full(d.n, np.nan), where=den > 0.0))
 
 
 def estimate_credibility(d: Dataset, q: Proximity) -> Estimate:
@@ -244,11 +245,12 @@ def attribute(
     Stages: comparability graph -> symmetric normalization -> proximity
     ("rwr" walk or "adjacency" bypass) -> credibility -> bias -> top-`top_k`
     explanations of every defined sample from one call of the batched
-    kernel (`top_k` = 0 skips them). A negative `top_k`, a damping outside
-    [0, 1) under either similarity, or an unknown similarity is a ValueError
-    raised before the graph is built. The explanations are read after the
-    estimates, so these do not depend on `top_k`. The report keeps Q, the
-    operator, for later stages. Deterministic throughout.
+    kernel (`top_k` = 0 passes it no rows, so none is solved). A negative
+    `top_k`, a damping outside [0, 1) under either similarity, or an unknown
+    similarity is a ValueError raised before the graph is built. The
+    explanations are read after the estimates, so these do not depend on
+    `top_k`. The report keeps Q, the operator, for later stages.
+    Deterministic throughout.
 
     Explanation shares agree with those of a dense solve of Q within 1e-9;
     entries whose shares lie closer than that may come in either order, as
@@ -267,8 +269,7 @@ def attribute(
         q = adjacency_similarity(graph)
     cred = estimate_credibility(d, q)
     bias = estimate_bias(d, q, cred)
-    explained = (np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 3
-    if top_k > 0:  # with no defined row, nothing is solved
-        _, explained = _explanations(d, q, cred, np.flatnonzero(bias.defined), top_k)
+    rows = np.flatnonzero(bias.defined) if top_k else []  # no row: nothing is solved
+    _, explained = _explanations(d, q, cred, rows, top_k)
     return BiasReport(groups=d.groups, labels=d.labels, credibility=cred, bias=bias,
                       explained=explained, similarity=q)

@@ -3,7 +3,7 @@
 Two samples are comparable when every numerical feature differs by at
 most ``t_r`` (inclusive, in normalized units) and at most ``t_d``
 categorical features differ. The graph over all comparable pairs is
-symmetric, boolean, and stored sparse with self-loops removed. It is
+symmetric and boolean, its one field a CSR without self-loops. It is
 built in one forward sweep over the rows sorted on the first numerical
 feature, which tests each pair once, in blocks of at most
 `_BLOCK_ENTRIES` tested pairs. A row's window on the sort key is a padded
@@ -39,16 +39,17 @@ class ComparabilityConfig:
 
 @dataclass(frozen=True)
 class ComparabilityGraph:
-    """Symmetric boolean adjacency over samples, no self-loops."""
+    """A canonical symmetric boolean CSR, no self-loops; `n` and `degree` are read from it."""
 
-    n: int
     adjacency: sparse.csr_matrix
-    degree: np.ndarray
 
-    def __post_init__(self):
-        deg = np.asarray(self.degree, dtype=int)
-        deg.setflags(write=False)
-        object.__setattr__(self, "degree", deg)
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.adjacency.indptr)
 
     @property
     def edge_count(self):
@@ -137,5 +138,4 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     del pairs_j
     half = sparse.csr_matrix((np.ones(len(i), dtype=bool), (i, j)), shape=(n, n))
     del i, j
-    adjacency = half + half.T.tocsr()
-    return ComparabilityGraph(n=n, adjacency=adjacency, degree=np.diff(adjacency.indptr))
+    return ComparabilityGraph(half + half.T.tocsr())

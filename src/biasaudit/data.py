@@ -70,7 +70,7 @@ class Dataset:
     feature f for integer code `code`; codes are assigned in first
     appearance order when loading from text. `label_tokens[code]` and
     `group_tokens[code]` are the tokens the binary columns are written
-    back in.
+    back in. The four arrays are read-only copies of those passed in.
     """
 
     schema: FeatureSchema
@@ -83,10 +83,10 @@ class Dataset:
     group_tokens: tuple = ("0", "1")
 
     def __post_init__(self):
-        num = np.asarray(self.numericals, dtype=float)
-        cat = np.asarray(self.categoricals, dtype=int)
-        lab = np.asarray(self.labels, dtype=int)
-        grp = np.asarray(self.groups, dtype=int)
+        num = np.array(self.numericals, dtype=float)
+        cat = np.array(self.categoricals, dtype=int)
+        lab = np.array(self.labels, dtype=int)
+        grp = np.array(self.groups, dtype=int)
         if num.ndim != 2 or cat.ndim != 2:
             raise ValidationError("numerical and categorical columns must be 2-D arrays")
         n = len(lab)
@@ -144,14 +144,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Per-numerical-feature (min, max) pairs fitted on training data."""
+    """Per-numerical-feature (min, max) pairs fitted on training data, as read-only copies."""
 
     mins: np.ndarray
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=float)
-        maxs = np.asarray(self.maxs, dtype=float)
+        mins = np.array(self.mins, dtype=float)
+        maxs = np.array(self.maxs, dtype=float)
         if (maxs < mins).any():
             raise ValidationError("normalization max < min")
         for name, arr in (("mins", mins), ("maxs", maxs)):

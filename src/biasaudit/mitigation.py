@@ -42,13 +42,13 @@ class RemovalPlan:
 @dataclass(frozen=True, eq=False)
 class AugmentationPlan:
     """The m synthetic rows as one `Dataset` in normalized units, plus
-    each row's provenance: its seed, its mixup target and its weight lam."""
+    each row's provenance: its seed, its mixup target and its weight lam.
+    The budget it was drawn for is m, `len(seeds)`."""
 
     rows: Dataset
     seeds: np.ndarray
     targets: np.ndarray
     lams: np.ndarray
-    budget: int
     n_neighbors: int
 
     # perfbench/traced.py counts the synthetic rows as `len(plan.samples)`.
@@ -185,7 +185,7 @@ def synthesize_fair_samples(
         seeds.append(seed_idx)
     seeds, targets, lams = np.array(seeds, dtype=int), np.array(targets, dtype=int), np.array(lams)
     return AugmentationPlan(rows=mix_rows(d, seeds, targets, lams, take_seed), seeds=seeds,
-                            targets=targets, lams=lams, budget=m, n_neighbors=n_nb)
+                            targets=targets, lams=lams, n_neighbors=n_nb)
 
 
 def apply_plan(d: Dataset, plan) -> Dataset:
@@ -221,7 +221,7 @@ def write_plan(plan, path) -> None:
         r = plan.rows
         cols = [*r.schema.numerical_names, *r.schema.categorical_names,
                 r.schema.group_name, r.schema.label_name, "seed", "target", "lambda"]
-        header = (f"augmentation plan\tbudget={plan.budget}\tneighbors={plan.n_neighbors}\n"
+        header = (f"augmentation plan\tbudget={len(plan.seeds)}\tneighbors={plan.n_neighbors}\n"
                   + ",".join(cols))
         table = np.hstack([
             r.numericals.astype(object),

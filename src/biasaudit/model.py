@@ -20,9 +20,11 @@ class Classifier:
     intercept: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.intercept)):
+        weights = np.array(self.weights, dtype=float)
+        if not (np.isfinite(weights).all() and np.isfinite(self.intercept)):
             raise ValueError("classifier parameters must be finite")
-        self.weights.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
 
 def gradient(w, b, X, y, l2):

@@ -174,9 +174,11 @@ class Proximity:
     """Q as an operator. Either stored, Q = diag(scale) @ `matrix`, a CSR (a
     boolean one stays boolean, as the bypass's 0/1 adjacency with scale =
     1/degree, any other becomes float64; anything else is a TypeError), or the
-    walk on `w` (from `symmetric_normalize`) with `damping`, solved on demand
-    at every damping: `other_group_rows` solves one row alone, and reads more
-    from the cross-group block; `nearest` walks only until its top k is proven."""
+    walk on `w` (from `symmetric_normalize`) with `damping` in [0, 1), solved on
+    demand at every damping: `other_group_rows` solves one row alone, and reads
+    more from the cross-group block; `nearest` walks only until its top k is
+    proven. Neither or both of `matrix` and `w`, or a `scale` beside `w`, is a
+    TypeError, and a walk's damping outside [0, 1) a ValueError."""
 
     matrix: sparse.csr_matrix | None = None
     scale: np.ndarray | None = None
@@ -184,7 +186,13 @@ class Proximity:
     damping: float = 0.0
 
     def __post_init__(self):
-        if self.matrix is None:
+        walk = self.matrix is None
+        if walk == (self.w is None) or walk and self.scale is not None:
+            raise TypeError("Q is either a stored `matrix`, with an optional `scale`, "
+                            "or the walk on `w`")
+        if walk:
+            if not 0.0 <= self.damping < 1.0:
+                raise ValueError("damping must lie in [0, 1)")
             return
         if not sparse.issparse(self.matrix):
             raise TypeError("a stored Q must be a scipy sparse matrix")
@@ -231,8 +239,11 @@ class Proximity:
 
     def rows(self, idx) -> np.ndarray:
         """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every
-        entry. An index outside [0, n) is an IndexError."""
-        idx = np.asarray(idx, dtype=int)
+        entry. A non-integer index or one outside [0, n) is an IndexError."""
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError(f"sample indices must be integers, not {idx.dtype}")
+        idx = idx.astype(int, copy=False)
         outside = idx[(idx < 0) | (idx >= self.n)]
         if len(outside):
             raise IndexError(f"sample index {outside[0]} out of range for {self.n} samples")
@@ -343,9 +354,7 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
 def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
     """Q = (1 - p)(I - p W)^(-1) for W from `symmetric_normalize` (spectral
     radius <= 1) and the damping factor p, 0 <= p < 1 (p = 0 gives Q = I):
-    the walk, solved on demand at every damping."""
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must lie in [0, 1)")
+    the walk, solved on demand at every damping. Any other p is a ValueError."""
     return Proximity(w=w, damping=damping)
 
 

@@ -100,14 +100,14 @@ def reference_labels(d: Dataset, cfg: SynthConfig):
     return _rule_labels(d.numericals, cfg)
 
 
-def detection_accuracy(b: Estimate, truth, groups, threshold: float = BIAS_THRESHOLD) -> float:
-    """Accuracy of the bias > threshold detector against ground truth, target group only.
+def detection_accuracy(b: Estimate, truth, groups) -> float:
+    """Accuracy of the bias > `BIAS_THRESHOLD` detector against ground truth, target group only.
 
     Undefined bias counts as not biased.
     """
     truth = np.asarray(truth, dtype=bool)
     mask = np.asarray(groups) == 0
-    flagged = b.defined & (np.where(b.defined, b.values, 0.0) > threshold)
+    flagged = b.defined & (np.where(b.defined, b.values, 0.0) > BIAS_THRESHOLD)
     return float((flagged[mask] == truth[mask]).mean())
 
 

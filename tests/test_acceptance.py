@@ -118,8 +118,7 @@ def test_criterion_3_rwr_backend_agreement():
         n = int(rng.integers(20, 201))
         upper = np.triu(rng.random((n, n)) < 0.05, k=1)
         dense_adj = upper | upper.T
-        g = ComparabilityGraph(n=n, adjacency=sparse.csr_matrix(dense_adj),
-                               degree=dense_adj.sum(axis=1).astype(int))
+        g = ComparabilityGraph(sparse.csr_matrix(dense_adj))
         w = symmetric_normalize(g)
         every = np.arange(n)
         for p in (0.1, 0.5, 0.9):

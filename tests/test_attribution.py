@@ -25,7 +25,7 @@ from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, bui
 from biasaudit.similarity import Proximity, adjacency_similarity, symmetric_normalize
 from biasaudit.synth import SynthConfig, generate_base, inject_individual_bias
 
-from util import make_dataset, random_dataset
+from util import estimate_of, make_dataset, random_dataset
 
 
 def sim(matrix):
@@ -60,6 +60,18 @@ def grid_argmin(weights, targets):
     grid = np.linspace(0.0, 1.0, 10_001)
     objective = (weights[None, :] * (grid[:, None] - targets[None, :]) ** 2).sum(axis=1)
     return grid[np.argmin(objective)]
+
+
+class TestEstimate:
+    def test_defined_is_derived_from_the_values(self):
+        # NaN is the one mark of an undefined entry; no flag can disagree with it
+        e = Estimate([0.25, np.nan, 1.0])
+        assert e.defined.tolist() == [True, False, True]
+        with pytest.raises(TypeError):
+            Estimate(values=np.ones(5), defined=[True])
+        for shape in ((), (2, 3)):
+            with pytest.raises(ValueError, match="1-D"):
+                Estimate(np.ones(shape))
 
 
 class TestCredibility:
@@ -98,8 +110,7 @@ class TestCredibility:
         adj[0, 1:] = True
         adj[1:, 0] = True
         adj = adj.tocsr()
-        g = ComparabilityGraph(n=n, adjacency=adj,
-                               degree=np.asarray(adj.sum(axis=1)).ravel().astype(int))
+        g = ComparabilityGraph(adj)
         groups = np.r_[0, np.zeros(128, int), np.ones(m, int)]
         labels = np.r_[1, np.ones(k, int), np.zeros(128 - k + m, int)]
         d = make_dataset(np.zeros(n), [], labels, groups)
@@ -123,7 +134,7 @@ class TestBias:
         with pytest.raises(ValueError, match="Estimate over 3 rows .* 2 rows"):
             estimate_bias(d.subset([0, 1]), sim(Q_PATH[:2, :2]), c)
         with pytest.raises(ValueError, match="Proximity over 3 rows .* 2 rows"):
-            estimate_bias(d.subset([0, 1]), sim(Q_PATH), Estimate(c.values[:2], c.defined[:2]))
+            estimate_bias(d.subset([0, 1]), sim(Q_PATH), Estimate(c.values[:2]))
 
     def test_same_label_neighbors_give_zero(self):
         d = path3_dataset([1, 1, 1], [0, 1, 0])
@@ -136,7 +147,7 @@ class TestBias:
         # contributors: (cred 1.0, sim 0.4, opposite label), (cred 0.5, sim 0.2, same label)
         d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 0], [0, 1, 1])
         q = sim([[1.0, 0.4, 0.2], [0.4, 1.0, 0.0], [0.2, 0.0, 1.0]])
-        c = Estimate(values=[1.0, 1.0, 0.5], defined=[True, True, True])
+        c = Estimate([1.0, 1.0, 0.5])
         b = estimate_bias(d, q, c)
         assert b.values[0] == pytest.approx(0.8, abs=1e-12)
 
@@ -151,7 +162,7 @@ class TestBias:
     def test_undefined_credibility_contributes_zero_weight(self):
         d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 1], [0, 1, 1])
         q = sim([[1.0, 0.4, 0.4], [0.4, 1.0, 0.0], [0.4, 0.0, 1.0]])
-        c = Estimate(values=[1.0, np.nan, 1.0], defined=[True, False, True])
+        c = Estimate([1.0, np.nan, 1.0])
         b = estimate_bias(d, q, c)
         # only sample 2 carries weight
         assert b.values[0] == pytest.approx(1.0)
@@ -164,11 +175,11 @@ class TestBias:
         j = int(np.nonzero(d.groups != d.groups[i])[0][0])
         zeroed = cred.copy()
         zeroed[j] = 0.0
-        b_zeroed = estimate_bias(d, q, Estimate(zeroed, np.ones(12, bool)))
+        b_zeroed = estimate_bias(d, q, Estimate(zeroed))
         keep = np.array([k for k in range(12) if k != j])
         d_del = d.subset(keep)
         q_del = sim(q.rows(keep)[:, keep])
-        b_del = estimate_bias(d_del, q_del, Estimate(cred[keep], np.ones(11, bool)))
+        b_del = estimate_bias(d_del, q_del, Estimate(cred[keep]))
         assert b_zeroed.values[0] == pytest.approx(b_del.values[0], abs=1e-12)
 
     def test_matches_grid_argmin(self):
@@ -214,7 +225,7 @@ class TestContributions:
     def setup_method(self):
         self.d = make_dataset([0.0, 0.0, 0.0], [], [0, 1, 0], [0, 1, 1])
         self.q = sim([[1.0, 0.4, 0.2], [0.4, 1.0, 0.0], [0.2, 0.0, 1.0]])
-        self.c = Estimate(values=[1.0, 1.0, 0.5], defined=[True, True, True])
+        self.c = Estimate([1.0, 1.0, 0.5])
 
     def test_two_contributor_ranking(self):
         top = bias_contributions(self.d, self.q, self.c, 0, 2)
@@ -235,7 +246,7 @@ class TestContributions:
     def test_zero_bias_means_zero_contributions(self):
         d = make_dataset([0.0, 0.0], [], [1, 1], [0, 1])
         q = sim([[1.0, 0.5], [0.5, 1.0]])
-        c = Estimate([1.0, 1.0], [True, True])
+        c = Estimate([1.0, 1.0])
         top = bias_contributions(d, q, c, 0, 5)
         assert len(top) == 1 and top[0].contribution == 0.0
 
@@ -243,7 +254,7 @@ class TestContributions:
         # the first two rows, explained from the Q or credibility of all three
         d = self.d.subset([0, 1])
         with pytest.raises(ValueError, match="Proximity over 3 rows .* 2 rows"):
-            bias_contributions(d, self.q, Estimate([1.0, 1.0], [True, True]), 0, 2)
+            bias_contributions(d, self.q, Estimate([1.0, 1.0]), 0, 2)
         with pytest.raises(ValueError, match="Estimate over 3 rows .* 2 rows"):
             bias_contributions(d, sim(self.q.matrix[:2, :2]), self.c, 0, 2)
 
@@ -269,7 +280,7 @@ class TestContributions:
     def test_ties_break_by_ascending_index(self):
         d = make_dataset([0.0] * 4, [], [0, 1, 1, 1], [0, 1, 1, 1])
         q = sim(np.full((4, 4), 0.25) + np.diag([0.5] * 4))
-        c = Estimate([1.0] * 4, [True] * 4)
+        c = Estimate([1.0] * 4)
         top = bias_contributions(d, q, c, 0, 3)
         assert [e.index for e in top] == [1, 2, 3]
 
@@ -522,7 +533,7 @@ class TestBatchedKernel:
         d = random_dataset(rng, n, n_num=1, n_cat=0)
         raw = rng.choice([0.0, 0.25, 0.5], size=(n, n))
         qm = np.triu(raw) + np.triu(raw, 1).T
-        c = Estimate(values=rng.choice([0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
+        c = estimate_of(rng.choice([0.5, 1.0], size=n), rng.random(n) < 0.7)
         every = sparse.csr_matrix((qm.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
                                   shape=(n, n))  # each entry stored, the zeros too
         for q in (Proximity(matrix=every), Proximity(matrix=sparse.csr_matrix(qm))):
@@ -556,10 +567,9 @@ class TestBatchedKernel:
                          rng.permutation(np.arange(n) % 2))
         upper = np.triu(rng.random((n, n)) < 0.3, k=1) | np.eye(n, k=1, dtype=bool)
         adjacency = sparse.csr_matrix(upper | upper.T)
-        graph = ComparabilityGraph(n=n, adjacency=adjacency,
-                                   degree=np.diff(adjacency.indptr).astype(int))
+        graph = ComparabilityGraph(adjacency)
         walk = Proximity(w=symmetric_normalize(graph), damping=0.5)
-        c = Estimate(values=rng.random(n), defined=rng.random(n) < 0.9)
+        c = estimate_of(rng.random(n), rng.random(n) < 0.9)
         k = int(rng.integers(1, n + 1))
         block = Proximity(matrix=sparse.csr_matrix(kernel_entries(d, walk)))
         want, got = (_explanations(d, q, c, np.arange(n), k) for q in (walk, block))
@@ -630,7 +640,7 @@ class TestBatchedKernel:
         raw[0] = 0.0
         adjacency = sparse.csr_matrix(np.triu(raw) + np.triu(raw, 1).T)
         q = Proximity(matrix=adjacency, scale=rng.random(n) + 0.5)
-        c = Estimate(values=rng.choice([0.0, 0.5, 1.0], size=n), defined=rng.random(n) < 0.7)
+        c = estimate_of(rng.choice([0.0, 0.5, 1.0], size=n), rng.random(n) < 0.7)
         rows = np.flatnonzero(rng.random(n) < 0.8)
         k = int(rng.integers(1, n + 1))
 
@@ -658,13 +668,12 @@ class TestBatchedKernel:
         n = 1000
         rng = np.random.default_rng(9)
         d = random_dataset(rng, n, n_num=1, n_cat=0)
-        c = Estimate(values=np.full(n, 0.5), defined=np.ones(n, dtype=bool))
+        c = Estimate(np.full(n, 0.5))
         peaks = []
         for density in (0.25, 1.0):
             upper = np.triu(rng.random((n, n)) < density, k=1)
             adjacency = sparse.csr_matrix(upper | upper.T)
-            q = adjacency_similarity(ComparabilityGraph(
-                n=n, adjacency=adjacency, degree=np.diff(adjacency.indptr)))
+            q = adjacency_similarity(ComparabilityGraph(adjacency))
             tracemalloc.start()
             try:
                 _explanations(d, q, c, np.arange(n), 5)
@@ -686,7 +695,7 @@ class TestBatchedKernel:
             upper = np.triu(rng.random((n, n)) < density, k=1)
             adjacency = sparse.csr_matrix(upper | upper.T)
             del upper
-            g = ComparabilityGraph(n=n, adjacency=adjacency, degree=np.diff(adjacency.indptr))
+            g = ComparabilityGraph(adjacency)
             tracemalloc.start()
             try:
                 q = adjacency_similarity(g)

@@ -234,8 +234,9 @@ class TestExplain:
                      "--index", "0", "--topk", "2", "--tr", "1.0"])
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
-        # one ranking call, over the one queried row
-        assert ranked == ["bias_contributions", 1]
+        # attribute (at --topk 0) passes the kernel no rows; then one ranking
+        # call, over the one queried row
+        assert ranked == [0, "bias_contributions", 1]
 
     def test_negative_topk_exits_one_without_output(self, tmp_path, capsys):
         data_path, schema_path = write_csv(

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from biasaudit import comparability
 from biasaudit.comparability import (
     ComparabilityConfig,
+    ComparabilityGraph,
     build_comparability_graph,
     is_comparable,
 )
@@ -228,6 +230,18 @@ class TestBuildGraph:
         d = make_dataset(np.zeros((3, 0)), [[0], [0], [1]], [0, 1, 0], [0, 1, 0])
         g = build_comparability_graph(d, ComparabilityConfig(t_r=0.1, t_d=0))
         assert g.degree[0] == 1 and g.degree[2] == 0
+
+
+def test_graph_reads_its_size_and_degrees_from_the_csr():
+    # n is the CSR's shape and each degree its row's stored entries; they
+    # cannot be passed beside it.
+    adjacency = sparse.csr_matrix(np.array([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0],
+                                            [0, 0, 0, 0]], dtype=bool))
+    g = ComparabilityGraph(adjacency)
+    assert g.n == 4 and g.degree.tolist() == [2, 1, 1, 0] and g.edge_count == 2
+    for wrong in ({"n": 3}, {"degree": [9, 9, 9, 9]}):
+        with pytest.raises(TypeError):
+            ComparabilityGraph(adjacency=adjacency, **wrong)
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biasaudit import data
+from biasaudit.attribution import Estimate
 from biasaudit.data import (
     Dataset,
     FeatureSchema,
@@ -24,6 +25,7 @@ from biasaudit.data import (
     save_schema,
     stratified_split,
 )
+from biasaudit.model import Classifier
 
 from util import make_dataset, same_dataset
 
@@ -539,6 +541,23 @@ class TestDatasetInvariants:
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
             make_dataset([0.5], [], [2], [0])
+
+    @pytest.mark.parametrize("build, given", [
+        (lambda a: Dataset(FeatureSchema(("x", "z"), ("c",), "y", "s"), **a),
+         {"numericals": np.full((4, 2), 0.5), "categoricals": np.zeros((4, 1), dtype=int),
+          "labels": np.array([0, 1, 0, 1]), "groups": np.array([1, 1, 0, 0])}),
+        (lambda a: data.NormalizationParams(**a), {"mins": np.zeros(2), "maxs": np.ones(2)}),
+        (lambda a: Estimate(**a), {"values": np.array([0.5, np.nan])}),
+        (lambda a: Classifier(intercept=0.0, **a), {"weights": np.array([1.0, -2.0])}),
+    ], ids=["Dataset", "NormalizationParams", "Estimate", "Classifier"])
+    def test_constructors_freeze_a_copy(self, build, given):
+        # The object's arrays are read-only; the caller's stay writable and apart.
+        made = build(given)
+        for name, theirs in given.items():
+            mine = getattr(made, name)
+            assert theirs.flags.writeable and not mine.flags.writeable
+            assert not np.shares_memory(theirs, mine)
+            assert np.array_equal(mine, theirs, equal_nan=True)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,7 @@ from biasaudit.mitigation import (
 from biasaudit.similarity import Proximity
 from biasaudit.synth import SynthConfig, generate_base, inject_group_bias
 
-from util import make_dataset, random_dataset, same_dataset
+from util import estimate_of, make_dataset, random_dataset, same_dataset
 
 
 def labeled_dataset(pos_frac, n=10):
@@ -26,13 +26,6 @@ def labeled_dataset(pos_frac, n=10):
     labels = np.array([1] * n_pos + [0] * (n - n_pos))
     groups = np.tile([0, 1], n // 2)
     return make_dataset(np.linspace(0, 1, n), [], labels, groups)
-
-
-def bias_of(values, defined=None):
-    values = np.asarray(values, dtype=float)
-    if defined is None:
-        defined = ~np.isnan(values)
-    return Estimate(values=np.where(defined, values, np.nan), defined=defined)
 
 
 class TestSelectEditSubgroup:
@@ -61,7 +54,7 @@ class TestSelectEditSubgroup:
 class TestPlanRemoval:
     def test_zero_budget(self):
         d = labeled_dataset(0.7)
-        plan = plan_removal(d, bias_of(np.zeros(10)), 0)
+        plan = plan_removal(d, estimate_of(np.zeros(10)), 0)
         assert plan.indices == ()
 
     def test_sort_semantics(self):
@@ -69,14 +62,14 @@ class TestPlanRemoval:
         labels = np.array([1, 1, 1, 0, 0, 1])
         groups = np.array([1, 1, 1, 0, 1, 0])
         d = make_dataset(np.linspace(0, 1, 6), [], labels, groups)
-        b = bias_of([0.9, 0.2, 0.7, 0.0, 0.0, 0.95])
+        b = estimate_of([0.9, 0.2, 0.7, 0.0, 0.0, 0.95])
         plan = plan_removal(d, b, 2)
         assert plan.indices == (0, 2)
 
     def test_budget_truncates_with_warning(self):
         d = labeled_dataset(0.7)
         with pytest.warns(UserWarning, match="truncated"):
-            plan = plan_removal(d, bias_of(np.zeros(10)), 50)
+            plan = plan_removal(d, estimate_of(np.zeros(10)), 50)
         label, group = select_edit_subgroup(d, "removal")
         expected = ((d.labels == label) & (d.groups == group)).sum()
         assert len(plan.indices) == expected
@@ -86,7 +79,7 @@ class TestPlanRemoval:
         groups = np.array([1, 1, 1, 0])
         d = make_dataset(np.linspace(0, 1, 4), [], labels, groups)
         values = np.array([np.nan, 0.4, np.nan, 0.0])
-        b = bias_of(values, defined=np.array([False, True, False, True]))
+        b = estimate_of(values, defined=np.array([False, True, False, True]))
         plan = plan_removal(d, b, 2)
         assert plan.indices == (1, 0)  # defined 0.4 first, then lowest undefined index
 
@@ -94,13 +87,13 @@ class TestPlanRemoval:
         labels = np.array([1, 1, 1, 0])
         groups = np.array([1, 1, 1, 0])
         d = make_dataset(np.linspace(0, 1, 4), [], labels, groups)
-        plan = plan_removal(d, bias_of([0.5, 0.5, 0.5, 0.5]), 2)
+        plan = plan_removal(d, estimate_of([0.5, 0.5, 0.5, 0.5]), 2)
         assert plan.indices == (0, 1)
 
     def test_bias_from_another_table_rejected(self):
         d = labeled_dataset(0.7, n=20)
         with pytest.raises(ValueError, match="Estimate over 20 rows .* 10 rows"):
-            plan_removal(d.subset(np.arange(10)), bias_of(np.linspace(0, 1, 20)), 3)
+            plan_removal(d.subset(np.arange(10)), estimate_of(np.linspace(0, 1, 20)), 3)
 
 
 def mixup_fixture(n=40, seed=0):
@@ -112,7 +105,7 @@ def mixup_fixture(n=40, seed=0):
     d = make_dataset(d.numericals, d.categoricals, labels, d.groups)
     raw = rng.random((n, n)) * 0.5 + 0.25
     q = Proximity(matrix=sparse.csr_matrix((raw + raw.T) / 2))
-    b = Estimate(values=rng.random(n), defined=np.ones(n, dtype=bool))
+    b = Estimate(rng.random(n))
     return d, q, b
 
 
@@ -128,7 +121,7 @@ class TestSynthesizeFairSamples:
         half = d.subset(np.arange(20))
         with pytest.raises(ValueError, match="Estimate over 40 rows .* 20 rows"):
             synthesize_fair_samples(half, b, q, m=4)
-        half_b = Estimate(values=b.values[:20], defined=b.defined[:20])
+        half_b = Estimate(b.values[:20])
         with pytest.raises(ValueError, match="Proximity over 40 rows .* 20 rows"):
             synthesize_fair_samples(half, half_b, q, m=4)
 
@@ -194,7 +187,7 @@ class TestSynthesizeFairSamples:
         assert same_dataset(p1.rows, p2.rows)
         for column in ("seeds", "targets", "lams"):
             assert np.array_equal(getattr(p1, column), getattr(p2, column))
-        assert (p1.budget, p1.n_neighbors) == (p2.budget, p2.n_neighbors)
+        assert p1.n_neighbors == p2.n_neighbors
 
     def test_zero_budget_empty_plan(self):
         d, q, b = mixup_fixture()
@@ -209,7 +202,7 @@ class TestSynthesizeFairSamples:
 
     def test_all_zero_weights_rejected(self):
         d, q, b = mixup_fixture()
-        ones = Estimate(values=np.ones(d.n), defined=np.ones(d.n, dtype=bool))
+        ones = Estimate(np.ones(d.n))
         with pytest.raises(ValueError, match="weights"):
             synthesize_fair_samples(d, ones, q, m=3, rng_seed=0)
 
@@ -223,7 +216,7 @@ class TestSynthesizeFairSamples:
         q[0, 1] = q[1, 0] = 0.0
         np.fill_diagonal(q, 0.5)
         sim = Proximity(matrix=sparse.csr_matrix(q))
-        b = Estimate(values=np.zeros(6), defined=np.ones(6, dtype=bool))
+        b = Estimate(np.zeros(6))
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)
 
@@ -234,7 +227,7 @@ class TestSynthesizeFairSamples:
         values = np.ones(d.n)  # weight 0 everywhere ...
         defined = np.ones(d.n, dtype=bool)
         defined[pool[0]] = False  # ... except one undefined candidate with weight 1
-        b = Estimate(values=np.where(defined, values, np.nan), defined=defined)
+        b = estimate_of(values, defined)
         plan = synthesize_fair_samples(d, b, q, m=5, rng_seed=0)
         assert (plan.seeds == pool[0]).all()
 
@@ -275,7 +268,7 @@ class TestApplyPlan:
 
     def test_removal_changes_only_selected_cell(self):
         d = labeled_dataset(0.7, n=20)
-        b = bias_of(np.linspace(0, 1, 20))
+        b = estimate_of(np.linspace(0, 1, 20))
         cell = select_edit_subgroup(d, "removal")
         plan = plan_removal(d, b, 3)
         out = apply_plan(d, plan)
@@ -290,7 +283,7 @@ class TestApplyPlan:
 
     def test_balance_direction(self):
         d = labeled_dataset(0.7, n=20)
-        b = bias_of(np.linspace(0, 1, 20))
+        b = estimate_of(np.linspace(0, 1, 20))
         removed = apply_plan(d, plan_removal(d, b, 4))
         assert removed.labels.mean() < d.labels.mean()
 

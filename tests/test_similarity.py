@@ -27,10 +27,7 @@ from util import dense_oracle, make_dataset, random_dataset
 
 
 def graph_from_dense(dense):
-    dense = np.asarray(dense, dtype=bool)
-    adj = sparse.csr_matrix(dense)
-    return ComparabilityGraph(n=dense.shape[0], adjacency=adj,
-                              degree=dense.sum(axis=1).astype(int))
+    return ComparabilityGraph(sparse.csr_matrix(np.asarray(dense, dtype=bool)))
 
 
 PATH3 = graph_from_dense([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -527,6 +524,23 @@ class TestProximityOperator:
         # A dense array is no storage of Q: it is refused, not kept.
         with pytest.raises(TypeError, match="sparse matrix"):
             Proximity(matrix=np.eye(3))
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda w: Proximity(w=w, damping=1.0), ValueError),  # Q = 0
+        (lambda w: Proximity(w=w, damping=-0.5), ValueError),  # rows summing to 0.75
+        (lambda w: Proximity(w=w, damping=float("nan")), ValueError),
+        (lambda w: Proximity(), TypeError),
+        (lambda w: Proximity(matrix=w, w=w), TypeError),
+        (lambda w: Proximity(w=w, scale=np.ones(3)), TypeError),
+        (lambda w: Proximity(w=w, damping=0.1).rows([1.7]), IndexError),  # not Q[1]
+        (lambda w: Proximity(matrix=w).rows(np.array([True])), IndexError),
+    ], ids=["damping-1", "damping-negative", "damping-nan", "empty", "matrix-and-w",
+            "walk-with-scale", "float-row", "bool-row"])
+    def test_an_ill_formed_operator_is_refused(self, make, error):
+        # Q is a stored matrix or the walk at a damping in [0, 1), and rows are
+        # read at integer indices only: anything else fails where it is made.
+        with pytest.raises(error):
+            make(symmetric_normalize(PATH3))
 
     def test_no_damping_allocates_n_by_n(self):
         # The estimates and a one-row explanation at p = 0.9 hold O(edges + n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasaudit.attribution import Estimate
+from biasaudit.attribution import BIAS_THRESHOLD, Estimate
 from biasaudit.data import load_dataset, load_schema, save_dataset, save_schema
 from biasaudit.synth import (
     SynthConfig,
@@ -121,34 +121,37 @@ class TestInjectIndividualBias:
 
 
 class TestDetectionAccuracy:
-    @staticmethod
-    def vector(values):
-        values = np.asarray(values, dtype=float)
-        return Estimate(values=values, defined=~np.isnan(values))
-
     def test_exact_indicator_scores_one(self):
         truth = np.array([True, False, True, False])
         groups = np.zeros(4, dtype=int)
-        b = self.vector([0.9, 0.1, 0.8, 0.2])
+        b = Estimate([0.9, 0.1, 0.8, 0.2])
         assert detection_accuracy(b, truth, groups) == 1.0
 
     def test_all_zero_bias_scores_base_rate(self):
         truth = np.zeros(100, dtype=bool)
         truth[:10] = True
         groups = np.zeros(100, dtype=int)
-        b = self.vector(np.zeros(100))
+        b = Estimate(np.zeros(100))
         assert detection_accuracy(b, truth, groups) == pytest.approx(0.9)
 
     def test_undefined_counts_as_not_biased(self):
         truth = np.array([True, False])
         groups = np.zeros(2, dtype=int)
-        b = self.vector([np.nan, np.nan])
+        b = Estimate([np.nan, np.nan])
         assert detection_accuracy(b, truth, groups) == 0.5
+
+    def test_flags_strictly_above_the_bias_threshold(self):
+        truth = np.array([False, True])
+        groups = np.zeros(2, dtype=int)
+        b = Estimate([BIAS_THRESHOLD, np.nextafter(BIAS_THRESHOLD, 1.0)])
+        assert detection_accuracy(b, truth, groups) == 1.0
+        with pytest.raises(TypeError):
+            detection_accuracy(b, truth, groups, threshold=0.9)
 
     def test_target_group_only(self):
         truth = np.array([False, True])
         groups = np.array([0, 1])  # second sample not in target group
-        b = self.vector([0.0, 0.0])
+        b = Estimate([0.0, 0.0])
         assert detection_accuracy(b, truth, groups) == 1.0
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from biasaudit.attribution import Estimate
 from biasaudit.data import Dataset, FeatureSchema
 
 
@@ -21,6 +22,11 @@ def make_dataset(num, cat, labels, groups, levels=None, num_names=None, cat_name
         group_name="s",
     )
     return Dataset(schema, num, cat, labels, groups, levels)
+
+
+def estimate_of(values, defined=True):
+    """An Estimate of `values`, undefined (NaN) where `defined` is False."""
+    return Estimate(np.where(defined, values, np.nan))
 
 
 def same_dataset(a, b):

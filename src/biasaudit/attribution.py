@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparability_graph
-from .data import Dataset
+from .data import Dataset, _freeze
 from .similarity import (
     Proximity,
     _row_blocks,
@@ -55,20 +55,17 @@ class UndefinedBiasError(ValueError):
     """Raised when an explanation is requested for a sample with no other-group evidence."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """Per-sample credibility or bias in [0, 1], NaN exactly where undefined:
-    a read-only 1-D float copy of `values`, from which `defined` is derived.
-    Any other shape is a ValueError."""
+    `values`, a 1-D float array held by `data._freeze`, from which `defined`
+    is derived. Any other shape is a ValueError."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1:
+        if _freeze(self, "values").ndim != 1:
             raise ValueError("an Estimate holds one value per sample, a 1-D array")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def defined(self) -> np.ndarray:

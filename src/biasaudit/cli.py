@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -141,6 +142,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
+    """Plan on normalized rows; apply the plan to the rows as read, synthetic rows mapped back."""
     if args.budget < 0:
         raise ValueError("budget must be non-negative")
     if args.strategy == "aug" and args.neighbors < 1:
@@ -156,19 +158,19 @@ def cmd_mitigate(args) -> int:
         if len(np.unique(np.delete(dataset.labels[train_idx], removed))) < 2:
             raise ValueError(f"--control random with --budget {args.budget} keeps a single class")
     train_raw = dataset.subset(train_idx)
-    test_raw = dataset.subset(test_idx)
 
     report, train, params = _attribute_from_args(args, train_raw, top_k=0)
     _warn_if_undefined(report)
-    test = apply_normalization(test_raw, params)
+    test = apply_normalization(dataset.subset(test_idx), params)
 
     if args.strategy == "rem":
-        plan = plan_removal(train, report.bias, args.budget, tie_label=args.tie_label)
+        plan = raw_plan = plan_removal(train, report.bias, args.budget, args.tie_label)
     else:
         plan = synthesize_fair_samples(
             train, report.bias, report.similarity, args.budget,
             n_nb=args.neighbors, rng_seed=args.seed, tie_label=args.tie_label,
         )
+        raw_plan = replace(plan, rows=invert_normalization(plan.rows, params))
 
     edited = apply_plan(train, plan)
     train_sets = {"before": train, "after": edited}
@@ -178,7 +180,7 @@ def cmd_mitigate(args) -> int:
         train_sets["control"] = apply_plan(train, RemovalPlan(tuple(removed.tolist()), args.budget))
     results = {name: evaluate_classifier(train_classifier(encode_features(t), t.labels), test)
                for name, t in train_sets.items()}
-    edited_raw = invert_normalization(edited, params)
+    edited_raw = apply_plan(train_raw, raw_plan)
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_file(os.path.join(args.out, "edited_dataset.csv"),

@@ -37,11 +37,23 @@ class ComparabilityConfig:
             raise ValueError("t_d must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparabilityGraph:
-    """A canonical symmetric boolean CSR, no self-loops; `n` and `degree` are read from it."""
+    """A canonical symmetric boolean CSR, no self-loops; `n` and `degree` are read from it.
+    Anything else is a ValueError, save an asymmetric CSR: symmetry is the builder's."""
 
     adjacency: sparse.csr_matrix
+
+    def __post_init__(self):
+        a = self.adjacency
+        if not (sparse.issparse(a) and a.format == "csr" and a.shape[0] == a.shape[1]):
+            raise ValueError("the adjacency must be a square CSR")
+        if a.dtype != bool or not a.data.all():
+            raise ValueError("the adjacency must be boolean and store only True")
+        if not a.has_canonical_format:
+            raise ValueError("the adjacency must be canonical: sorted columns, none twice")
+        if a.diagonal().any():
+            raise ValueError("the adjacency must have an empty diagonal")
 
     @property
     def n(self) -> int:

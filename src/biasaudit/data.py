@@ -1,13 +1,14 @@
 """Tabular dataset loading, validation, normalization, encoding, and splitting.
 
 Datasets are immutable once constructed: every operation returns a new
-object, rebuilt with `dataclasses.replace`. Text is read and written a
-column at a time. Categorical, label and group cells share one token
-codec, and `save_dataset` writes each of those columns back in the
-tokens it was read from. Numerical features are expected to be min-max
-scaled to [0, 1] before any graph or attribution step;
-`fit_normalization` / `apply_normalization` implement that scaling with
-train-only fitting.
+object, rebuilt with `dataclasses.replace`, which shares the columns it
+does not change, since `_freeze` keeps a read-only array that owns its
+data and copies anything else. Text is read and written a column at a
+time. Categorical, label and group cells share one token codec, and
+`save_dataset` writes each of those columns back in the tokens it was
+read from. Numerical features are expected to be min-max scaled to
+[0, 1] before any graph or attribution step; `fit_normalization` /
+`apply_normalization` implement that scaling with train-only fitting.
 """
 
 from __future__ import annotations
@@ -62,7 +63,18 @@ class FeatureSchema:
             raise SchemaError("label and group columns must differ")
 
 
-@dataclass(frozen=True)
+def _freeze(obj, name, dtype=float):
+    """Set obj.name to itself if a read-only dtype array owning its data, else a frozen copy."""
+    value = getattr(obj, name)
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype and value.base is None
+            and not value.flags.writeable):
+        value = np.array(value, dtype=dtype)
+        value.setflags(write=False)
+    object.__setattr__(obj, name, value)
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable sample table: normalized numericals, coded categoricals, binary label/group.
 
@@ -70,7 +82,7 @@ class Dataset:
     feature f for integer code `code`; codes are assigned in first
     appearance order when loading from text. `label_tokens[code]` and
     `group_tokens[code]` are the tokens the binary columns are written
-    back in. The four arrays are read-only copies of those passed in.
+    back in. The four arrays are held by `_freeze`.
     """
 
     schema: FeatureSchema
@@ -83,10 +95,8 @@ class Dataset:
     group_tokens: tuple = ("0", "1")
 
     def __post_init__(self):
-        num = np.array(self.numericals, dtype=float)
-        cat = np.array(self.categoricals, dtype=int)
-        lab = np.array(self.labels, dtype=int)
-        grp = np.array(self.groups, dtype=int)
+        num, cat = _freeze(self, "numericals"), _freeze(self, "categoricals", int)
+        lab, grp = _freeze(self, "labels", int), _freeze(self, "groups", int)
         if num.ndim != 2 or cat.ndim != 2:
             raise ValidationError("numerical and categorical columns must be 2-D arrays")
         n = len(lab)
@@ -109,10 +119,6 @@ class Dataset:
         for name, lv, col in zip(self.schema.categorical_names, levels, cat.T):
             if n and (col.min() < 0 or col.max() >= len(lv)):
                 raise ValidationError(f"column {name!r} has codes outside its {len(lv)} levels")
-        for name, arr in (("numericals", num), ("categoricals", cat), ("labels", lab),
-                          ("groups", grp)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "category_levels", levels)
 
     @property
@@ -142,21 +148,16 @@ class Dataset:
         return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationParams:
-    """Per-numerical-feature (min, max) pairs fitted on training data, as read-only copies."""
+    """Per-numerical-feature (min, max) pairs fitted on training data, held by `_freeze`."""
 
     mins: np.ndarray
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.array(self.mins, dtype=float)
-        maxs = np.array(self.maxs, dtype=float)
-        if (maxs < mins).any():
+        if (_freeze(self, "maxs") < _freeze(self, "mins")).any():
             raise ValidationError("normalization max < min")
-        for name, arr in (("mins", mins), ("maxs", maxs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 _strip = np.frompyfunc(str.strip, 1, 1)

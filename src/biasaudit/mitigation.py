@@ -170,7 +170,8 @@ def synthesize_fair_samples(
     while len(seeds) < m:
         attempts += 1
         if attempts > max(1000, 100 * m):
-            raise RuntimeError("seed resampling did not terminate")
+            raise ValueError(f"seed resampling did not terminate: {len(seeds)} of {m} "
+                             f"samples made in {attempts - 1} draws")
         seed_idx = int(rng.choice(pool, p=prob))
         nbrs = neighbor_pool(seed_idx)
         if len(nbrs) == 0:

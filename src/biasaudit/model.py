@@ -9,29 +9,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _freeze
+
 LEARNING_RATE = 0.1
 EPOCHS = 500
 L2 = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Classifier:
     weights: np.ndarray
     intercept: float
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        if not (np.isfinite(weights).all() and np.isfinite(self.intercept)):
+        if not (np.isfinite(_freeze(self, "weights")).all() and np.isfinite(self.intercept)):
             raise ValueError("classifier parameters must be finite")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+
+
+def _logistic(z):  # exp(-z) overflows to inf below z = -709, giving the limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def gradient(w, b, X, y, l2):
     """Gradient of the L2-regularized mean cross-entropy (intercept unpenalized)."""
-    from scipy.special import expit
-
-    residual = expit(X @ w + b) - y
+    residual = _logistic(X @ w + b) - y
     return X.T @ residual / len(y) + l2 * w, residual.mean()
 
 
@@ -57,12 +59,10 @@ def train_classifier(X, y) -> Classifier:
 
 def predict(clf: Classifier, X):
     """Return (scores, hard labels); label 1 iff score >= 0.5."""
-    from scipy.special import expit
-
     X = np.asarray(X, dtype=float)
     if X.shape[1] != len(clf.weights):
         raise ValueError(
             f"feature count {X.shape[1]} does not match trained width {len(clf.weights)}"
         )
-    scores = expit(X @ clf.weights + clf.intercept)
+    scores = _logistic(X @ clf.weights + clf.intercept)
     return scores, (scores >= 0.5).astype(int)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from biasaudit import attribution
+from biasaudit import attribution, cli
 from biasaudit.cli import main
 from biasaudit.data import (
+    fit_normalization,
+    invert_normalization,
     load_dataset,
     load_schema,
     save_dataset,
@@ -17,6 +19,8 @@ from biasaudit.synth import (
     inject_group_bias,
     save_truth,
 )
+
+from util import same_dataset
 
 
 def graph_refused(*args, **kwargs):
@@ -481,6 +485,64 @@ class TestMitigate:
         assert main(["attribute", "--input", str(out / "edited_dataset.csv"),
                      "--schema", str(schema_path), "--out", str(tmp_path / "att")]) == 0
 
+    @pytest.mark.parametrize("strategy", ["rem", "aug"])
+    def test_edited_dataset_writes_training_rows_as_read(self, tmp_path, monkeypatch, strategy):
+        # Two-decimal values need not survive normalizing and mapping back
+        # (63.52 came back as 63.519999999999996); the kept rows are the input's own, and
+        # only aug's synthetic rows are mapped back, from the plan's rows.
+        rng = np.random.default_rng(4)
+        x = np.round(rng.uniform(20.0, 100.0, size=(300, 2)), 2)
+        s = rng.integers(0, 2, size=300)
+        y = (x[:, 0] + 10 * s + rng.normal(0.0, 10.0, size=300) > 70).astype(int)
+        rows = [f"{a!r},{b!r},{g},{v}" for (a, b), g, v in zip(x.tolist(), s, y)]
+        data_path = tmp_path / "decimals.csv"
+        data_path.write_text("\n".join(["x1,x2,s,y", *rows]) + "\n", encoding="utf-8")
+        schema_path = tmp_path / "decimals_schema.txt"
+        schema_path.write_text("numerical = x1, x2\nlabel = y\ngroup = s\n", encoding="utf-8")
+        plans = []
+        synthesize = cli.synthesize_fair_samples
+
+        def recorded(*args, **kwargs):
+            plans.append(synthesize(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(cli, "synthesize_fair_samples", recorded)
+        out = tmp_path / "out"
+        assert main(["mitigate", "--input", str(data_path), "--schema", str(schema_path),
+                     "--out", str(out), "--strategy", strategy, "--budget", "5",
+                     "--tr", "0.2"]) == 0
+        dataset = load_dataset(str(data_path), load_schema(str(schema_path)))
+        train = stratified_split(dataset, seed=0)[0][0]
+        kept = train
+        if strategy == "rem":
+            kept = np.delete(train, [int(line) for line in
+                                     (out / "plan.txt").read_text().splitlines()[1:]])
+        edited_path = out / "edited_dataset.csv"
+        edited = edited_path.read_text(encoding="utf-8").splitlines()
+        assert edited[1:len(kept) + 1] == [rows[i] for i in kept]
+        if strategy == "aug":
+            table = load_dataset(edited_path, dataset.schema)
+            params = fit_normalization(dataset.subset(train))
+            assert same_dataset(table.subset(range(len(kept), table.n)),
+                                invert_normalization(plans[0].rows, params))
+
+    def test_endless_seed_resampling_exits_one(self, tmp_path, capsys):
+        # Cell (y=1, s=0): five rows at x=10 whose bias falls short of 1 by the
+        # walk's mass four hops away, where the other group's y=1 rows sit, and
+        # eight lone rows of undefined bias (weight one) with no neighbour.
+        rows = ["x,s,y"] + ["10,0,1"] * 5 + ["10,1,0"] * 5
+        rows += [f"{x},1,0" for x in (12, 14, 16) for _ in range(6)]
+        rows += ["18,1,1"] * 5 + [f"{x},0,1" for x in range(30, 101, 10)]
+        data_path, schema_path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="resampling"):
+            code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                         "--out", str(out), "--strategy", "aug", "--budget", "1",
+                         "--tr", "0.03", "--damping", "0.01"])
+        assert code == 1
+        assert "error: seed resampling did not terminate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_tie_exits_four(self, tmp_path):
         rows = ["x,s,y"]
         for i in range(10):
@@ -662,8 +724,8 @@ def test_cli_import_leaves_sparse_solvers_unloaded():
 
 
 def test_cli_import_leaves_dense_solvers_and_special_unloaded():
-    # scipy.linalg and scipy.special load only where they are used: the
-    # dense solves of Q and the classifier's logistic function.
+    # scipy.linalg loads only where it is used, in the dense solves of Q;
+    # scipy.special is used nowhere.
     import os
     import subprocess
     import sys
@@ -679,3 +741,24 @@ def test_cli_import_leaves_dense_solvers_and_special_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_mitigate_leaves_scipy_special_unloaded(synth_inputs, tmp_path):
+    # The classifier's logistic function is numpy's, so no run imports scipy.special.
+    import os
+    import subprocess
+    import sys
+
+    data_path, schema_path, _, _ = synth_inputs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from biasaudit.cli import main; "
+         f"code = main(['mitigate', '--input', {data_path!r}, '--schema', {schema_path!r}, "
+         f"'--out', {str(tmp_path)!r}, '--strategy', 'aug', '--budget', '10', "
+         "'--control', 'random']); "
+         "print(code, 'scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "0 False"

@@ -244,6 +244,24 @@ def test_graph_reads_its_size_and_degrees_from_the_csr():
             ComparabilityGraph(adjacency=adjacency, **wrong)
 
 
+@pytest.mark.parametrize("adjacency, problem", [
+    (np.zeros((2, 2), dtype=bool), "square CSR"),
+    (sparse.csc_matrix((2, 2), dtype=bool), "square CSR"),
+    (sparse.csr_matrix((2, 3), dtype=bool), "square CSR"),
+    (sparse.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float)), "boolean"),
+    # the path 0-1-2 with False stored at (0, 2) and (2, 0)
+    (sparse.csr_matrix((np.array([True, False, True, True, False, True]),
+                        np.array([1, 2, 0, 2, 0, 1]), np.array([0, 2, 4, 6])), shape=(3, 3)),
+     "only True"),
+    (sparse.csr_matrix((np.ones(4, dtype=bool), np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
+                       shape=(2, 2)), "canonical"),
+    (sparse.csr_matrix(np.array([[1, 1], [1, 0]], dtype=bool)), "diagonal"),
+], ids=["dense", "csc", "non-square", "float", "stored-false", "duplicates", "self-loops"])
+def test_graph_refuses_an_invalid_adjacency(adjacency, problem):
+    with pytest.raises(ValueError, match=problem):
+        ComparabilityGraph(adjacency)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ComparabilityConfig(t_r=0.0)

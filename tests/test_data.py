@@ -1,14 +1,17 @@
 import csv
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from biasaudit import data
 from biasaudit.attribution import Estimate
+from biasaudit.comparability import ComparabilityGraph
 from biasaudit.data import (
     Dataset,
     FeatureSchema,
@@ -558,6 +561,30 @@ class TestDatasetInvariants:
             assert theirs.flags.writeable and not mine.flags.writeable
             assert not np.shares_memory(theirs, mine)
             assert np.array_equal(mine, theirs, equal_nan=True)
+        # A frozen array that owns its data passes on uncopied; a view of one does not.
+        again = build({name: getattr(made, name) for name in given})
+        views = build({name: getattr(made, name)[::-1] for name in given})
+        for name in given:
+            assert getattr(again, name) is getattr(made, name)
+            assert getattr(views, name).base is None
+
+    def test_replace_shares_the_columns_it_keeps(self):
+        d = make_dataset([[0.2, 5.0], [0.6, 1.0]], [[0], [1]], [0, 1], [1, 0])
+        kept = ("categoricals", "labels", "groups")
+        for made in (apply_normalization(d, fit_normalization(d)),
+                     replace(d, numericals=np.zeros((2, 2)))):
+            assert all(getattr(made, name) is getattr(d, name) for name in kept)
+
+    def test_array_holders_compare_by_identity_and_hash(self):
+        w = np.array([1.0, -2.0])
+        d = make_dataset([0.5], [[0]], [1], [0])
+        for make in (lambda: Estimate(w), lambda: Classifier(w, 0.0),
+                     lambda: data.NormalizationParams(w, w + 1.0),
+                     lambda: replace(d, labels=d.labels),
+                     lambda: ComparabilityGraph(sparse.csr_matrix((2, 2), dtype=bool))):
+            a, b = make(), make()
+            assert a == a and a != b and len({a, b, a}) == 2
+            assert hash(a) == hash(a)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

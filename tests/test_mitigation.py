@@ -220,6 +220,19 @@ class TestSynthesizeFairSamples:
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)
 
+    def test_endless_resampling_rejected(self):
+        # pool = (label 1, group 0) = rows 0 to 3: rows 0 and 1 are each other's
+        # only neighbours but weigh 1e-9, rows 2 and 3 weigh one and have none
+        labels = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0])
+        groups = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
+        d = make_dataset(np.linspace(0, 1, 9), [], labels, groups)
+        q = np.eye(9)
+        q[0, 1] = q[1, 0] = 0.5
+        b = Estimate(np.array([1 - 1e-9, 1 - 1e-9, 0, 0, 0, 0, 0, 0, 0]))
+        with pytest.warns(UserWarning, match="resampling"):
+            with pytest.raises(ValueError, match="did not terminate: 0 of 2 samples made"):
+                synthesize_fair_samples(d, b, Proximity(matrix=sparse.csr_matrix(q)), m=2)
+
     def test_undefined_bias_gets_full_weight(self):
         d, q, _ = mixup_fixture()
         label, group = select_edit_subgroup(d, "augmentation")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from biasaudit.model import (
     EPOCHS,
@@ -26,7 +25,8 @@ def reference_descent(X, y):
     for _ in range(EPOCHS):
         z = X @ w + b
         history.append(loss(w, b, X, y, L2))
-        residual = expit(z) - y
+        with np.errstate(over="ignore"):
+            residual = 1.0 / (1.0 + np.exp(-z)) - y
         grad_w = X.T @ residual / len(y) + L2 * w
         grad_b = residual.mean()
         w = w - LEARNING_RATE * grad_w
@@ -49,6 +49,11 @@ class TestTraining:
         clf = train_classifier(X, y)
         scores, _ = predict(clf, X)
         assert np.abs(scores - 0.5).max() < 1e-3
+
+    def test_scores_reach_their_limits_without_overflow_warnings(self):
+        # exp(-z) overflows to inf below z = -709; the score is then 0.
+        scores, labels = predict(Classifier(np.array([1.0]), 0.0), [[-1000.0], [0.0], [1000.0]])
+        assert scores.tolist() == [0.0, 0.5, 1.0] and labels.tolist() == [0, 1, 1]
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)

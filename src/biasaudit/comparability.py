@@ -93,6 +93,39 @@ def _check_normalized(numericals):
         raise ValueError("numerical features must be normalized to [0, 1] first")
 
 
+def _sweep(ends, num, cat, cfg: ComparabilityConfig):
+    """Yield each block's comparable pairs (i, j), i < j, as positions in key order.
+    One set of buffers, sized for the widest block (`_BLOCK_ENTRIES` tested pairs,
+    or one row wider), serves every block through `out=`, and dies with the sweep."""
+    n, n_d = len(num), cat.shape[1]
+    most_rows = math.isqrt(_BLOCK_ENTRIES)  # a window holds its block's rows
+    size = max(_BLOCK_ENTRIES, int((ends - np.arange(n)).max(initial=0)))
+    bufs = np.empty(size, dtype=bool), np.empty(size, dtype=bool), np.empty(size)
+    counts = np.empty(size, dtype=np.min_scalar_type(n_d))  # differing features
+    start = 0
+    while start < n:
+        rows = np.arange(1, min(most_rows, n - start) + 1)
+        entries = rows * (ends[start:start + len(rows)] - start)
+        stop = start + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
+        hi = int(ends[stop - 1])
+        shape = (stop - start, hi - start)
+        ok, test, gap = (b[:shape[0] * shape[1]].reshape(shape) for b in bufs)
+        np.less(np.arange(start, stop)[:, None], np.arange(start, hi), out=ok)
+        for f in range(num.shape[1]):
+            np.subtract(num[start:stop, f][:, None], num[None, start:hi, f], out=gap)
+            ok &= np.less_equal(np.abs(gap, out=gap), cfg.t_r, out=test)
+        if n_d:
+            differing = counts[:shape[0] * shape[1]].reshape(shape)
+            differing[...] = 0
+            for f in range(n_d):
+                differing += np.not_equal(cat[start:stop, f][:, None], cat[None, start:hi, f],
+                                          out=test)
+            ok &= np.less_equal(differing, min(cfg.t_d, n_d), out=test)
+        bi, bj = np.nonzero(ok)
+        yield bi + start, bj + start
+        start = stop
+
+
 def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> ComparabilityGraph:
     """Evaluate the predicate over all pairs and assemble the graph.
 
@@ -114,35 +147,17 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     """
     _check_normalized(d.numericals)
     n = d.n
-    n_r, n_d = d.n_numerical, d.n_categorical
     idx = np.int32 if n < 2**31 else np.int64
 
-    key = d.numericals[:, 0] if n_r else np.zeros(n)
+    key = d.numericals[:, 0] if d.n_numerical else np.zeros(n)
     order = np.argsort(key, kind="stable").astype(idx)
     key, num, cat = key[order], d.numericals[order], d.categoricals[order]
     # The pad exceeds any rounding of key + t_r on keys in [-1e-12, 1 + 1e-12].
     ends = np.searchsorted(key, key + (cfg.t_r + 1e-12), side="right")
-    most_rows = math.isqrt(_BLOCK_ENTRIES)  # a window holds its block's rows
-
     pairs_i, pairs_j = [], []
-    start = 0
-    while start < n:
-        rows = np.arange(1, min(most_rows, n - start) + 1)
-        entries = rows * (ends[start:start + len(rows)] - start)
-        stop = start + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
-        hi = int(ends[stop - 1])
-        ok = np.arange(start, stop)[:, None] < np.arange(start, hi)
-        for f in range(n_r):
-            ok &= np.abs(num[start:stop, f][:, None] - num[None, start:hi, f]) <= cfg.t_r
-        if n_d:
-            differing = np.zeros((stop - start, hi - start), dtype=np.int32)
-            for f in range(n_d):
-                differing += cat[start:stop, f][:, None] != cat[None, start:hi, f]
-            ok &= differing <= cfg.t_d
-        bi, bj = np.nonzero(ok)
-        pairs_i.append(order[bi + start])
-        pairs_j.append(order[bj + start])
-        start = stop
+    for bi, bj in _sweep(ends, num, cat, cfg):
+        pairs_i.append(order[bi])
+        pairs_j.append(order[bj])
 
     i = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=idx)
     del pairs_i

@@ -74,6 +74,13 @@ def _freeze(obj, name, dtype=float):
     return value
 
 
+def _frozen(**columns):
+    """The fresh arrays `columns`, made read-only in place, so `_freeze` keeps them."""
+    for value in columns.values():
+        value.setflags(write=False)
+    return columns
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable sample table: normalized numericals, coded categoricals, binary label/group.
@@ -107,7 +114,7 @@ class Dataset:
         if cat.shape[1] != len(self.schema.categorical_names):
             raise ValidationError("categorical width does not match schema")
         for name, vec in ((self.schema.label_name, lab), (self.schema.group_name, grp)):
-            if vec.size and not np.isin(vec, (0, 1)).all():
+            if vec.size and (vec.min() < 0 or vec.max() > 1):
                 raise ValidationError(f"column {name!r} contains values outside {{0, 1}}")
         if self.category_levels is None:  # programmatic data: codes 0..max are their tokens
             levels = tuple(tuple(str(c) for c in range(int(col.max()) + 1 if n else 0))
@@ -136,9 +143,9 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Row subset in the given index order (duplicates allowed)."""
         idx = np.asarray(indices, dtype=int)
-        return replace(self, numericals=self.numericals[idx],
-                       categoricals=self.categoricals[idx],
-                       labels=self.labels[idx], groups=self.groups[idx])
+        return replace(self, **_frozen(numericals=self.numericals[idx],
+                                       categoricals=self.categoricals[idx],
+                                       labels=self.labels[idx], groups=self.groups[idx]))
 
     def decode_categoricals(self) -> np.ndarray:
         """The categorical codes as their tokens: an (n, n_categorical) object array."""
@@ -359,10 +366,10 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     Constant training columns (max == min) map to 0 everywhere.
     """
     span = params.maxs - params.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (d.numericals - params.mins) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
-    return replace(d, numericals=np.clip(scaled, 0.0, 1.0))
+    scaled = d.numericals - params.mins  # fresh, so the steps below run in place
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[:, ~(span > 0)] = 0.0
+    return replace(d, **_frozen(numericals=np.clip(scaled, 0.0, 1.0, out=scaled)))
 
 
 def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -371,7 +378,9 @@ def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     Values that were clipped on the way in cannot be recovered; they map
     to the corresponding training extreme.
     """
-    return replace(d, numericals=d.numericals * (params.maxs - params.mins) + params.mins)
+    raw = d.numericals * (params.maxs - params.mins)
+    raw += params.mins
+    return replace(d, **_frozen(numericals=raw))
 
 
 def encode_features(d: Dataset) -> np.ndarray:

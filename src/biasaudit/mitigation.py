@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attribution import Estimate, _check_rows
-from .data import Dataset
+from .data import Dataset, _frozen
 from .similarity import Proximity
 
 
@@ -117,8 +117,8 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
     lam = np.asarray(lams, dtype=float).reshape(-1, 1)
     numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
     categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])
-    return replace(d, numericals=numericals, categoricals=categoricals,
-                   labels=d.labels[seeds], groups=d.groups[seeds])
+    return replace(d, **_frozen(numericals=numericals, categoricals=categoricals,
+                                labels=d.labels[seeds], groups=d.groups[seeds]))
 
 
 def synthesize_fair_samples(
@@ -203,10 +203,10 @@ def apply_plan(d: Dataset, plan) -> Dataset:
         if provenance.size and (provenance.min() < 0 or provenance.max() >= d.n):
             raise IndexError("synthetic sample provenance index out of range")
         r = plan.rows
-        return replace(d, numericals=np.vstack([d.numericals, r.numericals]),
-                       categoricals=np.vstack([d.categoricals, r.categoricals]),
-                       labels=np.concatenate([d.labels, r.labels]),
-                       groups=np.concatenate([d.groups, r.groups]))
+        return replace(d, **_frozen(numericals=np.vstack([d.numericals, r.numericals]),
+                                    categoricals=np.vstack([d.categoricals, r.categoricals]),
+                                    labels=np.concatenate([d.labels, r.labels]),
+                                    groups=np.concatenate([d.groups, r.groups])))
     raise TypeError(f"unknown plan type {type(plan).__name__}")
 
 

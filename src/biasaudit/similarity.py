@@ -7,27 +7,18 @@ proximity matrix is
     Q = (1 - p) (I - p W)^(-1),
 
 where p in [0, 1) is the damping factor. Smaller p keeps more restart
-mass on the diagonal and therefore more locality. Q is an operator whose
-solve only this module picks: at every damping the walk solves `apply(V)` =
-Q @ V and `rows(idx)` on the sparse W, and no n x n array is ever made. Its
-steps grow as p nears 1, to about ln(1e-14) / ln p (some 300 at p = 0.9).
-A cheap bypass uses the row-normalized adjacency D^-1 A directly (no
-walk), kept as the graph's boolean CSR: its `apply` leaves out the 1/degree
-row factor, which the estimates cancel, and multiplies in row blocks of at
-most `_BLOCK_ENTRIES` stored entries, so only one block's entries are ever
-held as floats. For either storage, `other_group_rows` reads Q's other-group
-entries in bounded row blocks, for the explanations; the walk solves one row
-alone, and more from the block Q[G0, G1], solved once by block Cholesky with
-its triangles in LAPACK's Rectangular Full Packed storage (Gustavson et al.,
-ACM TOMS 37(2), 2010), in an order that holds the block and one packed
-triangle at a time (one and a half n/2 x n/2 arrays at the peak for equal
-groups).
+mass on the diagonal and therefore more locality. Q is an operator,
+`Proximity`, with one subclass per storage, and neither makes an n x n array.
+`WalkProximity` solves Q @ V and rows of Q on the sparse W at every damping,
+in about ln(1e-14) / ln p steps (some 300 at p = 0.9), and, for the
+explanations, the block Q[G0, G1] by block Cholesky in LAPACK's Rectangular
+Full Packed storage (Gustavson et al., ACM TOMS 37(2), 2010).
+`StoredProximity` is the cheap bypass, the row-normalized adjacency D^-1 A
+kept as the graph's boolean CSR and read in row blocks of bounded entries.
 
-`_walk` is the only fixed-point loop, and its entrywise rule the only stop rule.
-`nearest(i, mask, k)` ranks a row's top k in a cell from that walk, ended early
-at the first step whose truncated series and a bound on the rest prove them (as
-in Wei et al., "TopPPR", SIGMOD 2018), also when the list takes every candidate;
-a list no bound can prove is ranked from the settled row.
+`_walk` is the only fixed-point loop, and its entrywise rule the only stop
+rule; `nearest` ends it at the first step whose truncated series and a bound
+on the rest prove the top k (as in Wei et al., "TopPPR", SIGMOD 2018).
 """
 
 from __future__ import annotations
@@ -169,73 +160,17 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     return z
 
 
-@dataclass(frozen=True, eq=False)
 class Proximity:
-    """Q as an operator. Either stored, Q = diag(scale) @ `matrix`, a CSR (a
-    boolean one stays boolean, as the bypass's 0/1 adjacency with scale =
-    1/degree, any other becomes float64; anything else is a TypeError), or the
-    walk on `w` (from `symmetric_normalize`) with `damping` in [0, 1), solved on
-    demand at every damping: `other_group_rows` solves one row alone, and reads
-    more from the cross-group block; `nearest` walks only until its top k is
-    proven. Neither or both of `matrix` and `w`, or a `scale` beside `w`, is a
-    TypeError, and a walk's damping outside [0, 1) a ValueError."""
-
-    matrix: sparse.csr_matrix | None = None
-    scale: np.ndarray | None = None
-    w: sparse.csr_matrix | None = None
-    damping: float = 0.0
-
-    def __post_init__(self):
-        walk = self.matrix is None
-        if walk == (self.w is None) or walk and self.scale is not None:
-            raise TypeError("Q is either a stored `matrix`, with an optional `scale`, "
-                            "or the walk on `w`")
-        if walk:
-            if not 0.0 <= self.damping < 1.0:
-                raise ValueError("damping must lie in [0, 1)")
-            return
-        if not sparse.issparse(self.matrix):
-            raise TypeError("a stored Q must be a scipy sparse matrix")
-        m = sparse.csr_matrix(self.matrix, dtype=bool if self.matrix.dtype == bool else float)
-        if not m.has_canonical_format:  # so each row's columns ascend, once each
-            m = m.copy()
-            m.sum_duplicates()
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return (self.w if self.matrix is None else self.matrix).shape[0]
+    """Q over `n` samples: the argument checks both storages share, behind which a
+    subclass reads Q in `_apply`, `_rows`, `_ranking` and `_blocks`."""
 
     def apply(self, v) -> np.ndarray:
-        """Q @ V for a finite V >= 0, for a stored Q without the row factor `scale`.
-        The CSR is multiplied in contiguous row blocks of at most `_BLOCK_ENTRIES`
-        stored entries (a wider row alone): scipy casts a boolean CSR's data to
-        float for each product, so a whole-matrix product would copy all of it.
-        Each row still sums in stored column order, as one product would."""
+        """Q @ V for a finite V >= 0, for a boolean stored Q without its row factor
+        1/degree, which the estimates cancel."""
         v = np.asarray(v, dtype=float)
         if not (np.isfinite(v) & (v >= 0.0)).all():
             raise ValueError("V must be finite and non-negative")
-        if self.matrix is None:
-            return _walk(self.w, self.damping, v)
-        out = np.empty((self.n,) + v.shape[1:])
-        for lo, hi in _row_blocks(self.matrix.indptr, _BLOCK_ENTRIES):
-            out[lo:hi] = self.matrix[lo:hi] @ v
-        return out
-
-    def _padded_rows(self, r, first) -> tuple:
-        """Rows Q[r] of a CSR `matrix` as (len(r), widest) arrays of stored
-        column indices and values, zero-padded, entries in r's group zeroed."""
-        block = self.matrix[r]
-        counts = np.diff(block.indptr)
-        at = np.repeat(np.arange(len(r)), counts)  # position within r
-        pos = np.arange(block.nnz) - block.indptr[at]  # position within the row
-        data = np.where(first[block.indices] != first[r][at], block.data, 0.0)
-        if self.scale is not None:
-            data *= self.scale[r][at]
-        col = np.zeros((len(r), counts.max()), dtype=block.indices.dtype)
-        sim = np.zeros(col.shape)
-        col[at, pos], sim[at, pos] = block.indices, data
-        return col, sim
+        return self._apply(v)
 
     def rows(self, idx) -> np.ndarray:
         """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every
@@ -247,12 +182,58 @@ class Proximity:
         outside = idx[(idx < 0) | (idx >= self.n)]
         if len(outside):
             raise IndexError(f"sample index {outside[0]} out of range for {self.n} samples")
-        if self.matrix is None:
-            e = np.zeros((self.n, len(idx)))
-            e[idx, np.arange(len(idx))] = 1.0
-            return _walk(self.w, self.damping, e).T  # Q is symmetric
-        m = self.matrix[idx].toarray().astype(float, copy=False)
-        return m if self.scale is None else m * self.scale[idx, None]
+        return self._rows(idx)
+
+    def nearest(self, i: int, mask, k: int) -> np.ndarray:
+        """The k columns j != i of the boolean `mask` (length n) with the largest
+        Q[i, j] > 0, by Q descending, then index ascending, ranked on `_ranking`'s
+        row. A mask of another length and a negative k are a ValueError, k = 0
+        gives an empty list, and an i outside [0, n) is an IndexError."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if not 0 <= i < self.n:
+            raise IndexError(f"sample index {i} out of range for {self.n} samples")
+        if len(mask) != self.n:
+            raise ValueError(f"mask over {len(mask)} rows does not match the {self.n} rows of Q")
+        cand = np.flatnonzero(mask)
+        cand = cand[cand != i]
+        if k == 0 or not len(cand):
+            return cand[:0]
+        return _ranked(self._ranking(i, cand, k), cand, k)
+
+    def other_group_rows(self, first, rows):
+        """Blocks (r, col, sim), sim = Q[r, col], of the other-group entries of
+        `rows`, the groups split by the boolean mask `first`, with columns
+        ascending within a row. A block has at least one row and one column and
+        at most a quarter of `_BLOCK_ENTRIES` entries, as its reader holds about
+        a dozen temporaries of its size."""
+        return self._blocks(np.asarray(first, dtype=bool), np.asarray(rows, dtype=int),
+                            _BLOCK_ENTRIES // 4)
+
+
+@dataclass(frozen=True, eq=False)
+class WalkProximity(Proximity):
+    """Q = (1 - p)(I - pW)^(-1), the walk on `w` (from `symmetric_normalize`) at
+    `damping` p, solved on demand; a p outside [0, 1) is a ValueError."""
+
+    w: sparse.csr_matrix
+    damping: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.damping < 1.0:
+            raise ValueError("damping must lie in [0, 1)")
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[0]
+
+    def _apply(self, v):
+        return _walk(self.w, self.damping, v)
+
+    def _rows(self, idx):
+        e = np.zeros((self.n, len(idx)))
+        e[idx, np.arange(len(idx))] = 1.0
+        return _walk(self.w, self.damping, e).T  # Q is symmetric
 
     @cached_property
     def _tail(self) -> tuple:
@@ -264,26 +245,10 @@ class Proximity:
         root = np.sqrt(np.diff(self.w.indptr))
         return root, self.w.max(axis=1).toarray().ravel() ** 2 * root
 
-    def nearest(self, i: int, mask, k: int) -> np.ndarray:
-        """The k columns j != i of the boolean `mask` (length n) with the largest
-        Q[i, j] > 0, by Q descending, then index ascending. The walk ends early at
-        the first step whose truncated series `_tail` certifies the list; else (exact
-        ties closer than its rounding slack, or a candidate never reached when the
-        list takes them all) it ranks the row `rows([i])` gives, as it does for a
-        stored CSR. A mask of another length and a negative k are a ValueError,
-        k = 0 gives an empty list, and an i outside [0, n) is an IndexError."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range for {self.n} samples")
-        if len(mask) != self.n:
-            raise ValueError(f"mask over {len(mask)} rows does not match the {self.n} rows of Q")
-        cand = np.flatnonzero(mask)
-        cand = cand[cand != i]
-        if k == 0 or not len(cand):
-            return cand[:0]
-        if self.matrix is not None:
-            return _ranked(self.rows([i])[0], cand, k)
+    def _ranking(self, i, cand, k):
+        """The walk from e_i, ended at the first step whose `_tail` bound certifies
+        the top k of `cand`; settled, if none does (exact ties closer than its
+        rounding slack, or a candidate never reached when the list takes them all)."""
         root, per_col = self._tail
         tail = self.damping * root[i] * per_col[cand]  # the bound after 0 steps
 
@@ -292,35 +257,11 @@ class Proximity:
             tail *= self.damping  # the bound after one more step
             return _certified(x, cand, k, tail)
 
-        e = np.zeros(self.n)
-        e[i] = 1.0
-        return _ranked(_walk(self.w, self.damping, e, proven), cand, k)
+        return _walk(self.w, self.damping, np.eye(1, self.n, i)[0], proven)  # from e_i
 
-    def other_group_rows(self, first, rows):
-        """Yield blocks (r, col, sim), sim = Q[r, col], of the other-group entries
-        of `rows`, the groups split by the boolean mask `first`, with columns
-        ascending within a row: for a stored CSR Q, its rows zero-padded to the
-        block's widest, same-group entries zeroed; for the walk (one row solved
-        alone, more read from the cross block, solved once), every other-group
-        column, col = other[None, :]. A block has at least one row and one
-        column and at most a quarter of `_BLOCK_ENTRIES` entries, as its reader
-        holds about a dozen temporaries of its size."""
-        first = np.asarray(first, dtype=bool)
-        rows = np.asarray(rows, dtype=int)
-        budget = _BLOCK_ENTRIES // 4
-        if sparse.issparse(self.matrix):
-            counts = np.diff(self.matrix.indptr)[rows]
-            by_width = np.argsort(counts, kind="stable")  # so a block's rows pad little
-            by_width = by_width[counts[by_width] > 0]
-            rows, counts = rows[by_width], counts[by_width]
-            start = 0
-            while start < len(rows):
-                width = counts[start:start + max(budget, 1)]  # ascending: the last is widest
-                entries = width * np.arange(1, len(width) + 1)
-                stop = start + max(1, int(np.searchsorted(entries, budget, side="right")))
-                r, start = rows[start:stop], stop
-                yield (r, *self._padded_rows(r, first))
-            return
+    def _blocks(self, first, rows, budget):
+        """Every other-group column, col = other[None, :], for one row solved
+        alone, for more read from the cross block, solved once."""
         cross = _cross_block(self.w, self.damping, first) if len(rows) > 1 else None
         for side in (True, False):
             same = first == side
@@ -332,10 +273,71 @@ class Proximity:
             step = max(1, budget // len(other))
             for start in range(0, len(mine), step):
                 r = mine[start:start + step]
-                if cross is None:
-                    yield r, other[None, :], self.rows(r)[:, other]
-                else:
-                    yield r, other[None, :], cross[at[r]] if side else cross[:, at[r]].T
+                sim = (self.rows(r)[:, other] if cross is None
+                       else cross[at[r]] if side else cross[:, at[r]].T)
+                yield r, other[None, :], sim
+
+
+@dataclass(frozen=True, eq=False)
+class StoredProximity(Proximity):
+    """Q stored as a canonical CSR `matrix`: a float64 one is Q itself, a boolean
+    one the graph's adjacency A read as D^-1 A, its row factor `_scale` 1/degree
+    (0 on an empty row) derived from its `indptr`. Anything else is a TypeError."""
+
+    matrix: sparse.csr_matrix
+
+    def __post_init__(self):
+        m = self.matrix
+        if not (sparse.issparse(m) and m.format == "csr" and m.dtype in (bool, np.float64)
+                and m.has_canonical_format):
+            raise TypeError("a stored Q must be a canonical boolean or float64 CSR")
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        degree = np.diff(self.matrix.indptr)
+        return (np.divide(1.0, degree, out=np.zeros(self.n), where=degree > 0)
+                if self.matrix.dtype == bool else np.ones(self.n))
+
+    def _apply(self, v):
+        """In row blocks of at most `_BLOCK_ENTRIES` stored entries (a wider row
+        alone), as scipy casts a boolean CSR's data to float for each product; each
+        row still sums in stored column order, as one product would."""
+        out = np.empty((self.n,) + v.shape[1:])
+        for lo, hi in _row_blocks(self.matrix.indptr, _BLOCK_ENTRIES):
+            out[lo:hi] = self.matrix[lo:hi] @ v
+        return out
+
+    def _rows(self, idx):
+        return self.matrix[idx].toarray().astype(float, copy=False) * self._scale[idx, None]
+
+    def _ranking(self, i, cand, k):
+        return self._rows(np.array([i]))[0]
+
+    def _blocks(self, first, rows, budget):
+        """Rows with entries, widest last so a block pads little, as column indices and
+        values zero-padded to the block's widest, same-group values zeroed."""
+        counts = np.diff(self.matrix.indptr)[rows]
+        by_width = np.flatnonzero(counts)[np.argsort(counts[counts > 0], kind="stable")]
+        rows, counts = rows[by_width], counts[by_width]
+        start = 0
+        while start < len(rows):
+            width = counts[start:start + max(budget, 1)]  # ascending: the last is widest
+            entries = width * np.arange(1, len(width) + 1)
+            stop = max(1, int(np.searchsorted(entries, budget, side="right")))
+            r, width, start = rows[start:start + stop], width[:stop], start + stop
+            block = self.matrix[r]
+            at = np.repeat(np.arange(len(r)), width)  # position within r
+            pos = np.arange(block.nnz) - block.indptr[at]  # position within the row
+            col = np.zeros((len(r), width[-1]), dtype=block.indices.dtype)
+            sim = np.zeros(col.shape)
+            col[at, pos] = block.indices
+            sim[at, pos] = np.where(first[block.indices] != first[r][at], block.data,
+                                    0.0) * self._scale[r][at]
+            yield r, col, sim
 
 
 def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
@@ -351,20 +353,16 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
-def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> Proximity:
-    """Q = (1 - p)(I - p W)^(-1) for W from `symmetric_normalize` (spectral
-    radius <= 1) and the damping factor p, 0 <= p < 1 (p = 0 gives Q = I):
-    the walk, solved on demand at every damping. Any other p is a ValueError."""
-    return Proximity(w=w, damping=damping)
+def rwr_proximity(w: sparse.csr_matrix, damping: float = 0.1) -> WalkProximity:
+    """The walk Q = (1 - p)(I - p W)^(-1) for W from `symmetric_normalize` (spectral
+    radius <= 1) and the damping p in [0, 1) (p = 0 gives Q = I), else a ValueError."""
+    return WalkProximity(w, damping)
 
 
-def adjacency_similarity(g: ComparabilityGraph) -> Proximity:
+def adjacency_similarity(g: ComparabilityGraph) -> StoredProximity:
     """Row-normalized adjacency D^-1 A, bypassing the walk, for data too large
-    to solve Q: Q's `matrix` is the graph's boolean CSR itself, on the same
-    index and data arrays, with scale = 1/degree. With the graph build, the
-    products and the explanations in bounded blocks, and no float copy of A,
-    the whole path runs in O(edges) memory.
-    Isolated vertices get an all-zero row (diagonal included), so their
-    estimates may be undefined."""
-    inv_deg = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)
-    return Proximity(matrix=g.adjacency, scale=inv_deg)
+    to solve Q: the graph's boolean CSR itself, on the same arrays. With the
+    graph build, the products and the explanations in bounded blocks, and no
+    float copy of A, the whole path runs in O(edges) memory. Isolated vertices
+    get an all-zero row (diagonal included), so their estimates may be undefined."""
+    return StoredProximity(g.adjacency)

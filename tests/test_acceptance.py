@@ -36,7 +36,7 @@ from biasaudit.mitigation import (
     synthesize_fair_samples,
 )
 from biasaudit.model import predict, train_classifier
-from biasaudit.similarity import Proximity, rwr_proximity, symmetric_normalize
+from biasaudit.similarity import StoredProximity, rwr_proximity, symmetric_normalize
 from biasaudit.synth import (
     SynthConfig,
     detection_accuracy,
@@ -61,7 +61,7 @@ def random_graph_dataset(rng, n):
     raw = rng.random((n, n))
     q = (raw + raw.T) / 2
     np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, Proximity(matrix=sparse.csr_matrix(q))
+    return d, StoredProximity(sparse.csr_matrix(q))
 
 
 def grid_scan_minimizer(weights, targets):
@@ -142,7 +142,7 @@ def test_criterion_4_contribution_decomposition():
         cred = estimate_credibility(data, q)
         bias = estimate_bias(data, q, cred)
         # the shares from solved rows, and from the dense oracle's rows
-        oracle = Proximity(matrix=sparse.csr_matrix(dense_oracle(q.w, 0.1)))
+        oracle = StoredProximity(sparse.csr_matrix(dense_oracle(q.w, 0.1)))
         for rows_of in (q, oracle):
             for i in range(data.n):
                 if not bias.defined[i]:

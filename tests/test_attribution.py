@@ -22,7 +22,7 @@ from biasaudit.attribution import (
 from biasaudit import attribution
 from biasaudit import similarity as similarity_module
 from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
-from biasaudit.similarity import Proximity, adjacency_similarity, symmetric_normalize
+from biasaudit.similarity import StoredProximity, WalkProximity, adjacency_similarity, symmetric_normalize
 from biasaudit.synth import SynthConfig, generate_base, inject_individual_bias
 
 from util import estimate_of, make_dataset, random_dataset
@@ -30,7 +30,7 @@ from util import estimate_of, make_dataset, random_dataset
 
 def sim(matrix):
     """A stored Q with the given entries, as a float CSR."""
-    return Proximity(matrix=sparse.csr_matrix(matrix, dtype=float))
+    return StoredProximity(sparse.csr_matrix(matrix, dtype=float))
 
 
 def path3_dataset(labels, groups):
@@ -487,7 +487,7 @@ def reference_contributions(d, qm, c, i, k):
 def kernel_entries(d, q):
     """Q as the batched kernel reads it in `attribute`: a walk's cross-group
     block (the same-group entries left 0), or every row of a stored Q."""
-    if q.matrix is not None:
+    if isinstance(q, StoredProximity):
         return q.rows(np.arange(d.n))
     first = d.groups == 0
     block = similarity_module._cross_block(q.w, q.damping, first)
@@ -536,7 +536,7 @@ class TestBatchedKernel:
         c = estimate_of(rng.choice([0.5, 1.0], size=n), rng.random(n) < 0.7)
         every = sparse.csr_matrix((qm.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
                                   shape=(n, n))  # each entry stored, the zeros too
-        for q in (Proximity(matrix=every), Proximity(matrix=sparse.csr_matrix(qm))):
+        for q in (StoredProximity(every), StoredProximity(sparse.csr_matrix(qm))):
             for k in (1, 5, n):
                 defined, columns = _explanations(d, q, c, np.arange(n), k)
                 assert np.all(np.diff(columns[0]) >= 0)  # sorted by row
@@ -568,14 +568,14 @@ class TestBatchedKernel:
         upper = np.triu(rng.random((n, n)) < 0.3, k=1) | np.eye(n, k=1, dtype=bool)
         adjacency = sparse.csr_matrix(upper | upper.T)
         graph = ComparabilityGraph(adjacency)
-        walk = Proximity(w=symmetric_normalize(graph), damping=0.5)
+        walk = WalkProximity(symmetric_normalize(graph), 0.5)
         c = estimate_of(rng.random(n), rng.random(n) < 0.9)
         k = int(rng.integers(1, n + 1))
-        block = Proximity(matrix=sparse.csr_matrix(kernel_entries(d, walk)))
+        block = StoredProximity(sparse.csr_matrix(kernel_entries(d, walk)))
         want, got = (_explanations(d, q, c, np.arange(n), k) for q in (walk, block))
         for a, b in zip((want[0], *want[1]), (got[0], *got[1])):
             assert np.array_equal(a, b)
-        solved = Proximity(matrix=sparse.csr_matrix(np.vstack([walk.rows([i]) for i in range(n)])))
+        solved = StoredProximity(sparse.csr_matrix(np.vstack([walk.rows([i]) for i in range(n)])))
         for i in range(n):
             assert bias_contributions(d, solved, c, i, k) == bias_contributions(d, walk, c, i, k)
 
@@ -594,7 +594,7 @@ class TestBatchedKernel:
         # equal groups, so the solve eliminates group 0 without recursing
         d = make_dataset(rng.random(30), [], rng.integers(0, 2, size=30), np.arange(30) % 2)
         graph = build_comparability_graph(d, ComparabilityConfig(0.3, 0))
-        q = Proximity(w=symmetric_normalize(graph), damping=0.1)
+        q = WalkProximity(symmetric_normalize(graph), 0.1)
         c = estimate_credibility(d, q)
         rows = np.flatnonzero(estimate_bias(d, q, c).defined)
         assert len(rows) > 1
@@ -638,8 +638,8 @@ class TestBatchedKernel:
         d = random_dataset(rng, n, n_num=1, n_cat=0)
         raw = rng.choice([0.0, 0.0, 0.3, 1.0], size=(n, n))
         raw[0] = 0.0
-        adjacency = sparse.csr_matrix(np.triu(raw) + np.triu(raw, 1).T)
-        q = Proximity(matrix=adjacency, scale=rng.random(n) + 0.5)
+        scaled = (np.triu(raw) + np.triu(raw, 1).T) * (rng.random(n) + 0.5)[:, None]
+        q = StoredProximity(sparse.csr_matrix(scaled))
         c = estimate_of(rng.choice([0.0, 0.5, 1.0], size=n), rng.random(n) < 0.7)
         rows = np.flatnonzero(rng.random(n) < 0.8)
         k = int(rng.integers(1, n + 1))

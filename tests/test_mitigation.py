@@ -15,7 +15,7 @@ from biasaudit.mitigation import (
     synthesize_fair_samples,
     write_plan,
 )
-from biasaudit.similarity import Proximity
+from biasaudit.similarity import Proximity, StoredProximity
 from biasaudit.synth import SynthConfig, generate_base, inject_group_bias
 
 from util import estimate_of, make_dataset, random_dataset, same_dataset
@@ -104,7 +104,7 @@ def mixup_fixture(n=40, seed=0):
     labels[: n // 2] = 0  # make positives the minority
     d = make_dataset(d.numericals, d.categoricals, labels, d.groups)
     raw = rng.random((n, n)) * 0.5 + 0.25
-    q = Proximity(matrix=sparse.csr_matrix((raw + raw.T) / 2))
+    q = StoredProximity(sparse.csr_matrix((raw + raw.T) / 2))
     b = Estimate(rng.random(n))
     return d, q, b
 
@@ -215,7 +215,7 @@ class TestSynthesizeFairSamples:
         q = np.full((6, 6), 0.2)
         q[0, 1] = q[1, 0] = 0.0
         np.fill_diagonal(q, 0.5)
-        sim = Proximity(matrix=sparse.csr_matrix(q))
+        sim = StoredProximity(sparse.csr_matrix(q))
         b = Estimate(np.zeros(6))
         with pytest.raises(ValueError, match="neighbor"):
             synthesize_fair_samples(d, b, sim, m=2, rng_seed=0)
@@ -231,7 +231,7 @@ class TestSynthesizeFairSamples:
         b = Estimate(np.array([1 - 1e-9, 1 - 1e-9, 0, 0, 0, 0, 0, 0, 0]))
         with pytest.warns(UserWarning, match="resampling"):
             with pytest.raises(ValueError, match="did not terminate: 0 of 2 samples made"):
-                synthesize_fair_samples(d, b, Proximity(matrix=sparse.csr_matrix(q)), m=2)
+                synthesize_fair_samples(d, b, StoredProximity(sparse.csr_matrix(q)), m=2)
 
     def test_undefined_bias_gets_full_weight(self):
         d, q, _ = mixup_fixture()

@@ -16,7 +16,8 @@ from biasaudit.attribution import (
 from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, build_comparability_graph
 from biasaudit import similarity
 from biasaudit.similarity import (
-    Proximity,
+    StoredProximity,
+    WalkProximity,
     adjacency_similarity,
     rwr_proximity,
     symmetric_normalize,
@@ -177,19 +178,31 @@ class TestAdjacencySimilarity:
                      (m.data, g.adjacency.data)):
             assert np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_boolean_csr_reads_as_its_float64_copy(self, monkeypatch, scaled):
-        # One 0/1 adjacency stored as bool and as float64 gives the same bits
-        # from every reader. With a budget of 5 stored entries `apply` runs in
-        # several row blocks, rows wider than 5 each one block alone, and
-        # still equals one whole-matrix product.
+    def test_row_factor_is_the_inverse_degree(self):
+        # The factor a boolean CSR derives from its indptr has the bits of
+        # 1/degree as np.divide gives it, 0 for an isolated vertex; a float CSR
+        # is Q itself.
+        small = graph_from_dense([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+        rng = np.random.default_rng(6)
+        for g in (small, random_graph(rng, 40, 0.15)):
+            want = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)
+            got = adjacency_similarity(g)._scale
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert np.array_equal(StoredProximity(g.adjacency.astype(float))._scale, np.ones(g.n))
+
+    def test_boolean_csr_reads_as_its_float64_copy(self, monkeypatch):
+        # The graph's bool CSR, read as D^-1 A, and D^-1 A stored as float64
+        # give the same bits from `rows`, `nearest` and `other_group_rows`;
+        # `apply` leaves the bool one's row factor out. With a budget of 5
+        # stored entries `apply` runs in several row blocks, rows wider than 5
+        # each one block alone, and still equals one whole-matrix product.
         rng = np.random.default_rng(6)
         g = random_graph(rng, 40, 0.15)
-        widths = np.diff(g.adjacency.indptr)
+        a, widths = g.adjacency, np.diff(g.adjacency.indptr)
         assert widths.max() > 5 and (widths < 5).any()
-        scale = 1.0 / np.maximum(g.degree, 1) if scaled else None
-        as_bool = Proximity(matrix=g.adjacency, scale=scale)
-        as_float = Proximity(matrix=g.adjacency.astype(float), scale=scale)
+        inv_deg = np.divide(1.0, g.degree, out=np.zeros(g.n), where=g.degree > 0)
+        scaled = sparse.csr_matrix((np.repeat(inv_deg, widths), a.indices, a.indptr), shape=a.shape)
+        as_bool, as_float = StoredProximity(a), StoredProximity(scaled)
         assert as_bool.matrix.dtype == bool and as_float.matrix.dtype == np.float64
         monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 5)
         blocks = list(similarity._row_blocks(g.adjacency.indptr, 5))
@@ -198,11 +211,11 @@ class TestAdjacencySimilarity:
         for lo, hi in blocks:
             assert hi - lo == 1 or widths[lo:hi].sum() <= 5
         v = rng.random((g.n, 4))
-        whole = g.adjacency.astype(float) @ v
         first = np.arange(g.n) % 3 == 0
         mask = rng.random(g.n) < 0.5
         idx = rng.integers(0, g.n, 15)
-        for q in (as_bool, as_float):
+        for q, stored in ((as_bool, a.astype(float)), (as_float, scaled)):
+            whole = stored @ v
             assert np.array_equal(q.apply(v), whole)
             assert np.array_equal(q.apply(v[:, 0]), whole[:, 0])
             rows = q.rows(idx)
@@ -212,8 +225,8 @@ class TestAdjacencySimilarity:
                 assert np.array_equal(q.nearest(i, mask, 3), as_float.nearest(i, mask, 3))
             for got, want in zip(q.other_group_rows(first, np.arange(g.n)),
                                  as_float.other_group_rows(first, np.arange(g.n)), strict=True):
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_pipeline_from_comparability_graph():
@@ -273,7 +286,7 @@ class TestProximityOperator:
         rng = np.random.default_rng(seed)
         v = rng.random((g.n, 3))
         idx = rng.integers(0, g.n, size=rng.integers(1, g.n + 1))
-        exact = Proximity(matrix=sparse.csr_matrix(oracle))
+        exact = StoredProximity(sparse.csr_matrix(oracle))
         cred_oracle = estimate_credibility(d, exact)
         assert np.abs(walk.apply(v) - oracle @ v).max() <= 1e-8
         assert np.abs(walk.rows(idx) - oracle[idx]).max() <= 1e-8
@@ -328,7 +341,7 @@ class TestProximityOperator:
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         assert bias.defined.all()
-        for rows_of in (q, Proximity(matrix=sparse.csr_matrix(dense_oracle(w, p)))):
+        for rows_of in (q, StoredProximity(sparse.csr_matrix(dense_oracle(w, p)))):
             for i in range(n):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, n))
                 assert abs(total - bias.values[i]) <= 1e-10
@@ -350,9 +363,9 @@ class TestProximityOperator:
         w = symmetric_normalize(random_graph(rng, 50, 0.08))
         stored = dense_oracle(w, 0.5)
         zero_one = stored > 0.01
-        for q, want in ((Proximity(w=w, damping=0.5), stored),
-                        (Proximity(matrix=sparse.csr_matrix(stored)), stored),
-                        (Proximity(matrix=sparse.csr_matrix(zero_one)), zero_one)):
+        for q, want in ((WalkProximity(w, 0.5), stored),
+                        (StoredProximity(sparse.csr_matrix(stored)), stored),
+                        (StoredProximity(sparse.csr_matrix(zero_one)), zero_one)):
             v = rng.random((50, 3))
             assert np.abs(q.apply(v) - want @ v).max() <= 1e-8
             for bad in (-1e-300, -1.0, np.nan, np.inf, -np.inf):
@@ -370,7 +383,7 @@ class TestProximityOperator:
         for p in (0.0, 0.2, 0.3, 0.9, 0.99):
             oracle = dense_oracle(w, p)
             q = rwr_proximity(w, damping=p)
-            assert q.matrix is None and q.damping == p
+            assert isinstance(q, WalkProximity) and q.damping == p
             assert np.abs(q.apply(v) - oracle @ v).max() <= 1e-8
             assert np.abs(q.rows([0, 7]) - oracle[[0, 7]]).max() <= 1e-8
 
@@ -383,7 +396,7 @@ class TestProximityOperator:
         g, d, p = instance
         w = symmetric_normalize(g)
         oracle = dense_oracle(w, p)
-        q = Proximity(w=w, damping=p)
+        q = WalkProximity(w, p)
         for i, want in enumerate(oracle):
             cell = (d.groups == d.groups[i]) & (d.labels == d.labels[i])
             top = q.nearest(i, cell, k)
@@ -514,31 +527,43 @@ class TestProximityOperator:
         # row and n does not reach numpy's own message: both name the index.
         w = symmetric_normalize(PATH3)
         for q in (rwr_proximity(w, damping=0.1), adjacency_similarity(PATH3),
-                  Proximity(matrix=sparse.csr_matrix(dense_oracle(w, 0.5)))):
+                  StoredProximity(sparse.csr_matrix(dense_oracle(w, 0.5)))):
             assert q.rows([0, 2]).shape == (2, 3) and q.rows([]).shape == (0, 3)
             for bad in (-1, 3):
                 with pytest.raises(IndexError, match=f"sample index {bad} out of range for 3"):
                     q.rows([0, bad])
 
     def test_a_stored_q_is_a_sparse_matrix(self):
-        # A dense array is no storage of Q: it is refused, not kept.
-        with pytest.raises(TypeError, match="sparse matrix"):
-            Proximity(matrix=np.eye(3))
+        # A stored Q is a canonical boolean or float64 CSR, taken as given:
+        # a dense array, another format or dtype, or columns out of order or
+        # twice in a row are refused, not converted.
+        csr = sparse.csr_matrix(np.eye(3))
+        reversed_columns = sparse.csr_matrix(
+            ([1.0, 2.0], [1, 0], [0, 2, 2, 2]), shape=(3, 3))
+        duplicate = sparse.csr_matrix(([1.0, 2.0], [1, 1], [0, 2, 2, 2]), shape=(3, 3))
+        assert StoredProximity(csr).matrix is csr
+        for bad in (np.eye(3), csr.tocoo(), csr.tocsc(), csr.astype(np.int64),
+                    csr.astype(np.float32), reversed_columns, duplicate):
+            with pytest.raises(TypeError, match="canonical boolean or float64 CSR"):
+                StoredProximity(bad)
 
     @pytest.mark.parametrize("make, error", [
-        (lambda w: Proximity(w=w, damping=1.0), ValueError),  # Q = 0
-        (lambda w: Proximity(w=w, damping=-0.5), ValueError),  # rows summing to 0.75
-        (lambda w: Proximity(w=w, damping=float("nan")), ValueError),
-        (lambda w: Proximity(), TypeError),
-        (lambda w: Proximity(matrix=w, w=w), TypeError),
-        (lambda w: Proximity(w=w, scale=np.ones(3)), TypeError),
-        (lambda w: Proximity(w=w, damping=0.1).rows([1.7]), IndexError),  # not Q[1]
-        (lambda w: Proximity(matrix=w).rows(np.array([True])), IndexError),
-    ], ids=["damping-1", "damping-negative", "damping-nan", "empty", "matrix-and-w",
-            "walk-with-scale", "float-row", "bool-row"])
+        (lambda w: WalkProximity(w, 1.0), ValueError),  # Q = 0
+        (lambda w: WalkProximity(w, -0.5), ValueError),  # rows summing to 0.75
+        (lambda w: WalkProximity(w, float("nan")), ValueError),
+        (lambda w: WalkProximity(), TypeError),
+        (lambda w: StoredProximity(), TypeError),
+        (lambda w: StoredProximity(w, w=w), TypeError),
+        (lambda w: WalkProximity(w, 0.1, scale=np.ones(3)), TypeError),
+        (lambda w: StoredProximity(w, scale=np.ones(3)), TypeError),
+        (lambda w: WalkProximity(w, 0.1).rows([1.7]), IndexError),  # not Q[1]
+        (lambda w: StoredProximity(w).rows(np.array([True])), IndexError),
+    ], ids=["damping-1", "damping-negative", "damping-nan", "empty", "stored-empty",
+            "matrix-and-w", "walk-with-scale", "stored-with-scale", "float-row", "bool-row"])
     def test_an_ill_formed_operator_is_refused(self, make, error):
-        # Q is a stored matrix or the walk at a damping in [0, 1), and rows are
-        # read at integer indices only: anything else fails where it is made.
+        # Q is a stored matrix or the walk at a damping in [0, 1), with no
+        # other field, and rows are read at integer indices only: anything
+        # else fails where it is made.
         with pytest.raises(error):
             make(symmetric_normalize(PATH3))
 
@@ -634,29 +659,21 @@ class TestProximityOperator:
 
     def test_csr_row_blocks_pad_within_the_budget(self, monkeypatch):
         # A budget of 28 makes blocks of at most 7 entries: several narrow
-        # rows share one, each padded to the block's widest. The same entries
-        # with each row's columns stored in reverse give the same blocks.
+        # rows share one, each padded to the block's widest.
         rng = np.random.default_rng(4)
         n = 12
         upper = np.triu(rng.random((n, n)) < 0.3, k=1)
         m = np.where(upper | upper.T, rng.random((n, n)), 0.0)
-        m = (m + m.T) / 2
-        scale = rng.random(n) + 0.5
+        m = (m + m.T) / 2 * (rng.random(n) + 0.5)[:, None]
         first = np.arange(n) % 2 == 0
         csr = sparse.csr_matrix(m)
-        flipped = [np.arange(b - 1, a - 1, -1) for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
-        order = np.concatenate(flipped).astype(int)
-        unsorted = sparse.csr_matrix((csr.data[order], csr.indices[order], csr.indptr), shape=(n, n))
-        assert not unsorted.has_sorted_indices
         monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 28)
-        rows = np.arange(n)
-        blocks, again = (list(Proximity(matrix=a, scale=scale).other_group_rows(first, rows))
-                         for a in (csr, unsorted))
+        blocks = list(StoredProximity(csr).other_group_rows(first, np.arange(n)))
         stored = np.flatnonzero(np.diff(csr.indptr))
         assert sorted(np.concatenate([r for r, _, _ in blocks]).tolist()) == stored.tolist()
         assert any(1 < len(r) < len(stored) for r, _, _ in blocks)
-        want = np.where(first[:, None] != first[None, :], m * scale[:, None], 0.0)
-        for (r, col, sim), (r2, col2, sim2) in zip(blocks, again, strict=True):
+        want = np.where(first[:, None] != first[None, :], m, 0.0)
+        for r, col, sim in blocks:
             assert len(r) == 1 or sim.size <= 7
             assert col.shape == sim.shape == (len(r), np.diff(csr.indptr)[r].max())
             got = np.zeros((len(r), n))
@@ -665,5 +682,3 @@ class TestProximityOperator:
             for j, i in enumerate(r):
                 width = csr.indptr[i + 1] - csr.indptr[i]
                 assert np.all(np.diff(col[j, :width]) > 0) and not sim[j, width:].any()
-            for a, b in zip((r, col, sim), (r2, col2, sim2)):
-                assert np.array_equal(a, b)

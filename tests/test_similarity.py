@@ -190,12 +190,14 @@ class TestAdjacencySimilarity:
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert np.array_equal(StoredProximity(g.adjacency.astype(float))._scale, np.ones(g.n))
 
-    def test_boolean_csr_reads_as_its_float64_copy(self, monkeypatch):
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_boolean_csr_reads_as_its_float64_copy(self, monkeypatch, blocked):
         # The graph's bool CSR, read as D^-1 A, and D^-1 A stored as float64
         # give the same bits from `rows`, `nearest` and `other_group_rows`;
-        # `apply` leaves the bool one's row factor out. With a budget of 5
-        # stored entries `apply` runs in several row blocks, rows wider than 5
-        # each one block alone, and still equals one whole-matrix product.
+        # `apply` leaves the bool one's row factor out. At the default budget
+        # `apply` runs in one row block; with a budget of 5 stored entries it
+        # runs in several, rows wider than 5 each one block alone, and either
+        # way equals one whole-matrix product.
         rng = np.random.default_rng(6)
         g = random_graph(rng, 40, 0.15)
         a, widths = g.adjacency, np.diff(g.adjacency.indptr)
@@ -204,12 +206,15 @@ class TestAdjacencySimilarity:
         scaled = sparse.csr_matrix((np.repeat(inv_deg, widths), a.indices, a.indptr), shape=a.shape)
         as_bool, as_float = StoredProximity(a), StoredProximity(scaled)
         assert as_bool.matrix.dtype == bool and as_float.matrix.dtype == np.float64
-        monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 5)
-        blocks = list(similarity._row_blocks(g.adjacency.indptr, 5))
+        if blocked:
+            monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 5)
+        budget = similarity._BLOCK_ENTRIES
+        blocks = list(similarity._row_blocks(g.adjacency.indptr, budget))
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == g.n and len(blocks) < g.n
+        assert (len(blocks) > 1) == blocked
         for lo, hi in blocks:
-            assert hi - lo == 1 or widths[lo:hi].sum() <= 5
+            assert hi - lo == 1 or widths[lo:hi].sum() <= budget
         v = rng.random((g.n, 4))
         first = np.arange(g.n) % 3 == 0
         mask = rng.random(g.n) < 0.5

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attribution import attribute, bias_contributions
+from .attribution import UndefinedBiasError, attribute, bias_contributions
 from .comparability import ComparabilityConfig
 from .data import (
     apply_normalization,
@@ -130,9 +130,6 @@ def cmd_explain(args) -> int:
     print("\t".join(["row", "index", *s.numerical_names, *s.categorical_names, s.group_name,
                      s.label_name, "bias/contrib", "credibility", "similarity"]))
     print(_format_row(dataset, "query", i, f"{report.bias.values[i]:.6f}", "-", "-"))
-    if not report.bias.defined[i]:
-        print("no comparable other-group evidence", file=sys.stderr)
-        return 3
     explanations = bias_contributions(
         normalized, report.similarity, report.credibility, i, args.topk)
     for rank, e in enumerate(explanations, start=1):
@@ -250,6 +247,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UndefinedBiasError as exc:  # explain's query has no other-group evidence
+        print(exc, file=sys.stderr)
+        return 3
     except ClassBalanceTieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

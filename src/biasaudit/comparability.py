@@ -114,13 +114,13 @@ def _sweep(ends, num, cat, cfg: ComparabilityConfig):
         for f in range(num.shape[1]):
             np.subtract(num[start:stop, f][:, None], num[None, start:hi, f], out=gap)
             ok &= np.less_equal(np.abs(gap, out=gap), cfg.t_r, out=test)
-        if n_d:
+        if n_d > cfg.t_d:  # else every pair passes
             differing = counts[:shape[0] * shape[1]].reshape(shape)
             differing[...] = 0
             for f in range(n_d):
                 differing += np.not_equal(cat[start:stop, f][:, None], cat[None, start:hi, f],
                                           out=test)
-            ok &= np.less_equal(differing, min(cfg.t_d, n_d), out=test)
+            ok &= np.less_equal(differing, cfg.t_d, out=test)
         bi, bj = np.nonzero(ok)
         yield bi + start, bj + start
         start = stop

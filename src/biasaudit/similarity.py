@@ -68,13 +68,13 @@ def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
 
 
 def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> bool:
-    """Whether the bounds prove the top k of every row q with x <= q <= x + tail
-    (+ `_TOL` of x's largest, for rounding): each of the k best lower bounds (all
-    of them, if at most k) exceeds the next one's upper bound, and the last one
-    exceeds 0 and every other upper bound. Then those lower bounds are positive
-    and strictly ordered, so `_ranked(x, cand, k)` is the proven list."""
+    """Whether the bounds prove the top k, k < len(cand), of every row q with
+    x <= q <= x + tail (+ `_TOL` of x's largest, for rounding): each of the k best
+    lower bounds exceeds the next one's upper bound, and the k-th exceeds 0 and
+    every other upper bound. Then those lower bounds are positive and strictly
+    ordered, so `_ranked(x, cand, k)` is the proven list."""
     lo = x[cand]
-    best = np.argpartition(-lo, k - 1)[:k] if len(cand) > k else np.arange(len(cand))
+    best = np.argpartition(-lo, k - 1)[:k]
     best = best[np.argsort(-lo[best], kind="stable")]
     hi = lo + tail + _TOL * x.max()
     chain = lo[best[:-1]] > hi[best[1:]]
@@ -126,20 +126,18 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     (eigenvalues in [1 - p, 1 + p]): with M[first, first] = LL^T, Z = L^-1 pW[first, ~first]
     and the Schur complement S = M[~first, ~first] - Z^T Z = KK^T,
     Q[first, ~first] = (1 - p) L^-T Z K^-T K^-1, clipped to [0, 1], where Q's entries lie.
-    About 0.75 n^3 flops against 2 n^3 for a whole inverse, fewer when the larger
-    side (m0 rows, m1 <= m0 on the other) is eliminated first, as here. It is
-    the only dense solve, read only for the explanations of many rows.
+    It is the only dense solve, read only for the explanations of many rows.
     The triangles M[first, first], S and their factors L and K live in packed
     storage (`_packed_eye_minus`), m(m + 1)/2 doubles each, and the solve order
     keeps at most one of them alive beside Z: L goes once Z is formed, the
     right solves by K run on Z in place, and L is then factored again from the
-    same block for the last solve, at m0^3 / 3 flops (about 6% with equal
-    sides). The peak is m0 m1 + m0 (m0 + 1)/2 doubles: one and a half
-    n/2 x n/2 arrays for equal groups. The result is Z's memory."""
+    same block for the last solve. With m0 = |first| and m1 = |~first|, that is
+    (2/3) m0^3 + 2 m0^2 m1 + 3 m0 m1^2 + m1^3 / 3 flops, |m0 - m1|^3 / 3 fewer than
+    the other order if `first` is the smaller group (0.75 n^3 for equal groups,
+    against 2 n^3 for a whole inverse). The peak is m0 m1 + M(M + 1)/2 doubles,
+    M = max(m0, m1), and the result is Z's memory."""
     from scipy.linalg import lapack
 
-    if np.count_nonzero(first) < len(first) / 2:
-        return _cross_block(w, damping, ~first).T
     g0, g1 = np.flatnonzero(first), np.flatnonzero(~first)
     m0, m1 = len(g0), len(g1)
     if not m0 or not m1:
@@ -186,9 +184,9 @@ class Proximity:
 
     def nearest(self, i: int, mask, k: int) -> np.ndarray:
         """The k columns j != i of the boolean `mask` (length n) with the largest
-        Q[i, j] > 0, by Q descending, then index ascending, ranked on `_ranking`'s
-        row. A mask of another length and a negative k are a ValueError, k = 0
-        gives an empty list, and an i outside [0, n) is an IndexError."""
+        Q[i, j] > 0, by Q descending, then index ascending, ranked on `_ranking`'s row
+        (the walk's settled row if k covers every candidate). A negative k or a mask of
+        another length is a ValueError, k = 0 gives [], and an i outside [0, n) an IndexError."""
         if k < 0:
             raise ValueError("k must be non-negative")
         if not 0 <= i < self.n:
@@ -247,8 +245,8 @@ class WalkProximity(Proximity):
 
     def _ranking(self, i, cand, k):
         """The walk from e_i, ended at the first step whose `_tail` bound certifies
-        the top k of `cand`; settled, if none does (exact ties closer than its
-        rounding slack, or a candidate never reached when the list takes them all)."""
+        the top k of more than k `cand`; settled, if none does (exact ties closer
+        than its rounding slack) or the list takes every candidate."""
         root, per_col = self._tail
         tail = self.damping * root[i] * per_col[cand]  # the bound after 0 steps
 
@@ -257,7 +255,8 @@ class WalkProximity(Proximity):
             tail *= self.damping  # the bound after one more step
             return _certified(x, cand, k, tail)
 
-        return _walk(self.w, self.damping, np.eye(1, self.n, i)[0], proven)  # from e_i
+        return _walk(self.w, self.damping, np.eye(1, self.n, i)[0],  # from e_i
+                     proven if k < len(cand) else None)
 
     def _blocks(self, first, rows, budget):
         """Every other-group column, col = other[None, :], for one row solved

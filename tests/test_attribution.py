@@ -591,7 +591,7 @@ class TestBatchedKernel:
         cross_block = similarity_module._cross_block
         monkeypatch.setattr(similarity_module, "_cross_block", counted)
         rng = np.random.default_rng(5)
-        # equal groups, so the solve eliminates group 0 without recursing
+        # two groups of 15, solved in one call that eliminates group 0
         d = make_dataset(rng.random(30), [], rng.integers(0, 2, size=30), np.arange(30) % 2)
         graph = build_comparability_graph(d, ComparabilityConfig(0.3, 0))
         q = WalkProximity(symmetric_normalize(graph), 0.1)

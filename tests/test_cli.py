@@ -205,13 +205,18 @@ class TestExplain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2  # header and query row only
 
-    def test_undefined_query_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("similarity", ["rwr", "adjacency"])
+    def test_undefined_query_exits_three(self, tmp_path, capsys, similarity):
+        # The header and the query line, then the library's message alone on stderr.
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.0,0,1\n0.01,0,0\n5.0,1,1\n5.01,1,0\n")
         code = main(["explain", "--input", data_path, "--schema", schema_path,
-                     "--index", "0", "--topk", "3", "--tr", "0.1"])
+                     "--index", "0", "--topk", "3", "--tr", "0.1", "--similarity", similarity])
         assert code == 3
-        assert "no comparable other-group evidence" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ("row\tindex\tx\ts\ty\tbias/contrib\tcredibility\tsimilarity\n"
+                       "query\t0\t0.000000\t0\t1\tnan\t-\t-\n")
+        assert err == "no comparable other-group evidence\n"
 
     def test_explains_only_the_queried_sample(self, tmp_path, capsys, monkeypatch):
         from biasaudit import attribution, cli

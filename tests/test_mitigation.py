@@ -378,12 +378,12 @@ def test_neighbour_ranking_stops_within_a_few_walk_steps(benchmark_training_spli
 
 
 def test_whole_cell_ranking_follows_q(benchmark_training_split):
-    # With k the cell size a certificate must order every candidate, but the
-    # cell holds vertices with the same neighbours, whose entries tie exactly
-    # in nearly every row; so most lists come from the walk's own stop rule: every
-    # entry settled, not only the row's largest. The list must then descend
-    # in Q; a row stopped once only its largest entries have settled ranks
-    # 17 of these 60 seeds out of order, by up to 7%.
+    # With k the cell size the list takes every candidate, so no certificate is
+    # tried and every list comes from the walk's own stop rule: every entry
+    # settled, not only the row's largest. The cell holds vertices with the same
+    # neighbours, whose entries tie exactly in nearly every row. The list must
+    # descend in Q; a row stopped once only its largest entries have settled
+    # ranks 17 of these 60 seeds out of order, by up to 7%.
     train, report = benchmark_training_split
     q = report.similarity
     label, group = select_edit_subgroup(train, "augmentation")

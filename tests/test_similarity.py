@@ -469,42 +469,45 @@ class TestProximityOperator:
         assert want.tolist() == [25, 5, 26, 4, 27]
         assert rwr_proximity(w, damping=0.1).nearest(15, cell, 5).tolist() == want.tolist()
 
-    def test_nearest_certifies_a_list_of_every_candidate(self, monkeypatch):
-        # With k at least the cell size the list holds every candidate, proven
-        # once all lower bounds are positive and strictly ordered: a few walk
-        # steps, not the 18 the stop rule takes here. Vertex 1 is then made a
-        # twin of vertex 0 (the same neighbours), so their entries tie exactly in
-        # every other row: no bound orders them, and those lists come from the
-        # settled row, ties by index. A candidate not reached yet has lower bound
-        # 0, which proves nothing: on a path from vertex 0, vertex 4 stays in the list.
-        line = np.eye(5, k=1, dtype=bool)
-        path = rwr_proximity(symmetric_normalize(graph_from_dense(line | line.T)), damping=0.1)
-        assert path.nearest(0, np.isin(np.arange(5), [1, 4]), 2).tolist() == [1, 4]
-        rng = np.random.default_rng(0)
-        dense = random_graph(rng, 80, 0.15).adjacency.toarray()
-        cell = rng.random(80) < 0.2
+    def test_nearest_settles_a_list_of_every_candidate(self, monkeypatch):
+        # With k at least the cell size no certificate is tried: the list is
+        # ranked on the row walked until every entry has settled, the row
+        # `rows([i])` gives, with and without twins. Vertex 1 is made a twin of
+        # vertex 0 (the same neighbours), so their entries tie exactly in every
+        # other row, and those lists break the tie by index. A candidate reached
+        # late still makes the list: on a path from vertex 0, vertex 4 is in it.
         matmul, steps = sparse.csr_matrix.__matmul__, [0]
 
         def counted(self, other):
             steps[0] += 1
             return matmul(self, other)
 
+        def refused(*args):
+            raise AssertionError("a list of every candidate needs no certificate")
+
         monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
+        monkeypatch.setattr(similarity, "_certified", refused)
+        line = np.eye(5, k=1, dtype=bool)
+        path = rwr_proximity(symmetric_normalize(graph_from_dense(line | line.T)), damping=0.1)
+        assert path.nearest(0, np.isin(np.arange(5), [1, 4]), 2).tolist() == [1, 4]
+        rng = np.random.default_rng(0)
+        dense = random_graph(rng, 80, 0.15).adjacency.toarray()
+        cell = rng.random(80) < 0.2
         for twins in (False, True):
             if twins:
                 dense[1, 2:] = dense[2:, 1] = dense[0, 2:]
                 cell[:2] = True
             q = rwr_proximity(symmetric_normalize(graph_from_dense(dense)), damping=0.1)
-            for i in np.flatnonzero(cell):
+            cand = np.flatnonzero(cell)
+            k = len(cand) - 1  # every candidate but i itself
+            for i in cand:
                 steps[0] = 0
-                top = q.nearest(i, cell, 30)
+                top = q.nearest(i, cell, k)
                 walked, steps[0] = steps[0], 0
                 row = q.rows([i])[0]
-                assert steps[0] == 18
-                cand = np.flatnonzero(cell)
-                assert np.array_equal(top, similarity._ranked(row, cand[cand != i], 30))
-                assert len(top) == len(cand) - 1
-                assert walked == 18 if twins and i > 1 else walked <= 8
+                assert walked == steps[0] == 18
+                assert np.array_equal(top, similarity._ranked(row, cand[cand != i], k))
+                assert len(top) == k
 
     def test_nearest_rejects_a_negative_k_and_an_index_outside_n(self):
         # Every storage: k = 0 ranks nothing, a negative k does not slice from
@@ -596,11 +599,11 @@ class TestProximityOperator:
     @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
                                               (500, 300, True)])
     def test_cross_block_peaks_at_z_and_one_packed_factor(self, m0, m1, flip):
-        # The block Z (m0 x m1) and the eliminated side's packed factor L
-        # (m0 (m0 + 1) / 2 doubles) are the peak; the Schur complement is formed
-        # only after L is dropped, and no triangle is ever held as a square (an
-        # m0 x m0 array would break the bound). The larger side is eliminated
-        # also when `first` is the smaller one.
+        # The block Z (m0 x m1) and one packed triangle of the larger side
+        # (m0 (m0 + 1) / 2 doubles, m0 >= m1) are the peak: the eliminated side's
+        # factor L is dropped before the Schur complement is formed, and no
+        # triangle is ever held as a square (an m0 x m0 array would break the
+        # bound). `first` is eliminated as given, also when it is the smaller side.
         from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
 
         rng = np.random.default_rng(0)
@@ -617,6 +620,26 @@ class TestProximityOperator:
             tracemalloc.stop()
         assert block.shape == ((m1, m0) if flip else (m0, m1))
         assert peak <= 1.3 * (m0 * m1 + m0 * (m0 + 1) / 2) * 8
+
+    @pytest.mark.parametrize("first_is_larger", [True, False])
+    def test_cross_block_eliminates_first_as_given(self, monkeypatch, first_is_larger):
+        # 30 + 10 vertices: the block matches the dense solve with `first` the
+        # larger side and with it the smaller, in one call, with no recursion
+        # into the other order.
+        cross_block, calls = similarity._cross_block, []
+
+        def counted(*args):
+            calls.append(1)
+            return cross_block(*args)
+
+        monkeypatch.setattr(similarity, "_cross_block", counted)
+        w = symmetric_normalize(random_graph(np.random.default_rng(7), 40, 0.15))
+        first = (np.arange(40) < 30) == first_is_larger
+        block = similarity._cross_block(w, 0.1, first)
+        want = dense_oracle(w, 0.1)[np.ix_(first, ~first)]
+        assert block.shape == want.shape == ((30, 10) if first_is_larger else (10, 30))
+        assert np.abs(block - want).max() <= 1e-12 and (want > 0.0).any()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 64, 65])
     def test_packed_block_is_the_lower_triangle_of_i_minus_pw(self, m):

@@ -37,16 +37,15 @@ _TOL = 1e-14  # largest relative fixed-point update
 def _walk(w: sparse.csr_matrix, damping: float, b, done=None) -> np.ndarray:
     """(1 - p)(I - pW)^(-1) B, B >= 0, by the fixed point X <- (1 - p)B + pWX, rising
     as W >= 0 (p = 0 returns B). It stops once each entry's update is below `_TOL` of
-    the entry, so far, tiny entries are reached and accurate, or at the first iterate
-    for which `done` holds, if given."""
+    the entry (a newly positive entry's update is all of it), so far, tiny entries are
+    reached and accurate, or at the first iterate for which `done` holds, if given."""
     b = (1.0 - damping) * b
-    x, support = b, np.count_nonzero(b)
+    x = b
     while True:
         nxt = b + damping * (w @ x)
-        grown = np.count_nonzero(nxt)
-        if grown == support and (nxt - x <= _TOL * nxt).all() or done and done(nxt):
+        if (nxt - x <= _TOL * nxt).all() or done and done(nxt):
             return nxt
-        x, support = nxt, grown
+        x = nxt
 
 
 def _row_blocks(ends: np.ndarray, budget: int):
@@ -82,29 +81,43 @@ def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> boo
     return bool(chain.all() and lo[best[-1]] > hi.max())
 
 
-def _packed_eye_minus(w: sparse.csr_matrix, damping: float) -> np.ndarray:
-    """The lower triangle of I - pW for a square m x m block of W in LAPACK's
-    Rectangular Full Packed storage (transr "N", uplo "L"), written from the
-    block's stored entries into m(m + 1)/2 zeroed doubles, no m x m array made.
-    With k = m/2 and ld = m + 1 for even m, entry (i, j), i >= j, sits at
-    i + 1 + j ld if j < k, else at (j - k) + (i - k) ld; with k = (m + 1)/2 and
-    ld = m for odd m, at i + j ld if j < k, else at (j - k) + (i - k + 1) ld.
-    Rows are placed in blocks of at most m stored entries, so index temporaries
-    stay O(m)."""
-    m = w.shape[0]
+def _entries(w: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray):
+    """Blocks (i, j, v) of the stored entries of W[rows][:, cols], i and j their
+    positions in `rows` and in `cols` (distinct indices), v their values. A block
+    covers rows holding at most len(rows) stored entries of W, or one row wider than
+    that, so temporaries stay O(len(rows)) beside an n-long column map."""
+    at = np.full(w.shape[1], -1, dtype=np.int64)
+    at[cols] = np.arange(len(cols))
+    ends = np.concatenate(([0], np.cumsum(w.indptr[rows + 1] - w.indptr[rows])))
+    for lo, hi in _row_blocks(ends, len(rows)):
+        counts = np.diff(ends[lo:hi + 1])
+        pos = np.arange(ends[lo], ends[hi]) + np.repeat(w.indptr[rows[lo:hi]] - ends[lo:hi], counts)
+        j = at[w.indices[pos]]
+        kept = j >= 0
+        yield np.repeat(np.arange(lo, hi), counts)[kept], j[kept], w.data[pos[kept]]
+
+
+def _packed_eye_minus(w: sparse.csr_matrix, idx: np.ndarray, damping: float,
+                      out: np.ndarray) -> np.ndarray:
+    """The lower triangle of I - pW[idx][:, idx], m = len(idx), in LAPACK's
+    Rectangular Full Packed storage (transr "N", uplo "L"): the first m(m + 1)/2
+    doubles of `out`, zeroed and written from W's stored entries, and returned as a
+    view, no m x m array made. With k = m/2 and ld = m + 1 for even m, entry (i, j),
+    i >= j, sits at i + 1 + j ld if j < k, else at (j - k) + (i - k) ld; with
+    k = (m + 1)/2 and ld = m for odd m, at i + j ld if j < k, else at
+    (j - k) + (i - k + 1) ld."""
+    m = len(idx)
     odd = m % 2
     k, ld = (m + odd) // 2, m + 1 - odd
 
     def at(i, j):
-        j = j.astype(np.int64)
         return np.where(j < k, i + 1 - odd + j * ld, j - k + (i - k + odd) * ld)
 
-    packed = np.zeros(m * (m + 1) // 2)
-    for lo, hi in _row_blocks(w.indptr, m):
-        span = slice(w.indptr[lo], w.indptr[hi])
-        i, j = np.repeat(np.arange(lo, hi), np.diff(w.indptr[lo:hi + 1])), w.indices[span]
+    packed = out[:m * (m + 1) // 2]
+    packed.fill(0.0)
+    for i, j, v in _entries(w, idx, idx):
         lower = i >= j
-        packed[at(i[lower], j[lower])] = w.data[span][lower] * -damping
+        packed[at(i[lower], j[lower])] = v[lower] * -damping
     diag = np.arange(m)
     packed[at(diag, diag)] += 1.0
     return packed
@@ -127,32 +140,32 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     and the Schur complement S = M[~first, ~first] - Z^T Z = KK^T,
     Q[first, ~first] = (1 - p) L^-T Z K^-T K^-1, clipped to [0, 1], where Q's entries lie.
     It is the only dense solve, read only for the explanations of many rows.
-    The triangles M[first, first], S and their factors L and K live in packed
-    storage (`_packed_eye_minus`), m(m + 1)/2 doubles each, and the solve order
-    keeps at most one of them alive beside Z: L goes once Z is formed, the
-    right solves by K run on Z in place, and L is then factored again from the
-    same block for the last solve. With m0 = |first| and m1 = |~first|, that is
-    (2/3) m0^3 + 2 m0^2 m1 + 3 m0 m1^2 + m1^3 / 3 flops, |m0 - m1|^3 / 3 fewer than
-    the other order if `first` is the smaller group (0.75 n^3 for equal groups,
-    against 2 n^3 for a whole inverse). The peak is m0 m1 + M(M + 1)/2 doubles,
-    M = max(m0, m1), and the result is Z's memory."""
+    Z is written from W's stored entries into a zeroed Fortran-order m0 x m1 array
+    and solved in place. One packed buffer of M(M + 1)/2 doubles, M = max(m0, m1),
+    holds each triangle in turn (`_packed_eye_minus`): L, then S and its factor K
+    for the right solves, then L again, factored anew for the last solve. With
+    m0 = |first| and m1 = |~first|, that is (2/3) m0^3 + 2 m0^2 m1 + 3 m0 m1^2 + m1^3 / 3
+    flops, |m0 - m1|^3 / 3 fewer than the other order if `first` is the smaller group
+    (0.75 n^3 for equal groups, against 2 n^3 for a whole inverse). The peak is
+    m0 m1 + M(M + 1)/2 doubles, and the result is Z's memory."""
     from scipy.linalg import lapack
 
     g0, g1 = np.flatnonzero(first), np.flatnonzero(~first)
     m0, m1 = len(g0), len(g1)
     if not m0 or not m1:
         return np.zeros((m0, m1))
-    top = w[g0]
+    z = np.zeros((m1, m0)).T
+    for i, j, v in _entries(w, g0, g1):
+        z[i, j] = v
+    packed = np.empty(max(m0, m1) * (max(m0, m1) + 1) // 2)
     rfp = {"transr": "N", "uplo": "L"}
-    chol_a = _cholesky(_packed_eye_minus(top[:, g0], damping), m0)
-    z = lapack.dtfsm(damping, chol_a, top[:, g1].toarray(order="F"), **rfp, overwrite_b=1)
-    del chol_a
-    chol_s = _cholesky(lapack.dsfrk(m1, m0, -1.0, z, 1.0, _packed_eye_minus(w[g1][:, g1], damping),
+    chol_a = _cholesky(_packed_eye_minus(w, g0, damping, packed), m0)
+    z = lapack.dtfsm(damping, chol_a, z, **rfp, overwrite_b=1)
+    chol_s = _cholesky(lapack.dsfrk(m1, m0, -1.0, z, 1.0, _packed_eye_minus(w, g1, damping, packed),
                                     **rfp, trans="T", overwrite_c=1), m1)
     z = lapack.dtfsm(1.0, chol_s, z, **rfp, side="R", trans="T", overwrite_b=1)  # Z K^-T
     z = lapack.dtfsm(1.0 - damping, chol_s, z, **rfp, side="R", overwrite_b=1)
-    del chol_s
-    chol_a = _cholesky(_packed_eye_minus(top[:, g0], damping), m0)
+    chol_a = _cholesky(_packed_eye_minus(w, g0, damping, packed), m0)
     z = lapack.dtfsm(1.0, chol_a, z, **rfp, trans="T", overwrite_b=1)  # L^-T Z S^-1
     np.clip(z, 0.0, 1.0, out=z)
     return z
@@ -342,13 +355,18 @@ class StoredProximity(Proximity):
 def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
     """Compute W = D^(-1/2) A D^(-1/2) as CSR, with zero rows for degree-0
     vertices: entry (i, j) is s_i s_j, s = 1/sqrt(degree), on A's own index
-    arrays."""
+    arrays. Its data is s gathered at the column indices, scaled by s_i in row
+    blocks of at most `_BLOCK_ENTRIES` / 16 entries (a wider row alone), so one
+    block's repeated s_i is the only temporary beside it."""
     a = g.adjacency
     s = np.zeros(g.n)
     nonzero = g.degree > 0
     s[nonzero] = 1.0 / np.sqrt(g.degree[nonzero])
-    data = np.repeat(s, np.diff(a.indptr))
-    data *= s[a.indices]
+    data = s[a.indices]
+    # a block's 64 KiB stays under glibc's 128 KiB mmap threshold: a mapped and freed
+    # temporary raises that threshold, and later arrays then stay resident
+    for lo, hi in _row_blocks(a.indptr, _BLOCK_ENTRIES // 16):
+        data[a.indptr[lo]:a.indptr[hi]] *= np.repeat(s[lo:hi], np.diff(a.indptr[lo:hi + 1]))
     return sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 

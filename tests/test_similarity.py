@@ -81,6 +81,34 @@ class TestSymmetricNormalize:
                           (w.data, products.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_fills_w_in_row_blocks_beside_its_data(self):
+        # 2.2 M entries: the traced peak is W's data plus one row block's repeated
+        # s_i (8 bytes an entry) and a few n-long arrays for s, where repeating s_i
+        # for all rows at once would add 8 bytes an entry, and gathering s_j beside
+        # it 8 more. Each entry is still the one product s_i * s_j.
+        rng = np.random.default_rng(5)
+        n, offsets = 40_000, np.arange(1, 41)
+        i = np.repeat(np.arange(n), len(offsets))
+        j = i + np.tile(offsets, n)
+        keep = (j < n) & (rng.random(len(i)) < 0.7) & (i % 997 != 0)  # some isolated
+        upper = sparse.csr_matrix((np.ones(keep.sum(), dtype=bool), (i[keep], j[keep])),
+                                  shape=(n, n))
+        g = ComparabilityGraph((upper + upper.T).tocsr())
+        a = g.adjacency
+        assert a.nnz >= 2_000_000 and (g.degree == 0).any()
+        del i, j, keep, upper
+        tracemalloc.start()
+        try:
+            w = symmetric_normalize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.data.nbytes + 8 * (similarity._BLOCK_ENTRIES // 16) + 64 * n
+        s = np.zeros(n)
+        s[g.degree > 0] = 1.0 / np.sqrt(g.degree[g.degree > 0])
+        assert np.shares_memory(w.indices, a.indices) and np.shares_memory(w.indptr, a.indptr)
+        assert np.array_equal(w.data, np.repeat(s, np.diff(a.indptr)) * s[a.indices])
+
 
 class TestRwrProximity:
     def test_zero_damping_gives_identity_exactly(self):
@@ -313,6 +341,41 @@ class TestProximityOperator:
             for i in np.flatnonzero(bias.defined):
                 total = sum(e.contribution for e in bias_contributions(d, rows_of, cred, i, d.n))
                 assert abs(total - bias.values[i]) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_instances(), st.integers(0, 2**32 - 1))
+    def test_walk_stops_where_a_support_count_would(self, instance, seed):
+        # The former rule also waited for the number of positive entries to stop
+        # changing. As W >= 0 and B >= 0 the iterates rise entrywise, also in
+        # floating point, so a newly positive entry's update is all of it and
+        # already fails the entrywise test: same stop step, same bits.
+        g, _, p = instance
+
+        def with_support_count(w, b):
+            b = (1.0 - p) * b
+            x, support, steps = b, np.count_nonzero(b), 0
+            while True:
+                nxt, steps = b + p * (w @ x), steps + 1
+                grown = np.count_nonzero(nxt)
+                if grown == support and (nxt - x <= similarity._TOL * nxt).all():
+                    return nxt, steps
+                x, support = nxt, grown
+
+        class Counted:
+            steps = 0
+
+            def __matmul__(self, x):
+                self.steps += 1
+                return w @ x
+
+        w = symmetric_normalize(g)
+        rng = np.random.default_rng(seed)
+        for b in (np.eye(g.n)[:, rng.integers(0, g.n, 2)],
+                  np.where(rng.random((g.n, 2)) < 0.3, rng.random((g.n, 2)), 0.0)):
+            counted = Counted()
+            got = similarity._walk(counted, p, b)
+            want, steps = with_support_count(w, b)
+            assert counted.steps == steps and np.array_equal(got, want)
 
     def test_path_reaches_the_far_group(self):
         # Groups at opposite ends of a 40-vertex path: the other group lies
@@ -597,13 +660,14 @@ class TestProximityOperator:
         assert estimates_peak < square / 2 and row_peak < square / 2
 
     @pytest.mark.parametrize("m0, m1, flip", [(400, 400, False), (500, 300, False),
-                                              (500, 300, True)])
+                                              (500, 300, True), (1000, 1000, False)])
     def test_cross_block_peaks_at_z_and_one_packed_factor(self, m0, m1, flip):
-        # The block Z (m0 x m1) and one packed triangle of the larger side
-        # (m0 (m0 + 1) / 2 doubles, m0 >= m1) are the peak: the eliminated side's
-        # factor L is dropped before the Schur complement is formed, and no
-        # triangle is ever held as a square (an m0 x m0 array would break the
-        # bound). `first` is eliminated as given, also when it is the smaller side.
+        # The block Z (m0 x m1) and one packed buffer for the larger side's
+        # triangle (m0 (m0 + 1) / 2 doubles, m0 >= m1) are the peak, within 5%:
+        # Z is written from W's stored rows in blocks, not from a sliced copy,
+        # L, S and K take turns in the one buffer, and no triangle is ever held
+        # as a square (an m0 x m0 array would break the bound). `first` is
+        # eliminated as given, also when it is the smaller side.
         from scipy import linalg  # noqa: F401  (its first import would count ~2 MB)
 
         rng = np.random.default_rng(0)
@@ -619,7 +683,7 @@ class TestProximityOperator:
         finally:
             tracemalloc.stop()
         assert block.shape == ((m1, m0) if flip else (m0, m1))
-        assert peak <= 1.3 * (m0 * m1 + m0 * (m0 + 1) / 2) * 8
+        assert peak <= 1.05 * (m0 * m1 + m0 * (m0 + 1) / 2) * 8
 
     @pytest.mark.parametrize("first_is_larger", [True, False])
     def test_cross_block_eliminates_first_as_given(self, monkeypatch, first_is_larger):
@@ -647,7 +711,8 @@ class TestProximityOperator:
         # equals the dense one's lower triangle. The block is not symmetric, so
         # only its lower entries may be read; a few rows have none at all, some
         # have a stored diagonal, and at m = 64 and 65 the rows are placed in
-        # several blocks.
+        # several blocks. The triangle fills a prefix of a longer buffer, which
+        # holds another one's entries beforehand, and leaves the rest as it was.
         from scipy.linalg import lapack
 
         rng = np.random.default_rng(m)
@@ -655,8 +720,11 @@ class TestProximityOperator:
         dense[rng.random(m) < 0.2] = 0.0
         block = sparse.csr_matrix(dense)
         for p in (0.0, 0.1, 0.9):
-            packed = similarity._packed_eye_minus(block, p)
-            assert packed.shape == (m * (m + 1) // 2,)
+            out = rng.random(m * (m + 1) // 2 + 5)
+            rest = out[-5:].copy()
+            packed = similarity._packed_eye_minus(block, np.arange(m), p, out)
+            assert packed.shape == (m * (m + 1) // 2,) and np.shares_memory(packed, out)
+            assert np.array_equal(out[-5:], rest)
             full_lower = np.tril(lapack.dtfttr(m, packed, transr="N", uplo="L")[0])
             assert np.array_equal(full_lower, np.tril(np.eye(m) - p * block.toarray()))
 

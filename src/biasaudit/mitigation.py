@@ -115,14 +115,8 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
     holds, the target's otherwise. Label and group come from the seed.
     """
     lam = np.asarray(lams, dtype=float).reshape(-1, 1)
-    numericals = d.numericals[seeds]
-    numericals *= lam
-    rest = d.numericals[targets]
-    rest *= 1.0 - lam
-    numericals += rest
-    del rest  # freed before the columns below are made, so the peak is what is kept
-    categoricals = d.categoricals[targets]
-    np.copyto(categoricals, d.categoricals[seeds], where=take_seed)
+    numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
+    categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])
     return replace(d, **_frozen(numericals=numericals, categoricals=categoricals,
                                 labels=d.labels[seeds], groups=d.groups[seeds]))
 

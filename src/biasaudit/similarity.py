@@ -32,6 +32,7 @@ from scipy import sparse
 from .comparability import _BLOCK_ENTRIES, ComparabilityGraph
 
 _TOL = 1e-14  # largest relative fixed-point update
+_W_BLOCK = 65536 // 8  # entries: a block's repeated s_i stays under glibc's 128 KiB mmap threshold
 
 
 def _walk(w: sparse.csr_matrix, damping: float, b, done=None) -> np.ndarray:
@@ -154,7 +155,7 @@ def _cross_block(w: sparse.csr_matrix, damping: float, first: np.ndarray) -> np.
     m0, m1 = len(g0), len(g1)
     if not m0 or not m1:
         return np.zeros((m0, m1))
-    z = np.zeros((m1, m0)).T
+    z = np.zeros((m0, m1), order="F")
     for i, j, v in _entries(w, g0, g1):
         z[i, j] = v
     packed = np.empty(max(m0, m1) * (max(m0, m1) + 1) // 2)
@@ -356,16 +357,16 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
     """Compute W = D^(-1/2) A D^(-1/2) as CSR, with zero rows for degree-0
     vertices: entry (i, j) is s_i s_j, s = 1/sqrt(degree), on A's own index
     arrays. Its data is s gathered at the column indices, scaled by s_i in row
-    blocks of at most `_BLOCK_ENTRIES` / 16 entries (a wider row alone), so one
-    block's repeated s_i is the only temporary beside it."""
+    blocks of at most `_W_BLOCK` entries (a wider row alone), so one block's
+    repeated s_i is the only temporary beside it."""
     a = g.adjacency
     s = np.zeros(g.n)
     nonzero = g.degree > 0
     s[nonzero] = 1.0 / np.sqrt(g.degree[nonzero])
     data = s[a.indices]
-    # a block's 64 KiB stays under glibc's 128 KiB mmap threshold: a mapped and freed
-    # temporary raises that threshold, and later arrays then stay resident
-    for lo, hi in _row_blocks(a.indptr, _BLOCK_ENTRIES // 16):
+    # a mapped and freed temporary would raise glibc's mmap threshold, and later
+    # arrays would then stay resident
+    for lo, hi in _row_blocks(a.indptr, _W_BLOCK):
         data[a.indptr[lo]:a.indptr[hi]] *= np.repeat(s[lo:hi], np.diff(a.indptr[lo:hi + 1]))
     return sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 

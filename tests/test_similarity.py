@@ -103,7 +103,7 @@ class TestSymmetricNormalize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= w.data.nbytes + 8 * (similarity._BLOCK_ENTRIES // 16) + 64 * n
+        assert peak <= w.data.nbytes + 8 * similarity._W_BLOCK + 64 * n
         s = np.zeros(n)
         s[g.degree > 0] = 1.0 / np.sqrt(g.degree[g.degree > 0])
         assert np.shares_memory(w.indices, a.indices) and np.shares_memory(w.indptr, a.indptr)

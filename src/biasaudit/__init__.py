@@ -51,7 +51,6 @@ from .metrics import (
     generalized_entropy,
     prediction_consistency,
     roc_auc,
-    utility_metrics,
 )
 from .mitigation import (
     AugmentationPlan,

@@ -79,17 +79,19 @@ class Explanation(NamedTuple):
     similarity: float
 
 
-def _as_explanations(columns, lo=0, hi=None) -> tuple:
-    """Entries lo:hi of the explanation columns as Explanation tuples."""
-    return tuple(Explanation(*e) for e in zip(*(c[lo:hi].tolist() for c in columns[1:])))
+def _explanation_lists(columns, credibility, lo=0, hi=None) -> list:
+    """Entries lo:hi of the explanation columns as lists in Explanation field
+    order, each contributor's credibility read from `credibility`."""
+    _, index, share, sim = (c[lo:hi] for c in columns)
+    return [index.tolist(), share.tolist(), credibility[index].tolist(), sim.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class BiasReport:
     """Full attribution result as columns: each sample's group and label,
     the two estimates, the explanation columns (row, index, contribution,
-    credibility, similarity) sorted by row, and the similarity they were
-    computed from."""
+    similarity) sorted by row, and the similarity they were computed from.
+    A contributor's credibility is read from `credibility`."""
 
     groups: np.ndarray
     labels: np.ndarray
@@ -104,7 +106,8 @@ class BiasReport:
         if not 0 <= i < len(self.groups):
             raise IndexError(f"sample index {i} out of range for {len(self.groups)} samples")
         lo, hi = np.searchsorted(self.explained[0], [i, i + 1])
-        return _as_explanations(self.explained, lo, hi)
+        return tuple(map(Explanation, *_explanation_lists(
+            self.explained, self.credibility.values, lo, hi)))
 
     def _text_chunks(self):
         """The report's text: the header line, then the sample lines in row
@@ -116,10 +119,10 @@ class BiasReport:
                    self.bias.defined)
         yield "# index\ts\ty\tcredibility\tbias\tdefined\texplanations(j:contr:cred:sim)\n"
         for lo, hi in _row_blocks(bounds + np.arange(n + 1), _REPORT_ITEMS):
-            first, last = bounds[lo], bounds[hi]
             entries = [f"{j}:{s:.6f}:{cj:.6f}:{x:.6f}" for j, s, cj, x in
-                       zip(*(col[first:last].tolist() for col in self.explained[1:]))]
-            ends = (bounds[lo:hi + 1] - first).tolist()
+                       zip(*_explanation_lists(self.explained, self.credibility.values,
+                                               bounds[lo], bounds[hi]))]
+            ends = (bounds[lo:hi + 1] - bounds[lo]).tolist()
             yield "".join(
                 f"{i}\t{g}\t{y}\t{c:.6f}\t{b:.6f}\t{int(ok)}\t{';'.join(entries[e0:e1])}\n"
                 for i, (g, y, c, b, ok), e0, e1 in zip(
@@ -187,8 +190,7 @@ def _k_best_mask(key, k):
 def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
     """The batched kernel. Returns the rows of `rows` with credible
     other-group proximity mass, ascending, and the columns (row, index,
-    contribution, credibility, similarity) of their top-k explanations,
-    sorted by row."""
+    contribution, similarity) of their top-k explanations, sorted by row."""
     if k < 0:
         raise ValueError("top_k must be non-negative")
     _check_rows(d, q, c)
@@ -206,8 +208,7 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
                       share[ri, ci], sim[ri, ci]))
     defined, row, col, share, sim = (np.concatenate(f) for f in zip(*parts))
     order = np.lexsort((col, -share, row))
-    row, col = row[order], col[order]
-    return np.sort(defined), (row, col, share[order], cred[col], sim[order])
+    return np.sort(defined), (row[order], col[order], share[order], sim[order])
 
 
 def bias_contributions(
@@ -227,7 +228,7 @@ def bias_contributions(
     defined, columns = _explanations(d, q, c, [i], k)
     if not len(defined):
         raise UndefinedBiasError("no comparable other-group evidence")
-    return _as_explanations(columns)
+    return tuple(map(Explanation, *_explanation_lists(columns, c.values)))
 
 
 def attribute(

@@ -10,7 +10,7 @@ and average precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +46,10 @@ def equalized_odds(pred_labels, true_labels, groups) -> float:
     return float(np.abs(rates[1] - rates[0]).mean())
 
 
-def prediction_consistency(clf: Classifier, data) -> float:
-    """Fraction of samples whose prediction survives flipping the group column.
-
-    `data` is a Dataset or its `encode_features` matrix, whose last column
-    is the group.
-    """
-    matrix = encode_features(data) if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+def prediction_consistency(clf: Classifier, matrix) -> float:
+    """Fraction of samples whose prediction survives flipping the group column,
+    the last column of the `encode_features` matrix."""
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[1] != len(clf.weights):
         raise ValueError("classifier was not trained with the group column")
     _, labels = predict(clf, matrix)
@@ -119,15 +116,13 @@ def average_precision(scores, true_labels) -> float:
     return float(precision_at.mean())
 
 
-def utility_metrics(scores, true_labels):
-    """(accuracy, roc_auc, ap); the ranking metrics are NaN on single-class labels."""
-    acc = accuracy(scores, true_labels)
+def _or_nan(metric, *args) -> float:
+    """metric(*args), or NaN where the metric is undefined on this input: the
+    ValueError each metric raises for a missing class, group or cell."""
     try:
-        roc = roc_auc(scores, true_labels)
-        ap = average_precision(scores, true_labels)
+        return metric(*args)
     except ValueError:
-        roc, ap = float("nan"), float("nan")
-    return acc, roc, ap
+        return float("nan")
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,11 @@ class EvaluationResult:
     pos_rate_protected: float
 
     def to_text(self) -> str:
-        """One line of tab-separated `name=value` pairs in field order;
-        floats with six decimals."""
+        """One line of tab-separated `name=value` pairs in field order; ints
+        plain, floats with six decimals."""
         return "\t".join(
-            f"{f.name}={format(getattr(self, f.name), '' if f.type == 'int' else '.6f')}"
-            for f in fields(self)
+            f"{name}={format(v, '' if isinstance(v, int) else '.6f')}"
+            for name, v in asdict(self).items()
         ) + "\n"
 
     def write(self, path) -> None:
@@ -158,24 +153,16 @@ class EvaluationResult:
 
 
 def evaluate_classifier(clf: Classifier, d: Dataset) -> EvaluationResult:
-    """Score a trained classifier on a dataset across the full metric suite."""
+    """Score a trained classifier on a dataset across the full metric suite;
+    a metric undefined on `d` (one class, a missing group, an empty cell) is NaN."""
     matrix = encode_features(d)
     scores, labels = predict(clf, matrix)
-    acc, roc, ap = utility_metrics(scores, d.labels)
-    try:
-        eo = equalized_odds(labels, d.labels, d.groups)
-    except ValueError:
-        eo = float("nan")
-    try:
-        dp = demographic_parity(labels, d.groups)
-    except ValueError:
-        dp = float("nan")
     return EvaluationResult(
-        acc=acc,
-        roc_auc=roc,
-        ap=ap,
-        dp=dp,
-        eo=eo,
+        acc=accuracy(scores, d.labels),
+        roc_auc=_or_nan(roc_auc, scores, d.labels),
+        ap=_or_nan(average_precision, scores, d.labels),
+        dp=_or_nan(demographic_parity, labels, d.groups),
+        eo=_or_nan(equalized_odds, labels, d.labels, d.groups),
         pc=prediction_consistency(clf, matrix),
         ge=generalized_entropy(labels, d.labels),
         n_privileged=int((d.groups == 1).sum()),

@@ -31,10 +31,10 @@ def _logistic(z):  # exp(-z) overflows to inf below z = -709, giving the limit 0
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def gradient(w, b, X, y, l2):
+def gradient(w, b, X, y):
     """Gradient of the L2-regularized mean cross-entropy (intercept unpenalized)."""
     residual = _logistic(X @ w + b) - y
-    return X.T @ residual / len(y) + l2 * w, residual.mean()
+    return X.T @ residual / len(y) + L2 * w, residual.mean()
 
 
 def train_classifier(X, y) -> Classifier:
@@ -51,7 +51,7 @@ def train_classifier(X, y) -> Classifier:
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(EPOCHS):
-        grad_w, grad_b = gradient(w, b, X, y, L2)
+        grad_w, grad_b = gradient(w, b, X, y)
         w = w - LEARNING_RATE * grad_w
         b = b - LEARNING_RATE * grad_b
     return Classifier(weights=w, intercept=float(b))

@@ -265,7 +265,7 @@ def test_criterion_7_metric_oracles():
     d = random_dataset(rng, 50, n_num=2, n_cat=1)
     matrix = encode_features(d)
     clf = train_classifier(matrix, d.labels)
-    pc = prediction_consistency(clf, d)
+    pc = prediction_consistency(clf, matrix)
     unchanged = 0
     for i in range(d.n):
         row = matrix[i].copy()

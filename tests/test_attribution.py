@@ -549,8 +549,9 @@ class TestBatchedKernel:
                         continue
                     assert i in defined
                     mine = columns[0] == i
-                    batched = tuple(Explanation(*e) for e in
-                                    zip(*(col[mine].tolist() for col in columns[1:])))
+                    index, share, sim = (col[mine] for col in columns[1:])
+                    batched = tuple(map(Explanation, index.tolist(), share.tolist(),
+                                        c.values[index].tolist(), sim.tolist()))
                     assert_matches_reference(batched, expected)
                     assert bias_contributions(d, q, c, i, k) == batched
 
@@ -618,6 +619,22 @@ class TestBatchedKernel:
         with pytest.raises(AssertionError, match="unexpected solve"):  # the patch is live
             attribute(make_dataset([0.0, 0.05], [], [0, 1], [0, 1]), ComparabilityConfig(0.1, 2),
                       damping=0.1, top_k=5)
+
+    @pytest.mark.parametrize("similarity", ["rwr", "adjacency"])
+    def test_contributor_credibility_is_the_reports(self, similarity):
+        # the explanation columns hold no credibility: each contributor's is
+        # read from the report's estimate, bit for bit
+        rng = np.random.default_rng(11)
+        d = random_dataset(rng, 60)
+        report = attribute(d, ComparabilityConfig(0.3, 1), top_k=5, similarity=similarity)
+        listed = []
+        for i in np.flatnonzero(report.bias.defined):
+            listed += report.explanations(i)
+            listed += bias_contributions(d, report.similarity, report.credibility, i, 5)
+        index = [e.index for e in listed]
+        assert len(report.explained) == 4 and len(listed) > 0
+        assert np.array([e.credibility for e in listed]).tobytes() == \
+            report.credibility.values[index].tobytes()
 
     def test_adjacency_report_keeps_q_sparse(self):
         rng = np.random.default_rng(10)

@@ -13,7 +13,6 @@ from biasaudit.metrics import (
     generalized_entropy,
     prediction_consistency,
     roc_auc,
-    utility_metrics,
 )
 from biasaudit.metrics import _average_ranks
 from biasaudit.model import Classifier, predict, train_classifier
@@ -91,19 +90,19 @@ class TestPredictionConsistency:
     def test_zero_group_weight_fully_consistent(self):
         d = make_dataset([0.1, 0.9], [], [0, 1], [0, 1])
         clf = clf_with([1.0, 0.0], -0.5)  # columns: x0, group
-        assert prediction_consistency(clf, d) == 1.0
+        assert prediction_consistency(clf, encode_features(d)) == 1.0
 
     def test_group_only_classifier_fully_inconsistent(self):
         d = make_dataset([0.1, 0.9], [], [0, 1], [0, 1])
         clf = clf_with([0.0, 10.0], -5.0)
-        assert prediction_consistency(clf, d) == 0.0
+        assert prediction_consistency(clf, encode_features(d)) == 0.0
 
     def test_brute_force_recount(self):
         rng = np.random.default_rng(2)
         d = random_dataset(rng, 50, n_num=2, n_cat=1)
         matrix = encode_features(d)
         clf = train_classifier(matrix, d.labels)
-        pc = prediction_consistency(clf, d)
+        pc = prediction_consistency(clf, matrix)
         # independent recount: flip the group cell row by row
         unchanged = 0
         for i in range(d.n):
@@ -117,14 +116,15 @@ class TestPredictionConsistency:
     def test_repeatable(self):
         rng = np.random.default_rng(3)
         d = random_dataset(rng, 30)
-        clf = train_classifier(encode_features(d), d.labels)
-        assert prediction_consistency(clf, d) == prediction_consistency(clf, d)
+        matrix = encode_features(d)
+        clf = train_classifier(matrix, d.labels)
+        assert prediction_consistency(clf, matrix) == prediction_consistency(clf, matrix)
 
     def test_classifier_trained_without_group_rejected(self):
         d = make_dataset([0.1, 0.9], [], [0, 1], [0, 1])
         clf = clf_with([1.0], 0.0)  # one feature, no group column
         with pytest.raises(ValueError, match="group column"):
-            prediction_consistency(clf, d)
+            prediction_consistency(clf, encode_features(d))
 
 
 class TestGeneralizedEntropy:
@@ -194,9 +194,7 @@ class TestUtilityMetrics:
             roc_auc(scores, ones)
         with pytest.raises(ValueError):
             average_precision(scores, ones)
-        acc, roc, ap = utility_metrics(scores, ones)
-        assert acc == 0.5
-        assert np.isnan(roc) and np.isnan(ap)
+        assert accuracy(scores, ones) == 0.5
 
     def test_ap_against_hand_case(self):
         # descending order: pos, neg, pos -> precisions 1/1 and 2/3
@@ -211,9 +209,10 @@ class TestEvaluationResult:
                              pc=1.0, ge=0.0625, n_privileged=7, n_protected=3,
                              pos_rate_privileged=2 / 7, pos_rate_protected=1 / 3)
         text = r.to_text()
-        assert "roc_auc=0.333333" in text
-        assert "acc=0.875000" in text
-        assert "n_privileged=7" in text
+        assert text == ("acc=0.875000\troc_auc=0.333333\tap=0.500000\tdp=0.250000\t"
+                        "eo=0.125000\tpc=1.000000\tge=0.062500\tn_privileged=7\t"
+                        "n_protected=3\tpos_rate_privileged=0.285714\t"
+                        "pos_rate_protected=0.333333\n")
         path = tmp_path / "metrics.txt"
         r.write(path)
         assert path.read_text() == text
@@ -226,3 +225,19 @@ class TestEvaluationResult:
         assert 0.0 <= result.acc <= 1.0
         assert 0.0 <= result.pc <= 1.0
         assert result.n_privileged + result.n_protected == 60
+
+    def test_undefined_metrics_are_nan(self):
+        # one class, then one group: the ranking metrics and EO, then DP and
+        # EO, are undefined on the test set
+        rng = np.random.default_rng(6)
+        d = random_dataset(rng, 60, n_num=2, n_cat=0)
+        clf = train_classifier(encode_features(d), d.labels)
+        one_class = make_dataset(d.numericals, [], np.ones(d.n, dtype=int), d.groups)
+        text = evaluate_classifier(clf, one_class).to_text()
+        assert "\troc_auc=nan\tap=nan\t" in text and "\teo=nan\t" in text
+        assert "\tdp=nan\t" not in text
+        one_group = make_dataset(d.numericals, [], d.labels, np.ones(d.n, dtype=int))
+        result = evaluate_classifier(clf, one_group)
+        assert np.isnan(result.dp) and np.isnan(result.eo)
+        assert np.isnan(result.pos_rate_protected) and result.n_protected == 0
+        assert not np.isnan(result.roc_auc)

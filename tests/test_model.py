@@ -61,17 +61,16 @@ class TestTraining:
         y = rng.integers(0, 2, size=10).astype(float)
         w = rng.normal(size=4)
         b = 0.3
-        l2 = 1e-4
-        grad_w, grad_b = gradient(w, b, X, y, l2)
+        grad_w, grad_b = gradient(w, b, X, y)
         h = 1e-6
         for k in range(4):
             e = np.zeros(4)
             e[k] = h
-            hi = loss(w + e, b, X, y, l2)
-            lo = loss(w - e, b, X, y, l2)
+            hi = loss(w + e, b, X, y, L2)
+            lo = loss(w - e, b, X, y, L2)
             fd = (hi - lo) / (2 * h)
             assert abs(grad_w[k] - fd) <= 1e-5 * max(1.0, abs(fd))
-        fd_b = (loss(w, b + h, X, y, l2) - loss(w, b - h, X, y, l2)) / (2 * h)
+        fd_b = (loss(w, b + h, X, y, L2) - loss(w, b - h, X, y, L2)) / (2 * h)
         assert abs(grad_b - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
 
     def test_deterministic_bitwise(self):

@@ -388,15 +388,11 @@ def encode_features(d: Dataset) -> np.ndarray:
 
     Column order: numericals in schema order, then one one-hot block per
     categorical feature (category order = code order), then the group
-    column last. Filled in place: no one-hot block or identity is made beside it.
+    column last.
     """
-    starts = np.cumsum([d.numericals.shape[1], *map(len, d.category_levels)])
-    matrix = np.zeros((d.n, starts[-1] + 1))
-    matrix[:, :starts[0]] = d.numericals
-    rows = np.arange(d.n)
-    for j, start in enumerate(starts[:-1]):
-        matrix[rows, start + d.categoricals[:, j]] = 1.0
-    matrix[:, -1] = d.groups
+    onehots = [np.eye(len(levels))[d.categoricals[:, j]]
+               for j, levels in enumerate(d.category_levels)]
+    matrix = np.hstack([d.numericals, *onehots, d.groups.reshape(-1, 1).astype(float)])
     matrix.setflags(write=False)
     return matrix
 

@@ -460,24 +460,6 @@ class TestEncodeFeatures:
             assert np.array_equal(block[np.arange(d.n), d.categoricals[:, j]], np.ones(d.n))
             offset += block.shape[1]
 
-    def test_wide_categorical_peaks_at_the_matrix(self):
-        # 2,000 levels: an L x L identity to index one-hot rows from would be
-        # 32 MB beside a 8 MB matrix
-        rng = np.random.default_rng(3)
-        levels = tuple(f"v{i}" for i in range(2000))
-        d = make_dataset(rng.random((500, 2)), rng.integers(0, 2000, size=(500, 1)),
-                         rng.integers(0, 2, 500), rng.integers(0, 2, 500), levels=(levels,))
-        tracemalloc.start()
-        try:
-            matrix = encode_features(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * matrix.nbytes
-        reference = np.hstack([d.numericals, np.eye(2000)[d.categoricals[:, 0]],
-                               d.groups.reshape(-1, 1).astype(float)])
-        assert matrix.tobytes() == reference.tobytes() and not matrix.flags.writeable
-
 
 class TestStratifiedSplit:
     @staticmethod

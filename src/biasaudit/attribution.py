@@ -58,8 +58,8 @@ class UndefinedBiasError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Estimate:
     """Per-sample credibility or bias in [0, 1], NaN exactly where undefined:
-    `values`, a 1-D float array held by `data._freeze`, from which `defined`
-    is derived. Any other shape is a ValueError."""
+    `values`, a 1-D float array held by `data._freeze`, from which `defined` and
+    `filled`, undefined read as zero, are derived. Any other shape is a ValueError."""
 
     values: np.ndarray
 
@@ -70,6 +70,10 @@ class Estimate:
     @property
     def defined(self) -> np.ndarray:
         return ~np.isnan(self.values)
+
+    @property
+    def filled(self) -> np.ndarray:
+        return np.where(self.defined, self.values, 0.0)
 
 
 class Explanation(NamedTuple):
@@ -174,7 +178,7 @@ def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     no credible other-group proximity mass is flagged undefined.
     """
     _check_rows(d, c)
-    return _cell_ratio(d, q, np.where(c.defined, c.values, 0.0), flip=1)
+    return _cell_ratio(d, q, c.filled, flip=1)
 
 
 def _k_best_mask(key, k):
@@ -194,7 +198,7 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
     if k < 0:
         raise ValueError("top_k must be non-negative")
     _check_rows(d, q, c)
-    cred = np.where(c.defined, c.values, 0.0)
+    cred = c.filled
     parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),) * 2]
     for r, col, sim in q.other_group_rows(d.groups == 0, rows):
         w = sim * cred[col]

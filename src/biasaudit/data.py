@@ -74,13 +74,6 @@ def _freeze(obj, name, dtype=float):
     return value
 
 
-def _frozen(**columns):
-    """The fresh arrays `columns`, made read-only in place, so `_freeze` keeps them."""
-    for value in columns.values():
-        value.setflags(write=False)
-    return columns
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable sample table: normalized numericals, coded categoricals, binary label/group.
@@ -143,9 +136,8 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Row subset in the given index order (duplicates allowed)."""
         idx = np.asarray(indices, dtype=int)
-        return replace(self, **_frozen(numericals=self.numericals[idx],
-                                       categoricals=self.categoricals[idx],
-                                       labels=self.labels[idx], groups=self.groups[idx]))
+        return replace(self, numericals=self.numericals[idx], categoricals=self.categoricals[idx],
+                       labels=self.labels[idx], groups=self.groups[idx])
 
     def decode_categoricals(self) -> np.ndarray:
         """The categorical codes as their tokens: an (n, n_categorical) object array."""
@@ -369,7 +361,7 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     scaled = d.numericals - params.mins  # fresh, so the steps below run in place
     scaled /= np.where(span > 0, span, 1.0)
     scaled[:, ~(span > 0)] = 0.0
-    return replace(d, **_frozen(numericals=np.clip(scaled, 0.0, 1.0, out=scaled)))
+    return replace(d, numericals=np.clip(scaled, 0.0, 1.0, out=scaled))
 
 
 def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -380,7 +372,7 @@ def invert_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     """
     raw = d.numericals * (params.maxs - params.mins)
     raw += params.mins
-    return replace(d, **_frozen(numericals=raw))
+    return replace(d, numericals=raw)
 
 
 def encode_features(d: Dataset) -> np.ndarray:

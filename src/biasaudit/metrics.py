@@ -18,31 +18,27 @@ from .data import Dataset, encode_features
 from .model import Classifier, predict
 
 
+def _positive_rate(pred, mask, what) -> float:
+    """Mean prediction over the rows in `mask`; a ValueError naming `what` if none."""
+    if not mask.any():
+        raise ValueError(f"{what} is empty")
+    return float(pred[mask].mean())
+
+
 def demographic_parity(pred_labels, groups) -> float:
     """Absolute gap in positive prediction rates between the two groups."""
-    pred_labels = np.asarray(pred_labels)
-    groups = np.asarray(groups)
-    for g in (0, 1):
-        if not (groups == g).any():
-            raise ValueError(f"group {g} is absent")
-    rate1 = pred_labels[groups == 1].mean()
-    rate0 = pred_labels[groups == 0].mean()
-    return float(abs(rate1 - rate0))
+    pred_labels, groups = np.asarray(pred_labels), np.asarray(groups)
+    rate0, rate1 = (_positive_rate(pred_labels, groups == g, f"group {g}") for g in (0, 1))
+    return abs(rate1 - rate0)
 
 
 def equalized_odds(pred_labels, true_labels, groups) -> float:
     """Mean of the absolute TPR and FPR gaps between the two groups; every
     (group, label) cell must be nonempty."""
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
-    groups = np.asarray(groups)
-    rates = np.empty((2, 2))  # positive prediction rate per [group, label]
-    for g in (0, 1):
-        for y in (0, 1):
-            cell = (groups == g) & (true_labels == y)
-            if not cell.any():
-                raise ValueError(f"empty (group={g}, label={y}) cell")
-            rates[g, y] = pred_labels[cell].mean()
+    pred_labels, true_labels, groups = map(np.asarray, (pred_labels, true_labels, groups))
+    rates = np.array([[_positive_rate(pred_labels, (groups == g) & (true_labels == y),
+                                      f"(group={g}, label={y}) cell") for y in (0, 1)]
+                      for g in (0, 1)])  # positive prediction rate per [group, label]
     return float(np.abs(rates[1] - rates[0]).mean())
 
 
@@ -59,19 +55,14 @@ def prediction_consistency(clf: Classifier, matrix) -> float:
     return float((labels == labels_flipped).mean())
 
 
-def entropy_index(benefits) -> float:
-    """Generalized entropy of a nonnegative benefit vector (alpha = 2)."""
-    benefits = np.asarray(benefits, dtype=float)
+def generalized_entropy(pred_labels, true_labels) -> float:
+    """Generalized entropy index (alpha = 2) of the per-sample benefits
+    pred - true + 1; 0 when every benefit is 0."""
+    benefits = np.asarray(pred_labels) - np.asarray(true_labels) + 1.0
     mu = benefits.mean()
     if mu == 0.0:
         return 0.0
     return float(((benefits / mu) ** 2 - 1.0).sum() / (2.0 * len(benefits)))
-
-
-def generalized_entropy(pred_labels, true_labels) -> float:
-    """Entropy index over per-sample benefits pred - true + 1."""
-    benefits = np.asarray(pred_labels) - np.asarray(true_labels) + 1.0
-    return entropy_index(benefits)
 
 
 def accuracy(scores, true_labels) -> float:
@@ -167,6 +158,6 @@ def evaluate_classifier(clf: Classifier, d: Dataset) -> EvaluationResult:
         ge=generalized_entropy(labels, d.labels),
         n_privileged=int((d.groups == 1).sum()),
         n_protected=int((d.groups == 0).sum()),
-        pos_rate_privileged=float(labels[d.groups == 1].mean()) if (d.groups == 1).any() else float("nan"),
-        pos_rate_protected=float(labels[d.groups == 0].mean()) if (d.groups == 0).any() else float("nan"),
+        pos_rate_privileged=_or_nan(_positive_rate, labels, d.groups == 1, "group 1"),
+        pos_rate_protected=_or_nan(_positive_rate, labels, d.groups == 0, "group 0"),
     )

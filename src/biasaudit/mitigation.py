@@ -14,6 +14,7 @@ Plans are columns: the removed indices, or the synthetic rows as one
 
 from __future__ import annotations
 
+import csv
 import functools
 import warnings
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attribution import Estimate, _check_rows
-from .data import Dataset, _frozen
+from .data import Dataset
 from .similarity import Proximity
 
 
@@ -96,7 +97,7 @@ def plan_removal(d: Dataset, b: Estimate, k: int, tie_label: int | None = None) 
     _check_rows(d, b)
     label, group = select_edit_subgroup(d, "removal", tie_label)
     candidates = np.nonzero((d.labels == label) & (d.groups == group))[0]
-    scores = np.where(b.defined, b.values, 0.0)[candidates]
+    scores = b.filled[candidates]
     order = np.lexsort((candidates, -scores))
     if k > len(candidates):
         warnings.warn(
@@ -117,8 +118,8 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
     lam = np.asarray(lams, dtype=float).reshape(-1, 1)
     numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
     categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])
-    return replace(d, **_frozen(numericals=numericals, categoricals=categoricals,
-                                labels=d.labels[seeds], groups=d.groups[seeds]))
+    return replace(d, numericals=numericals, categoricals=categoricals,
+                   labels=d.labels[seeds], groups=d.groups[seeds])
 
 
 def synthesize_fair_samples(
@@ -151,7 +152,7 @@ def synthesize_fair_samples(
     pool = np.flatnonzero(same_cell)
     if len(pool) == 0:
         raise ValueError("augmentation candidate pool is empty")
-    weights = 1.0 - np.where(b.defined, b.values, 0.0)[pool]
+    weights = 1.0 - b.filled[pool]
     if weights.sum() <= 0.0:
         raise ValueError("all candidate weights are zero")
 
@@ -203,34 +204,39 @@ def apply_plan(d: Dataset, plan) -> Dataset:
         if provenance.size and (provenance.min() < 0 or provenance.max() >= d.n):
             raise IndexError("synthetic sample provenance index out of range")
         r = plan.rows
-        return replace(d, **_frozen(numericals=np.vstack([d.numericals, r.numericals]),
-                                    categoricals=np.vstack([d.categoricals, r.categoricals]),
-                                    labels=np.concatenate([d.labels, r.labels]),
-                                    groups=np.concatenate([d.groups, r.groups])))
+        return replace(d, numericals=np.vstack([d.numericals, r.numericals]),
+                       categoricals=np.vstack([d.categoricals, r.categoricals]),
+                       labels=np.concatenate([d.labels, r.labels]),
+                       groups=np.concatenate([d.groups, r.groups]))
     raise TypeError(f"unknown plan type {type(plan).__name__}")
 
 
 def write_plan(plan, path) -> None:
     """Serialize a plan: index list for removal, full rows plus provenance for augmentation.
 
-    The synthetic rows carry their schema and category tokens.
+    The synthetic rows carry their schema and category tokens, quoted as
+    `save_dataset` quotes them.
     """
     if isinstance(plan, RemovalPlan):
-        header = f"removal plan\tbudget={plan.budget}"
-        table, fmt = np.asarray(plan.indices, dtype=int).reshape(-1, 1), ["%d"]
+        header = [[f"removal plan\tbudget={plan.budget}"]]
+        table, fmt = np.asarray(plan.indices, dtype=int).reshape(-1, 1), ["{:d}"]
     elif isinstance(plan, AugmentationPlan):
         r = plan.rows
-        cols = [*r.schema.numerical_names, *r.schema.categorical_names,
-                r.schema.group_name, r.schema.label_name, "seed", "target", "lambda"]
-        header = (f"augmentation plan\tbudget={len(plan.seeds)}\tneighbors={plan.n_neighbors}\n"
-                  + ",".join(cols))
+        header = [[f"augmentation plan\tbudget={len(plan.seeds)}\tneighbors={plan.n_neighbors}"],
+                  [*r.schema.numerical_names, *r.schema.categorical_names,
+                   r.schema.group_name, r.schema.label_name, "seed", "target", "lambda"]]
         table = np.hstack([
             r.numericals.astype(object),
             r.decode_categoricals(),
             np.column_stack([r.groups, r.labels, plan.seeds, plan.targets]).astype(object),
             plan.lams.reshape(-1, 1).astype(object),
         ])
-        fmt = ["%.6f"] * r.n_numerical + ["%s"] * (r.n_categorical + 4) + ["%.6f"]
+        fmt = ["{:.6f}"] * r.n_numerical + ["{}"] * (r.n_categorical + 4) + ["{:.6f}"]
     else:
         raise TypeError(f"unknown plan type {type(plan).__name__}")
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for line in header:  # comment lines
+            fh.write("# ")
+            writer.writerow(line)
+        writer.writerows([f.format(v) for f, v in zip(fmt, row)] for row in table.tolist())

@@ -19,13 +19,18 @@ import numpy as np
 from .attribution import BIAS_THRESHOLD, Estimate
 from .data import Dataset, FeatureSchema
 
+_THRESHOLD = 0.5  # of the reference rule, as SynthConfig says
+
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings. The reference rule labels x positive where
+    `boundary_weights @ x >= 0.5`; under group bias the target group needs
+    `0.5 + group_shift`."""
+
     n_per_group: int = 500
     dim: int = 2
     boundary_weights: tuple = (1.0, 0.0)
-    boundary_threshold: float = 0.5
     group_shift: float = 0.2
     flip_rate: float = 0.10
     seed: int = 0
@@ -38,7 +43,7 @@ class SynthConfig:
 
 
 def _rule_labels(features, cfg: SynthConfig):
-    return (features @ np.asarray(cfg.boundary_weights) >= cfg.boundary_threshold).astype(int)
+    return (features @ np.asarray(cfg.boundary_weights) >= _THRESHOLD).astype(int)
 
 
 def generate_base(cfg: SynthConfig) -> Dataset:
@@ -67,12 +72,12 @@ def inject_group_bias(d: Dataset, cfg: SynthConfig):
     """Relabel the target group with a shifted threshold; mark rule deviations.
 
     Returns (dataset, truth). Target-group samples with boundary margin
-    in [threshold, threshold + shift) lose their positive label and are
+    in [0.5, 0.5 + group_shift) lose their positive label and are
     marked biased; the reference group is untouched.
     """
     margin = d.numericals @ np.asarray(cfg.boundary_weights)
     target = d.groups == 0
-    shifted = (margin >= cfg.boundary_threshold + cfg.group_shift).astype(int)
+    shifted = (margin >= _THRESHOLD + cfg.group_shift).astype(int)
     labels = np.where(target, shifted, d.labels)
     truth = target & (labels != _rule_labels(d.numericals, cfg))
     return replace(d, labels=labels), truth
@@ -107,7 +112,7 @@ def detection_accuracy(b: Estimate, truth, groups) -> float:
     """
     truth = np.asarray(truth, dtype=bool)
     mask = np.asarray(groups) == 0
-    flagged = b.defined & (np.where(b.defined, b.values, 0.0) > BIAS_THRESHOLD)
+    flagged = b.filled > BIAS_THRESHOLD
     return float((flagged[mask] == truth[mask]).mean())
 
 

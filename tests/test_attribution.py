@@ -239,6 +239,10 @@ class TestContributions:
         top = bias_contributions(self.d, self.q, self.c, 0, 50)
         assert len(top) == 2
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be non-negative"):
+            bias_contributions(self.d, self.q, self.c, 0, -1)
+
     def test_k_truncates(self):
         top = bias_contributions(self.d, self.q, self.c, 0, 1)
         assert [e.index for e in top] == [1]

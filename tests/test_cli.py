@@ -88,6 +88,15 @@ class TestAttribute:
                      "--schema", schema_path, "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_empty_input_file_exits_one_without_output(self, tmp_path, capsys):
+        data_path, schema_path = write_csv(tmp_path, "")
+        out = tmp_path / "out"
+        code = main(["attribute", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out)])
+        assert code == 1
+        assert "empty file" in capsys.readouterr().err
+        assert not (out / "bias_report.txt").exists()
+
     def test_non_finite_cell_exits_one_without_output(self, tmp_path, capsys):
         data_path, schema_path = write_csv(
             tmp_path, "x,s,y\n0.0,0,1\nnan,0,0\n0.05,1,1\n0.06,1,0\n")

@@ -7,7 +7,6 @@ from biasaudit.metrics import (
     accuracy,
     average_precision,
     demographic_parity,
-    entropy_index,
     equalized_odds,
     evaluate_classifier,
     generalized_entropy,
@@ -138,15 +137,13 @@ class TestGeneralizedEntropy:
         true = np.array([1, 0])
         assert generalized_entropy(pred, true) == pytest.approx(0.5, abs=1e-15)
 
-    def test_scale_invariance(self):
-        benefits = np.array([1.0, 2.0, 0.5, 1.5])
-        assert entropy_index(benefits) == pytest.approx(entropy_index(7.3 * benefits))
-
     def test_equal_benefits_zero(self):
-        assert entropy_index(np.full(5, 2.0)) == 0.0
+        # every benefit 2: each prediction one above its label
+        assert generalized_entropy(np.ones(5), np.zeros(5)) == 0.0
 
     def test_all_zero_benefits_defined_as_zero(self):
-        assert entropy_index(np.zeros(4)) == 0.0
+        # every benefit 0: each prediction one below its label
+        assert generalized_entropy(np.zeros(4), np.ones(4)) == 0.0
 
 
 class TestUtilityMetrics:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,6 +8,7 @@ from biasaudit.attribution import Estimate, attribute
 from biasaudit.comparability import ComparabilityConfig
 from biasaudit.data import apply_normalization, fit_normalization, stratified_split
 from biasaudit.mitigation import (
+    AugmentationPlan,
     ClassBalanceTieError,
     RemovalPlan,
     apply_plan,
@@ -267,6 +270,19 @@ class TestApplyPlan:
         assert np.allclose(out.numericals[20:], plan.rows.numericals)
         assert np.array_equal(out.labels[20:], plan.rows.labels)
 
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            RemovalPlan(indices=(3, 1, 3), budget=3)
+
+    @pytest.mark.parametrize("act", [lambda d, plan, path: apply_plan(d, plan),
+                                     lambda d, plan, path: write_plan(plan, path)],
+                             ids=["apply_plan", "write_plan"])
+    def test_unknown_plan_type_rejected(self, act, tmp_path):
+        d = random_dataset(np.random.default_rng(7), 5)
+        with pytest.raises(TypeError, match="unknown plan type tuple"):
+            act(d, (3, 1), tmp_path / "plan.txt")
+        assert not (tmp_path / "plan.txt").exists()
+
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(7)
         d = random_dataset(rng, 5)
@@ -327,6 +343,20 @@ class TestPlanSerialization:
         assert len(rows) == 2
         # numericals, categorical tokens, group, label, seed, target, lambda
         assert len(rows[0]) == 2 + 2 + 2 + 3
+
+    def test_tokens_that_need_quoting_keep_their_row(self, tmp_path):
+        # A token with a comma or a quote is quoted as save_dataset quotes it,
+        # so every row reads back at the header's width with its tokens intact.
+        rows = make_dataset([0.25, 0.75], [[0], [1]], [1, 1], [0, 0], levels=(("a,b", 'c"d'),))
+        plan = AugmentationPlan(rows, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.25]), 5)
+        path = tmp_path / "plan.txt"
+        write_plan(plan, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            title, header, *table = csv.reader(fh)
+        assert title == ["# augmentation plan\tbudget=2\tneighbors=5"]
+        assert header == ["# x0", "c0", "s", "y", "seed", "target", "lambda"]
+        assert table == [["0.250000", "a,b", "0", "1", "0", "1", "0.500000"],
+                         ["0.750000", 'c"d', "0", "1", "1", "0", "0.250000"]]
 
 
 def test_full_pipeline_plans_from_attribution():

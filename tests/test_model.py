@@ -123,6 +123,13 @@ class TestPredict:
         _, labels = predict(clf, X)
         assert (labels == y).mean() > 0.9
 
+    @pytest.mark.parametrize("weights, intercept", [
+        ([1.0, np.nan], 0.0), ([np.inf, 0.0], 0.0), ([1.0, 0.0], np.nan)],
+        ids=["nan-weight", "inf-weight", "nan-intercept"])
+    def test_non_finite_parameters_rejected(self, weights, intercept):
+        with pytest.raises(ValueError, match="must be finite"):
+            Classifier(weights=np.array(weights), intercept=intercept)
+
     def test_dimension_mismatch_rejected(self):
         clf = Classifier(weights=np.zeros(3), intercept=0.0)
         with pytest.raises(ValueError, match="feature count"):

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparability_graph
-from .data import Dataset, _freeze
+from .data import Dataset, _freeze, _sample_indices
 from .similarity import (
     Proximity,
     _row_blocks,
@@ -105,10 +105,8 @@ class BiasReport:
     similarity: Proximity = field(repr=False)
 
     def explanations(self, i: int) -> tuple:
-        """Sample i's top-k explanations; empty when its bias is undefined.
-        An index outside the report is an IndexError."""
-        if not 0 <= i < len(self.groups):
-            raise IndexError(f"sample index {i} out of range for {len(self.groups)} samples")
+        """Sample i's top-k explanations, empty if its bias is undefined; bad i: IndexError."""
+        i = int(_sample_indices(i, len(self.groups)))
         lo, hi = np.searchsorted(self.explained[0], [i, i + 1])
         return tuple(map(Explanation, *_explanation_lists(
             self.explained, self.credibility.values, lo, hi)))
@@ -224,11 +222,9 @@ def bias_contributions(
     c_j * Q[i, j]; over the full contributor list the shares sum to b_i
     exactly. Ties are broken by ascending sample index, and k beyond the
     contributor count returns the full list; a negative k is a ValueError,
-    an i outside [0, n) an IndexError. This is the one-row call of the kernel
-    that `attribute` runs over all samples at once.
+    an i that `_sample_indices` refuses an IndexError. This is the one-row call
+    of the kernel that `attribute` runs over all samples at once.
     """
-    if not 0 <= i < d.n:
-        raise IndexError(f"sample index {i} out of range for {d.n} samples")
     defined, columns = _explanations(d, q, c, [i], k)
     if not len(defined):
         raise UndefinedBiasError("no comparable other-group evidence")

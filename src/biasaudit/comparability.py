@@ -88,6 +88,11 @@ def is_comparable(num_a, cat_a, num_b, cat_b, cfg: ComparabilityConfig) -> bool:
 _BLOCK_ENTRIES = 2**17  # entries per block on the sparse path: pairs tested, rows of Q read
 
 
+def _padded_rows(widths, budget) -> int:
+    """How many leading rows of ascending `widths` fit `budget` as rows x widest, at least 1."""
+    return max(1, int(np.searchsorted(widths * np.arange(1, len(widths) + 1), budget, "right")))
+
+
 def _check_normalized(numericals):
     if numericals.size and (numericals.min() < -1e-12 or numericals.max() > 1 + 1e-12):
         raise ValueError("numerical features must be normalized to [0, 1] first")
@@ -104,9 +109,7 @@ def _sweep(ends, num, cat, cfg: ComparabilityConfig):
     counts = np.empty(size, dtype=np.min_scalar_type(n_d))  # differing features
     start = 0
     while start < n:
-        rows = np.arange(1, min(most_rows, n - start) + 1)
-        entries = rows * (ends[start:start + len(rows)] - start)
-        stop = start + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
+        stop = start + _padded_rows(ends[start:start + most_rows] - start, _BLOCK_ENTRIES)
         hi = int(ends[stop - 1])
         shape = (stop - start, hi - start)
         ok, test, gap = (b[:shape[0] * shape[1]].reshape(shape) for b in bufs)

@@ -74,6 +74,17 @@ def _freeze(obj, name, dtype=float):
     return value
 
 
+def _sample_indices(idx, n, what="sample index") -> np.ndarray:
+    """`idx`, any shape, as ints; its first bool, float or int outside [0, n) is an IndexError."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexError(f"{what} {idx.flat[0]} is a {idx.dtype}, not an integer")
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise IndexError(f"{what} {outside[0]} out of range for {n} samples")
+    return idx.astype(int, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable sample table: normalized numericals, coded categoricals, binary label/group.
@@ -134,8 +145,8 @@ class Dataset:
         return self.categoricals.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Row subset in the given index order (duplicates allowed)."""
-        idx = np.asarray(indices, dtype=int)
+        """Row subset in the given index order (duplicates allowed), by `_sample_indices`."""
+        idx = _sample_indices(indices, self.n)
         return replace(self, numericals=self.numericals[idx], categoricals=self.categoricals[idx],
                        labels=self.labels[idx], groups=self.groups[idx])
 

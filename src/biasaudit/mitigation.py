@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attribution import Estimate, _check_rows
-from .data import Dataset
+from .data import Dataset, _sample_indices
 from .similarity import Proximity
 
 
@@ -150,21 +150,21 @@ def synthesize_fair_samples(
     label, group = select_edit_subgroup(d, "augmentation", tie_label)
     same_cell = (d.labels == label) & (d.groups == group)
     pool = np.flatnonzero(same_cell)
-    if len(pool) == 0:
-        raise ValueError("augmentation candidate pool is empty")
     weights = 1.0 - b.filled[pool]
-    if weights.sum() <= 0.0:
-        raise ValueError("all candidate weights are zero")
 
     @functools.cache
     def neighbor_pool(seed_idx):
         return q.nearest(seed_idx, same_cell, n_nb)
 
-    if not any(w > 0 and len(neighbor_pool(s)) for s, w in zip(pool.tolist(), weights)):
-        raise ValueError("no candidate has a comparable same-group neighbor")
+    if m:  # what a draw needs; m = 0 makes none
+        if len(pool) == 0:
+            raise ValueError("augmentation candidate pool is empty")
+        if weights.sum() <= 0.0:
+            raise ValueError("all candidate weights are zero")
+        if not any(w > 0 and len(neighbor_pool(s)) for s, w in zip(pool.tolist(), weights)):
+            raise ValueError("no candidate has a comparable same-group neighbor")
 
     rng = np.random.default_rng(rng_seed)
-    prob = weights / weights.sum()
     seeds, targets, lams = [], [], []
     take_seed = np.zeros((m, d.n_categorical), dtype=bool)
     attempts = 0
@@ -173,7 +173,7 @@ def synthesize_fair_samples(
         if attempts > max(1000, 100 * m):
             raise ValueError(f"seed resampling did not terminate: {len(seeds)} of {m} "
                              f"samples made in {attempts - 1} draws")
-        seed_idx = int(rng.choice(pool, p=prob))
+        seed_idx = int(rng.choice(pool, p=weights / weights.sum()))
         nbrs = neighbor_pool(seed_idx)
         if len(nbrs) == 0:
             warnings.warn(
@@ -191,18 +191,12 @@ def synthesize_fair_samples(
 
 
 def apply_plan(d: Dataset, plan) -> Dataset:
-    """Apply a removal (delete rows, keep order) or augmentation (append rows)."""
+    """Delete a removal's rows (order kept) or append an augmentation's; bad index: IndexError."""
     if isinstance(plan, RemovalPlan):
-        idx = np.asarray(plan.indices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= d.n):
-            raise IndexError("removal index out of range")
-        keep = np.ones(d.n, dtype=bool)
-        keep[idx] = False
-        return d.subset(np.nonzero(keep)[0])
+        return d.subset(np.delete(np.arange(d.n),
+                                  _sample_indices(plan.indices, d.n, "removal index")))
     if isinstance(plan, AugmentationPlan):
-        provenance = np.concatenate([plan.seeds, plan.targets])
-        if provenance.size and (provenance.min() < 0 or provenance.max() >= d.n):
-            raise IndexError("synthetic sample provenance index out of range")
+        _sample_indices(np.concatenate([plan.seeds, plan.targets]), d.n, "provenance index")
         r = plan.rows
         return replace(d, numericals=np.vstack([d.numericals, r.numericals]),
                        categoricals=np.vstack([d.categoricals, r.categoricals]),

@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .comparability import _BLOCK_ENTRIES, ComparabilityGraph
+from .comparability import _BLOCK_ENTRIES, ComparabilityGraph, _padded_rows
+from .data import _sample_indices
 
 _TOL = 1e-14  # largest relative fixed-point update
 _W_BLOCK = 65536 // 8  # entries: a block's repeated s_i stays under glibc's 128 KiB mmap threshold
@@ -187,24 +188,16 @@ class Proximity:
     def rows(self, idx) -> np.ndarray:
         """Rows Q[idx] as a dense (len(idx), n) array, a solved row accurate in every
         entry. A non-integer index or one outside [0, n) is an IndexError."""
-        idx = np.asarray(idx)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise IndexError(f"sample indices must be integers, not {idx.dtype}")
-        idx = idx.astype(int, copy=False)
-        outside = idx[(idx < 0) | (idx >= self.n)]
-        if len(outside):
-            raise IndexError(f"sample index {outside[0]} out of range for {self.n} samples")
-        return self._rows(idx)
+        return self._rows(_sample_indices(idx, self.n))
 
     def nearest(self, i: int, mask, k: int) -> np.ndarray:
         """The k columns j != i of the boolean `mask` (length n) with the largest
         Q[i, j] > 0, by Q descending, then index ascending, ranked on `_ranking`'s row
         (the walk's settled row if k covers every candidate). A negative k or a mask of
-        another length is a ValueError, k = 0 gives [], and an i outside [0, n) an IndexError."""
+        another length is a ValueError, k = 0 gives [], and a non-index i an IndexError."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range for {self.n} samples")
+        i = int(_sample_indices(i, self.n))
         if len(mask) != self.n:
             raise ValueError(f"mask over {len(mask)} rows does not match the {self.n} rows of Q")
         cand = np.flatnonzero(mask)
@@ -219,7 +212,7 @@ class Proximity:
         ascending within a row. A block has at least one row and one column and
         at most a quarter of `_BLOCK_ENTRIES` entries, as its reader holds about
         a dozen temporaries of its size."""
-        return self._blocks(np.asarray(first, dtype=bool), np.asarray(rows, dtype=int),
+        return self._blocks(np.asarray(first, dtype=bool), _sample_indices(rows, self.n),
                             _BLOCK_ENTRIES // 4)
 
 
@@ -338,10 +331,8 @@ class StoredProximity(Proximity):
         rows, counts = rows[by_width], counts[by_width]
         start = 0
         while start < len(rows):
-            width = counts[start:start + max(budget, 1)]  # ascending: the last is widest
-            entries = width * np.arange(1, len(width) + 1)
-            stop = max(1, int(np.searchsorted(entries, budget, side="right")))
-            r, width, start = rows[start:start + stop], width[:stop], start + stop
+            stop = _padded_rows(counts[start:start + max(budget, 1)], budget)  # each 1 or wider
+            r, width, start = rows[start:start + stop], counts[start:start + stop], start + stop
             block = self.matrix[r]
             at = np.repeat(np.arange(len(r)), width)  # position within r
             pos = np.arange(block.nnz) - block.indptr[at]  # position within the row

@@ -351,6 +351,22 @@ class TestAttributeEndToEnd:
             with pytest.raises(IndexError, match=f"sample index {i} out of range for 200"):
                 report.explanations(i)
 
+    def test_a_bool_or_float_index_is_no_sample(self):
+        # a float is not read as a nearby row, nor True as row 1; a numpy
+        # signed or unsigned int reads as the Python int
+        cfg = SynthConfig(n_per_group=100, seed=3)
+        d = inject_individual_bias(generate_base(cfg), cfg)[0]
+        report = attribute(d, ComparabilityConfig(0.1, 2), top_k=3)
+        q, c = report.similarity, report.credibility
+        for bad in (1.5, 1.9, True, np.float64(2.0)):
+            with pytest.raises(IndexError, match=f"sample index {bad} is a"):
+                report.explanations(bad)
+            with pytest.raises(IndexError, match=f"sample index {bad} is a"):
+                bias_contributions(d, q, c, bad, 3)
+        for i in (np.int32(7), np.uint8(7), np.uint64(7)):
+            assert report.explanations(i) == report.explanations(7)
+            assert bias_contributions(d, q, c, i, 3) == bias_contributions(d, q, c, 7, 3)
+
     def test_contributions_of_an_index_outside_n_raise(self):
         # Under the walk and the adjacency bypass alike, -1 does not wrap to
         # the last row and n is not left to numpy's bare IndexError.
@@ -682,6 +698,25 @@ class TestBatchedKernel:
         for got, want in zip((defined, *blocked), (whole_defined, *whole)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert singles == whole_singles
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.8]))
+    def test_walk_blocks_change_nothing(self, n, seed, damping):
+        # the cross block read one row at a time (a budget of one entry for
+        # every other-group column) against one unbounded block
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, n, n_num=1, n_cat=1)
+        q = WalkProximity(symmetric_normalize(build_comparability_graph(
+            d, ComparabilityConfig(0.5, 1))), damping)
+        c = estimate_of(rng.choice([0.0, 0.5, 1.0], size=n), rng.random(n) < 0.8)
+        rows = np.flatnonzero(rng.random(n) < 0.8)
+        k = int(rng.integers(1, n + 1))
+        with mock.patch.object(similarity_module, "_BLOCK_ENTRIES", 2**62):
+            whole_defined, whole = _explanations(d, q, c, rows, k)
+        with mock.patch.object(similarity_module, "_BLOCK_ENTRIES", 4):  # budget 1
+            defined, blocked = _explanations(d, q, c, rows, k)
+        for got, want in zip((defined, *blocked), (whole_defined, *whole)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_csr_explanations_heap_does_not_grow_with_nnz(self):
         # 1,000 rows with 4x the stored entries: the row blocks bound the

@@ -287,6 +287,39 @@ class TestMitigate:
         assert (out / "plan.txt").exists()
         assert (out / "edited_dataset.csv").exists()
 
+    def test_zero_budget_aug_needs_no_neighbor(self, synth_inputs, tmp_path, capsys):
+        # At t_r 1e-4 no training row has a comparable neighbour, and a budget
+        # of 0 draws no seed that would need one; a class tie still exits 4.
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", "0", "--tr", "0.0001"])
+        assert code == 0
+        assert (out / "metrics_before.txt").read_text() == (out / "metrics_after.txt").read_text()
+        assert len((out / "plan.txt").read_text().splitlines()) == 2  # the two comment lines
+        tie_path, tie_schema = write_csv(tmp_path, "x,s,y\n" + "".join(
+            f"{i / 10:.2f},{i % 2},{1 if i < 5 else 0}\n" for i in range(10)), name="tie")
+        with pytest.warns(UserWarning):
+            code = main(["mitigate", "--input", tie_path, "--schema", tie_schema,
+                         "--out", str(tmp_path / "tie"), "--strategy", "aug", "--budget", "0",
+                         "--tr", "1.0"])
+        assert code == 4
+        assert not (tmp_path / "tie").exists()
+
+    def test_aug_at_damping_zero_exits_one_without_output(self, synth_inputs, tmp_path, capsys):
+        # Q = I: every bias is undefined, so every seed weighs alike, but no
+        # seed has a mixup target
+        data_path, schema_path, _, _ = synth_inputs
+        out = tmp_path / "out"
+        code = main(["mitigate", "--input", data_path, "--schema", schema_path,
+                     "--out", str(out), "--strategy", "aug", "--budget", "20",
+                     "--damping", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "all bias entries are undefined" in err
+        assert err.endswith("error: no candidate has a comparable same-group neighbor\n")
+        assert not out.exists()
+
     def test_all_undefined_bias_warns_and_still_plans(self, synth_inputs, tmp_path, capsys):
         # At damping 0, Q = I holds no other-group evidence, so every bias is
         # undefined; the plan then removes by index alone, and says so.

@@ -232,6 +232,18 @@ class TestBuildGraph:
         assert g.degree[0] == 1 and g.degree[2] == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=30).map(sorted), st.integers(0, 200))
+def test_padded_rows_takes_the_most_leading_rows_that_fit(widths, budget):
+    # The block cut of the graph sweep and of a stored Q's explanation blocks:
+    # r rows padded to the widest of them fit when r x widths[r - 1] <= budget,
+    # and a block has at least one row, however wide.
+    fit = [r for r in range(1, len(widths) + 1) if r * widths[r - 1] <= budget]
+    got = comparability._padded_rows(np.array(widths), budget)
+    assert type(got) is int
+    assert got == max(fit, default=1)
+
+
 def test_graph_reads_its_size_and_degrees_from_the_csr():
     # n is the CSR's shape and each degree its row's stored entries; they
     # cannot be passed beside it.

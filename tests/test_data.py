@@ -660,6 +660,26 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError, match="levels"):
             Dataset(schema, [[0.5]], [[0, 0]], [1], [0], category_levels=(("a",),))
 
+    @pytest.mark.parametrize("indices, bad", [
+        ([1.5], "1.5 is a float64"), ([0, -1], "-1 out of range"), ([True], "True is a bool"),
+        (np.array([2, 3]), "3 out of range"), (np.array([2.0]), "2.0 is a float64"),
+    ], ids=["float", "negative", "bool", "n", "whole-float"])
+    def test_subset_refuses_what_is_not_a_sample_index(self, indices, bad):
+        # 1.5 is not truncated to row 1, -1 does not wrap to the last row and
+        # True is not row 1: the first bad index is named
+        d = make_dataset([0.1, 0.2, 0.3], [], [0, 1, 0], [1, 0, 1])
+        with pytest.raises(IndexError, match=f"^sample index {bad}"):
+            d.subset(indices)
+
+    @pytest.mark.parametrize("indices", [
+        [2, 0], (2, 0), range(2, -1, -2), np.array([2, 0], dtype=np.int32),
+        np.array([2, 0], dtype=np.uint8), np.array([2, 0], dtype=np.uint64),
+        [np.int64(2), np.int64(0)], [], np.array([], dtype=np.uint16),
+    ])
+    def test_subset_takes_integer_indices_of_any_width(self, indices):
+        d = make_dataset([0.1, 0.2, 0.3], [], [0, 1, 0], [1, 0, 1])
+        assert d.subset(indices).numericals[:, 0].tolist() == [0.3, 0.1][:len(indices)]
+
     def test_subset_keeps_levels(self):
         d = make_dataset([0.1, 0.2, 0.3], [[0], [1], [2]], [0, 1, 0], [1, 0, 1],
                          levels=(("p", "q", "r"),))

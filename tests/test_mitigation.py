@@ -198,6 +198,33 @@ class TestSynthesizeFairSamples:
         assert plan.rows.n == 0 and plan.seeds.size == 0
         assert same_dataset(apply_plan(d, plan), d)
 
+    @pytest.mark.parametrize("case, message", [
+        ("zero-weights", "all candidate weights are zero"),
+        ("no-neighbors", "no candidate has a comparable same-group neighbor"),
+        ("no-pool", "augmentation candidate pool is empty"),
+    ], ids=["zero-weights", "no-neighbors", "no-pool"])
+    def test_zero_budget_needs_no_seed(self, case, message):
+        # m = 0 draws nothing, so it asks nothing of the pool: the empty plan,
+        # where m = 1 raises
+        d, q, b = mixup_fixture()
+        if case == "zero-weights":
+            b = Estimate(np.ones(d.n))
+        elif case == "no-neighbors":
+            q = StoredProximity(sparse.identity(d.n, format="csr"))
+        else:  # the augmentation cell, (label 1, group 0), holds no row
+            d = make_dataset(np.linspace(0, 1, 6), [], [1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 1, 0])
+            b, q = Estimate(np.zeros(6)), StoredProximity(sparse.identity(6, format="csr"))
+        with pytest.raises(ValueError, match=message):
+            synthesize_fair_samples(d, b, q, m=1)
+        plan = synthesize_fair_samples(d, b, q, m=0)
+        assert plan.rows.n == 0 and plan.seeds.size == plan.targets.size == 0
+        assert same_dataset(apply_plan(d, plan), d)
+
+    def test_zero_budget_class_tie_still_raises(self):
+        with pytest.raises(ClassBalanceTieError):
+            synthesize_fair_samples(labeled_dataset(0.5), Estimate(np.zeros(10)),
+                                    StoredProximity(sparse.identity(10, format="csr")), m=0)
+
     def test_negative_budget_rejected(self):
         d, q, b = mixup_fixture()
         with pytest.raises(ValueError, match="budget must be non-negative"):
@@ -288,6 +315,24 @@ class TestApplyPlan:
         d = random_dataset(rng, 5)
         with pytest.raises(IndexError):
             apply_plan(d, RemovalPlan(indices=(9,), budget=1))
+
+    @pytest.mark.parametrize("indices, bad", [
+        ((1.5,), "1.5 is a float64"), ((True,), "True is a bool"), ((2, -1), "-1 out of range"),
+        ((5,), "5 out of range"),
+    ], ids=["float", "bool", "negative", "n"])
+    def test_a_removal_index_that_is_no_row_rejected(self, indices, bad):
+        # 1.5 and True do not delete row 1, nor -1 the last row
+        d = random_dataset(np.random.default_rng(7), 5)
+        with pytest.raises(IndexError, match=f"^removal index {bad}"):
+            apply_plan(d, RemovalPlan(indices=indices, budget=1))
+
+    def test_removal_takes_integer_indices_of_any_width(self):
+        d = random_dataset(np.random.default_rng(7), 5)
+        kept = apply_plan(d, RemovalPlan(indices=(3, 1), budget=2))
+        assert same_dataset(kept, d.subset([0, 2, 4]))
+        for indices in ((np.uint8(3), np.uint8(1)), (np.int32(3), np.int32(1))):
+            assert same_dataset(apply_plan(d, RemovalPlan(indices=indices, budget=2)), kept)
+        assert same_dataset(apply_plan(d, RemovalPlan(indices=(), budget=0)), d)
 
     def test_augmentation_provenance_out_of_range_rejected(self):
         d, q, b = mixup_fixture(n=20)

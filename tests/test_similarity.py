@@ -593,6 +593,19 @@ class TestProximityOperator:
                 with pytest.raises(ValueError, match="mask over"):
                     q.nearest(0, np.ones(m, dtype=bool), 3)
 
+    def test_nearest_refuses_a_bool_or_float_index(self):
+        # True is not row 1 and 1.9 is not truncated to row 1, under the walk
+        # and a stored CSR alike; numpy signed and unsigned ints are rows
+        d = generate_base(SynthConfig(n_per_group=100, seed=1))
+        g = build_comparability_graph(d, ComparabilityConfig(0.1, 2))
+        mask = np.ones(g.n, dtype=bool)
+        for q in (rwr_proximity(symmetric_normalize(g), damping=0.1), adjacency_similarity(g)):
+            for bad in (True, 1.9, np.float32(1.0)):
+                with pytest.raises(IndexError, match=f"sample index {bad} is a"):
+                    q.nearest(bad, mask, 3)
+            for i in (np.int16(1), np.uint32(1), np.uint64(1)):
+                assert q.nearest(i, mask, 3).tolist() == q.nearest(1, mask, 3).tolist()
+
     def test_rows_reject_an_index_outside_n(self):
         # Under the walk and a stored CSR alike, -1 does not wrap to the last
         # row and n does not reach numpy's own message: both name the index.

@@ -179,14 +179,15 @@ def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     return _cell_ratio(d, q, c.filled, flip=1)
 
 
-def _k_best_mask(key, k):
-    """Mask of each row's k smallest keys; ties go to the leftmost entries."""
-    if k == 0 or k >= key.shape[1]:
-        return np.full(key.shape, k > 0)
-    kth = np.partition(key, k - 1, axis=1)[:, k - 1, None]
-    below = key < kth
-    tie = key == kth
-    return below | (tie & (np.cumsum(tie, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+def _k_best(key, k):
+    """Row-major (rows, columns) of each row's k >= 1 smallest finite keys, ties leftmost."""
+    kth = np.partition(key, min(k, key.shape[1]) - 1, axis=1)[:, min(k, key.shape[1]) - 1]
+    ri, ci = np.nonzero((key <= kth[:, None]) & (key < np.inf))  # the candidates
+    tie = key[ri, ci] == kth[ri]
+    seen = np.cumsum(tie) - tie  # ties before each candidate, over all rows
+    room = k - np.bincount(ri[~tie], minlength=len(key))  # ties each row may take
+    take = ~tie | (seen - seen[np.searchsorted(ri, ri)] < room[ri])
+    return ri[take], ci[take]
 
 
 def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
@@ -203,9 +204,7 @@ def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):
         den = np.cumsum(w, axis=1)[:, -1:]  # in column order: the same bits for any storage
         share = np.divide(np.where(d.labels[col] != d.labels[r, None], w, 0.0), den,
                           out=np.zeros(w.shape), where=den > 0.0)
-        contributes = w > 0.0
-        ri, ci = np.nonzero(_k_best_mask(np.where(contributes, -share, np.inf), k)
-                            & contributes)
+        ri, ci = _k_best(np.where(w > 0.0, -share, np.inf), k) if k else ([], [])
         parts.append((r[den[:, 0] > 0.0], r[ri], np.broadcast_to(col, w.shape)[ri, ci],
                       share[ri, ci], sim[ri, ci]))
     defined, row, col, share, sim = (np.concatenate(f) for f in zip(*parts))

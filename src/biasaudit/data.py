@@ -75,12 +75,17 @@ def _freeze(obj, name, dtype=float):
 
 
 def _sample_indices(idx, n, what="sample index") -> np.ndarray:
-    """`idx`, any shape, as ints; its first bool, float or int outside [0, n) is an IndexError."""
+    """`idx`, any shape, as ints; its first bool (a list's too), float or, unless n is
+    None, int outside [0, n) is an IndexError."""
+    if not isinstance(idx, np.ndarray):  # the cast to an array would read a bool as 0 or 1
+        bools = [x for x in np.asarray(idx, dtype=object).flat if isinstance(x, (bool, np.bool_))]
+        if bools:
+            raise IndexError(f"{what} {bools[0]} is a bool, not an integer")
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
         raise IndexError(f"{what} {idx.flat[0]} is a {idx.dtype}, not an integer")
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
+    outside = idx[(idx < 0) | (idx >= n)] if n is not None else ()
+    if len(outside):
         raise IndexError(f"{what} {outside[0]} out of range for {n} samples")
     return idx.astype(int, copy=False)
 

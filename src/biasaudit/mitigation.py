@@ -36,6 +36,7 @@ class RemovalPlan:
     budget: int
 
     def __post_init__(self):
+        _sample_indices(self.indices, None, "removal index")  # apply_plan checks the range
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("removal indices must be unique")
 
@@ -113,8 +114,11 @@ def mix_rows(d: Dataset, seeds, targets, lams, take_seed) -> Dataset:
 
     Row r is lams[r] * seed + (1 - lams[r]) * target on the numericals
     and takes the seed's value of categorical f where take_seed[r, f]
-    holds, the target's otherwise. Label and group come from the seed.
+    holds, the target's otherwise. Label and group come from the seed. A seed
+    or target that `_sample_indices` refuses is an IndexError.
     """
+    seeds = _sample_indices(seeds, d.n, "seed index")
+    targets = _sample_indices(targets, d.n, "target index")
     lam = np.asarray(lams, dtype=float).reshape(-1, 1)
     numericals = lam * d.numericals[seeds] + (1.0 - lam) * d.numericals[targets]
     categoricals = np.where(take_seed, d.categoricals[seeds], d.categoricals[targets])

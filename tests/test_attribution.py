@@ -14,6 +14,7 @@ from biasaudit.attribution import (
     Explanation,
     UndefinedBiasError,
     _explanations,
+    _k_best,
     attribute,
     bias_contributions,
     estimate_bias,
@@ -530,6 +531,20 @@ grid_samples = st.lists(
 
 
 class TestBatchedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_k_best_matches_a_stable_sort_of_each_row(self, data):
+        # signed zeros tie, inf is no candidate, and k runs past the row width
+        width = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, np.inf]),
+                                           min_size=width, max_size=width), max_size=5))
+        k = data.draw(st.integers(1, width + 2))
+        key = np.array(rows).reshape(-1, width)
+        want = [(i, j) for i, row in enumerate(rows)
+                for j in sorted(sorted(range(width), key=row.__getitem__)[:k]) if row[j] < np.inf]
+        ri, ci = _k_best(key, k)
+        assert list(zip(ri.tolist(), ci.tolist())) == want
+
     @settings(max_examples=60, deadline=None)
     @given(grid_samples, st.sampled_from(["rwr", "adjacency"]), st.sampled_from([0.1, 0.5]))
     # a wide one-sided block under the walk at a high damping

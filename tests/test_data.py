@@ -663,10 +663,12 @@ class TestDatasetInvariants:
     @pytest.mark.parametrize("indices, bad", [
         ([1.5], "1.5 is a float64"), ([0, -1], "-1 out of range"), ([True], "True is a bool"),
         (np.array([2, 3]), "3 out of range"), (np.array([2.0]), "2.0 is a float64"),
-    ], ids=["float", "negative", "bool", "n", "whole-float"])
+        ([True, 2], "True is a bool"), ((2, np.True_), "True is a bool"),
+    ], ids=["float", "negative", "bool", "n", "whole-float", "bool-among-ints",
+            "numpy-bool-among-ints"])
     def test_subset_refuses_what_is_not_a_sample_index(self, indices, bad):
         # 1.5 is not truncated to row 1, -1 does not wrap to the last row and
-        # True is not row 1: the first bad index is named
+        # True, alone or among ints, is not row 1: the first bad index is named
         d = make_dataset([0.1, 0.2, 0.3], [], [0, 1, 0], [1, 0, 1])
         with pytest.raises(IndexError, match=f"^sample index {bad}"):
             d.subset(indices)

@@ -176,6 +176,16 @@ class TestSynthesizeFairSamples:
         num, _ = mix_one(d2, 0, 1, 0.25, rng)
         assert num[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("seeds, targets, bad", [
+        ([-1], [0], "seed index -1 out of range"), ([0], [40], "target index 40 out of range"),
+        ([1.5], [0], "seed index 1.5 is a float64"), ([0], [True], "target index True is a bool"),
+    ], ids=["negative-seed", "target-n", "float-seed", "bool-target"])
+    def test_mix_rows_refuses_what_is_not_a_sample_index(self, seeds, targets, bad):
+        # a seed of -1 does not mix the last row
+        d, _, _ = mixup_fixture()
+        with pytest.raises(IndexError, match=f"^{bad}"):
+            mix_rows(d, seeds, targets, [0.5], np.zeros((1, d.n_categorical), dtype=bool))
+
     def test_target_is_same_group_same_label(self):
         d, q, b = mixup_fixture()
         plan = synthesize_fair_samples(d, b, q, m=15, rng_seed=5)
@@ -316,15 +326,22 @@ class TestApplyPlan:
         with pytest.raises(IndexError):
             apply_plan(d, RemovalPlan(indices=(9,), budget=1))
 
-    @pytest.mark.parametrize("indices, bad", [
-        ((1.5,), "1.5 is a float64"), ((True,), "True is a bool"), ((2, -1), "-1 out of range"),
-        ((5,), "5 out of range"),
-    ], ids=["float", "bool", "negative", "n"])
-    def test_a_removal_index_that_is_no_row_rejected(self, indices, bad):
-        # 1.5 and True do not delete row 1, nor -1 the last row
+    @pytest.mark.parametrize("indices, bad, made", [
+        ((1.5,), "1.5 is a float64", True), ((True,), "True is a bool", True),
+        ((2, True), "True is a bool", True), ((2, -1), "-1 out of range", False),
+        ((5,), "5 out of range", False),
+    ], ids=["float", "bool", "bool-among-ints", "negative", "n"])
+    def test_a_removal_index_that_is_no_row_rejected(self, indices, bad, made):
+        # 1.5 and True do not delete row 1, nor -1 the last row; a non-integer is
+        # refused when the plan is made, so `write_plan` never writes 1.5 as row 1
         d = random_dataset(np.random.default_rng(7), 5)
-        with pytest.raises(IndexError, match=f"^removal index {bad}"):
-            apply_plan(d, RemovalPlan(indices=indices, budget=1))
+        if made:
+            with pytest.raises(IndexError, match=f"^removal index {bad}"):
+                RemovalPlan(indices=indices, budget=1)
+        else:
+            plan = RemovalPlan(indices=indices, budget=1)
+            with pytest.raises(IndexError, match=f"^removal index {bad}"):
+                apply_plan(d, plan)
 
     def test_removal_takes_integer_indices_of_any_width(self):
         d = random_dataset(np.random.default_rng(7), 5)

@@ -10,6 +10,11 @@ feature, which tests each pair once, in blocks of at most
 bound, a superset of its comparable rows; the exact predicate decides
 which pairs are edges. The pairs go straight into the CSR as int32 ids,
 so the build's peak memory follows the edges it finds.
+
+`scipy.sparse` is imported where a CSR is first checked or assembled, not at
+module level: scipy's import takes about as long as the rest of the package's,
+and a command that exits before building a graph (help, a usage or input
+error) then loads numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .data import Dataset
 
@@ -45,6 +49,8 @@ class ComparabilityGraph:
     adjacency: sparse.csr_matrix
 
     def __post_init__(self):
+        from scipy import sparse
+
         a = self.adjacency
         if not (sparse.issparse(a) and a.format == "csr" and a.shape[0] == a.shape[1]):
             raise ValueError("the adjacency must be a square CSR")
@@ -166,6 +172,8 @@ def build_comparability_graph(d: Dataset, cfg: ComparabilityConfig) -> Comparabi
     del pairs_i
     j = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=idx)
     del pairs_j
+    from scipy import sparse
+
     half = sparse.csr_matrix((np.ones(len(i), dtype=bool), (i, j)), shape=(n, n))
     del i, j
     return ComparabilityGraph(half + half.T.tocsr())

@@ -75,8 +75,8 @@ def _freeze(obj, name, dtype=float):
 
 
 def _sample_indices(idx, n, what="sample index") -> np.ndarray:
-    """`idx`, any shape, as ints; its first bool (a list's too), float or, unless n is
-    None, int outside [0, n) is an IndexError."""
+    """`idx`, any shape, as ints; its first bool (a list's too), float, negative or,
+    unless n is None, int from n up is an IndexError."""
     if not isinstance(idx, np.ndarray):  # the cast to an array would read a bool as 0 or 1
         bools = [x for x in np.asarray(idx, dtype=object).flat if isinstance(x, (bool, np.bool_))]
         if bools:
@@ -84,9 +84,10 @@ def _sample_indices(idx, n, what="sample index") -> np.ndarray:
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
         raise IndexError(f"{what} {idx.flat[0]} is a {idx.dtype}, not an integer")
-    outside = idx[(idx < 0) | (idx >= n)] if n is not None else ()
+    outside = idx[(idx < 0) | (idx >= n)] if n is not None else idx[idx < 0]
     if len(outside):
-        raise IndexError(f"{what} {outside[0]} out of range for {n} samples")
+        bound = "" if n is None else f" for {n} samples"
+        raise IndexError(f"{what} {outside[0]} out of range{bound}")
     return idx.astype(int, copy=False)
 
 

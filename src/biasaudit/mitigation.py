@@ -36,7 +36,7 @@ class RemovalPlan:
     budget: int
 
     def __post_init__(self):
-        _sample_indices(self.indices, None, "removal index")  # apply_plan checks the range
+        _sample_indices(self.indices, None, "removal index")  # apply_plan checks the upper bound
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("removal indices must be unique")
 

@@ -19,6 +19,9 @@ kept as the graph's boolean CSR and read in row blocks of bounded entries.
 `_walk` is the only fixed-point loop, and its entrywise rule the only stop
 rule; `nearest` ends it at the first step whose truncated series and a bound
 on the rest prove the top k (as in Wei et al., "TopPPR", SIGMOD 2018).
+
+scipy is imported where it is used, as in `comparability`: `scipy.sparse` to
+check a stored Q and to build W, `scipy.linalg` in the dense cross block only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .comparability import _BLOCK_ENTRIES, ComparabilityGraph, _padded_rows
 from .data import _sample_indices
@@ -293,6 +295,8 @@ class StoredProximity(Proximity):
     matrix: sparse.csr_matrix
 
     def __post_init__(self):
+        from scipy import sparse
+
         m = self.matrix
         if not (sparse.issparse(m) and m.format == "csr" and m.dtype in (bool, np.float64)
                 and m.has_canonical_format):
@@ -359,6 +363,8 @@ def symmetric_normalize(g: ComparabilityGraph) -> sparse.csr_matrix:
     # arrays would then stay resident
     for lo, hi in _row_blocks(a.indptr, _W_BLOCK):
         data[a.indptr[lo]:a.indptr[hi]] *= np.repeat(s[lo:hi], np.diff(a.indptr[lo:hi + 1]))
+    from scipy import sparse
+
     return sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 

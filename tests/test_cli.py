@@ -735,59 +735,51 @@ def test_console_entry_point(tmp_path):
     assert "attribute" in result.stdout and "mitigate" in result.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+_MAIN = "from biasaudit.cli import main; code = main([{}])"
+
+
+@pytest.mark.parametrize("run, exit_code, graph_built", [
+    ("import biasaudit", 0, False),
+    ("import biasaudit.cli", 0, False),
+    (_MAIN.format("'--help'"), 0, False),
+    (_MAIN.format("'attribute', '--input', data"), 2, False),  # --schema, --out missing
+    (_MAIN.format("'attribute', '--input', data, '--schema', missing_column, '--out', out"),
+     1, False),
+    (_MAIN.format("'attribute', '--input', data, '--schema', schema, '--out', out"), 0, True),
+], ids=["import", "import-cli", "help", "usage-error", "missing-column", "attribute"])
+def test_scipy_loads_only_with_the_first_graph(run, exit_code, graph_built, tmp_path):
+    # scipy.sparse is imported where a CSR is first made, so an import and every
+    # exit before a graph load numpy only; scipy.linalg, scipy.stats and
+    # scipy.special are then unloaded with the rest of scipy
     import os
     import subprocess
     import sys
 
     import biasaudit
 
+    data, schema = write_csv(tmp_path, "x,s,y\n0.0,0,1\n0.05,0,0\n0.05,1,1\n0.06,1,0\n")
+    missing_column = tmp_path / "missing_schema.txt"
+    missing_column.write_text("numerical = x\ncategorical =\nlabel = y\ngroup = t\n",
+                              encoding="utf-8")
+    child = (
+        "import sys\n"
+        "data, schema, missing_column, out = sys.argv[1:]\n"
+        "code = 0\n"
+        "try:\n"
+        f"    {run}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
     src = os.path.dirname(os.path.dirname(biasaudit.__file__))
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, biasaudit.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", child, data, schema, str(missing_column), str(tmp_path / "out")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_sparse_solvers_unloaded():
-    import os
-    import subprocess
-    import sys
-
-    import biasaudit
-
-    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, biasaudit.cli; "
-         "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_dense_solvers_and_special_unloaded():
-    # scipy.linalg loads only where it is used, in the dense solves of Q;
-    # scipy.special is used nowhere.
-    import os
-    import subprocess
-    import sys
-
-    import biasaudit
-
-    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, biasaudit.cli; "
-         "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    assert int(code) == exit_code, result.stderr
+    assert ("scipy.sparse" in loaded) if graph_built else loaded == [], loaded
 
 
 def test_mitigate_leaves_scipy_special_unloaded(synth_inputs, tmp_path):

@@ -328,12 +328,12 @@ class TestApplyPlan:
 
     @pytest.mark.parametrize("indices, bad, made", [
         ((1.5,), "1.5 is a float64", True), ((True,), "True is a bool", True),
-        ((2, True), "True is a bool", True), ((2, -1), "-1 out of range", False),
+        ((2, True), "True is a bool", True), ((2, -1), "-1 out of range", True),
         ((5,), "5 out of range", False),
     ], ids=["float", "bool", "bool-among-ints", "negative", "n"])
     def test_a_removal_index_that_is_no_row_rejected(self, indices, bad, made):
-        # 1.5 and True do not delete row 1, nor -1 the last row; a non-integer is
-        # refused when the plan is made, so `write_plan` never writes 1.5 as row 1
+        # 1.5 and True do not delete row 1, nor -1 the last row; a non-integer or a
+        # negative is refused when the plan is made, so `write_plan` never writes either
         d = random_dataset(np.random.default_rng(7), 5)
         if made:
             with pytest.raises(IndexError, match=f"^removal index {bad}"):

@@ -782,6 +782,61 @@ def test_scipy_loads_only_with_the_first_graph(run, exit_code, graph_built, tmp_
     assert ("scipy.sparse" in loaded) if graph_built else loaded == [], loaded
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_sparse_solvers_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; "
+         "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_dense_solvers_and_special_unloaded():
+    # scipy.linalg loads only where it is used, in the dense solves of Q;
+    # scipy.special is used nowhere.
+    import os
+    import subprocess
+    import sys
+
+    import biasaudit
+
+    src = os.path.dirname(os.path.dirname(biasaudit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biasaudit.cli; "
+         "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_mitigate_leaves_scipy_special_unloaded(synth_inputs, tmp_path):
     # The classifier's logistic function is numpy's, so no run imports scipy.special.
     import os

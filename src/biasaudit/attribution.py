@@ -41,6 +41,7 @@ from .comparability import _BLOCK_ENTRIES, ComparabilityConfig, build_comparabil
 from .data import Dataset, _freeze, _sample_indices
 from .similarity import (
     Proximity,
+    _k_best,
     _row_blocks,
     adjacency_similarity,
     rwr_proximity,
@@ -177,17 +178,6 @@ def estimate_bias(d: Dataset, q: Proximity, c: Estimate) -> Estimate:
     """
     _check_rows(d, c)
     return _cell_ratio(d, q, c.filled, flip=1)
-
-
-def _k_best(key, k):
-    """Row-major (rows, columns) of each row's k >= 1 smallest finite keys, ties leftmost."""
-    kth = np.partition(key, min(k, key.shape[1]) - 1, axis=1)[:, min(k, key.shape[1]) - 1]
-    ri, ci = np.nonzero((key <= kth[:, None]) & (key < np.inf))  # the candidates
-    tie = key[ri, ci] == kth[ri]
-    seen = np.cumsum(tie) - tie  # ties before each candidate, over all rows
-    room = k - np.bincount(ri[~tie], minlength=len(key))  # ties each row may take
-    take = ~tie | (seen - seen[np.searchsorted(ri, ri)] < room[ri])
-    return ri[take], ci[take]
 
 
 def _explanations(d: Dataset, q: Proximity, c: Estimate, rows, k: int):

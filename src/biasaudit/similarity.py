@@ -63,11 +63,15 @@ def _row_blocks(ends: np.ndarray, budget: int):
         lo = hi
 
 
-def _ranked(row: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
-    """The k columns of `cand` with the largest positive entries of `row`,
-    by entry descending, then index ascending."""
-    nbrs = cand[row[cand] > 0.0]
-    return nbrs[np.lexsort((nbrs, -row[nbrs]))][:k]
+def _k_best(key, k):
+    """Row-major (rows, columns) of each row's k >= 1 smallest finite keys, ties leftmost."""
+    kth = np.partition(key, min(k, key.shape[1]) - 1, axis=1)[:, min(k, key.shape[1]) - 1]
+    ri, ci = np.nonzero((key <= kth[:, None]) & (key < np.inf))  # the candidates
+    tie = key[ri, ci] == kth[ri]
+    seen = np.cumsum(tie) - tie  # ties before each candidate, over all rows
+    room = k - np.bincount(ri[~tie], minlength=len(key))  # ties each row may take
+    take = ~tie | (seen - seen[np.searchsorted(ri, ri)] < room[ri])
+    return ri[take], ci[take]
 
 
 def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> bool:
@@ -75,9 +79,9 @@ def _certified(x: np.ndarray, cand: np.ndarray, k: int, tail: np.ndarray) -> boo
     x <= q <= x + tail (+ `_TOL` of x's largest, for rounding): each of the k best
     lower bounds exceeds the next one's upper bound, and the k-th exceeds 0 and
     every other upper bound. Then those lower bounds are positive and strictly
-    ordered, so `_ranked(x, cand, k)` is the proven list."""
+    ordered, so x's top k of `cand` is the proven list."""
     lo = x[cand]
-    best = np.argpartition(-lo, k - 1)[:k]
+    best = _k_best(-lo[None], k)[1]
     best = best[np.argsort(-lo[best], kind="stable")]
     hi = lo + tail + _TOL * x.max()
     chain = lo[best[:-1]] > hi[best[1:]]
@@ -181,7 +185,9 @@ class Proximity:
 
     def apply(self, v) -> np.ndarray:
         """Q @ V for a finite V >= 0, for a boolean stored Q without its row factor
-        1/degree, which the estimates cancel."""
+        1/degree, which the estimates cancel. Left out, each adjacency credibility
+        is an exact ratio of whole neighbour counts, so equal fractions are bit-equal
+        and tied contributors are listed by index; scaled rows would reorder them."""
         v = np.asarray(v, dtype=float)
         if not (np.isfinite(v) & (v >= 0.0)).all():
             raise ValueError("V must be finite and non-negative")
@@ -206,7 +212,9 @@ class Proximity:
         cand = cand[cand != i]
         if k == 0 or not len(cand):
             return cand[:0]
-        return _ranked(self._ranking(i, cand, k), cand, k)
+        row = self._ranking(i, cand, k)[cand]
+        best = _k_best(np.where(row > 0.0, -row, np.inf)[None], k)[1]
+        return cand[best[np.argsort(-row[best], kind="stable")]]
 
     def other_group_rows(self, first, rows):
         """Blocks (r, col, sim), sim = Q[r, col], of the other-group entries of

@@ -46,29 +46,12 @@ from biasaudit.synth import (
     reference_labels,
 )
 
-from util import dense_oracle, make_dataset, random_dataset
+from util import dense_oracle, grid_argmin, make_dataset, random_dataset, random_instance
 
 
 def check(number, description, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def random_graph_dataset(rng, n):
-    """Random dataset plus a symmetric similarity with positive diagonal, every
-    entry stored in a CSR."""
-    d = random_dataset(rng, n, n_num=1, n_cat=0)
-    raw = rng.random((n, n))
-    q = (raw + raw.T) / 2
-    np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, StoredProximity(sparse.csr_matrix(q))
-
-
-def grid_scan_minimizer(weights, targets):
-    """Independent oracle: scan the weighted squared-loss objective on a 1e-4 grid."""
-    grid = np.linspace(0.0, 1.0, 10_001)
-    objective = ((grid[:, None] - targets[None, :]) ** 2 * weights[None, :]).sum(axis=1)
-    return grid[np.argmin(objective)]
 
 
 def test_criterion_1_synthetic_bias_detection():
@@ -93,19 +76,19 @@ def test_criterion_2_closed_form_matches_grid_argmin():
     failures = 0
     for _ in range(50):
         n = int(rng.integers(5, 31))
-        d, q = random_graph_dataset(rng, n)
+        d, q = random_instance(rng, n)
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         for i in range(n):
             w_cred = np.where(d.groups == d.groups[i], q.rows([i])[0], 0.0)
             t_cred = (d.labels == d.labels[i]).astype(float)
             if w_cred.sum() > 0:
-                if abs(cred.values[i] - grid_scan_minimizer(w_cred, t_cred)) > 1e-3:
+                if abs(cred.values[i] - grid_argmin(w_cred, t_cred)) > 1e-3:
                     failures += 1
             w_bias = np.where(d.groups != d.groups[i], q.rows([i])[0] * cred.values, 0.0)
             t_bias = (d.labels != d.labels[i]).astype(float)
             if bias.defined[i]:
-                if abs(bias.values[i] - grid_scan_minimizer(w_bias, t_bias)) > 1e-3:
+                if abs(bias.values[i] - grid_argmin(w_bias, t_bias)) > 1e-3:
                     failures += 1
     check(2, f"closed form equals grid-scan argmin on 50 instances ({failures} failures)",
           failures == 0)
@@ -159,7 +142,7 @@ def test_criterion_4_contribution_decomposition():
         worst = max(worst, float(np.abs(totals[ok] - report.bias.values[ok]).max(initial=0.0)))
         checked += int(ok.sum())
     for _ in range(10):
-        d, q = random_graph_dataset(rng, 30)
+        d, q = random_instance(rng, 30)
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         for i in range(d.n):
@@ -285,7 +268,7 @@ def test_criterion_8_range_and_flag_invariants():
     rng = np.random.default_rng(17)
     range_ok = True
     for _ in range(10):
-        d, q = random_graph_dataset(rng, 40)
+        d, q = random_instance(rng, 40)
         cred = estimate_credibility(d, q)
         bias = estimate_bias(d, q, cred)
         range_ok &= bool((cred.values[cred.defined] >= 0).all()

@@ -26,7 +26,7 @@ from biasaudit.comparability import ComparabilityConfig, ComparabilityGraph, bui
 from biasaudit.similarity import StoredProximity, WalkProximity, adjacency_similarity, symmetric_normalize
 from biasaudit.synth import SynthConfig, generate_base, inject_individual_bias
 
-from util import estimate_of, make_dataset, random_dataset
+from util import estimate_of, grid_argmin, make_dataset, random_dataset, random_instance
 
 
 def sim(matrix):
@@ -45,22 +45,6 @@ Q_PATH = np.array([
     [A, 2 / 3, A],
     [1 / 12, A, 7 / 12],
 ])
-
-
-def random_instance(rng, n):
-    """Random dataset with a symmetric positive similarity, every entry stored."""
-    d = random_dataset(rng, n, n_num=1, n_cat=0)
-    raw = rng.random((n, n))
-    q = (raw + raw.T) / 2
-    np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
-    return d, sim(q)
-
-
-def grid_argmin(weights, targets):
-    """Scan the weighted squared-loss objective over a 1e-4 grid on [0, 1]."""
-    grid = np.linspace(0.0, 1.0, 10_001)
-    objective = (weights[None, :] * (grid[:, None] - targets[None, :]) ** 2).sum(axis=1)
-    return grid[np.argmin(objective)]
 
 
 class TestEstimate:
@@ -387,6 +371,23 @@ class TestAttributeEndToEnd:
         report = attribute(d, ComparabilityConfig(0.4, 2), similarity="adjacency")
         ok = report.bias.defined
         assert (report.bias.values[ok] >= 0).all() and (report.bias.values[ok] <= 1).all()
+
+    def test_adjacency_ties_are_bit_equal_and_listed_by_index(self):
+        # Without the 1/degree factor each adjacency credibility is a ratio of
+        # whole neighbour counts, so equal fractions are bit-equal and tied
+        # contributors come by index; scaling the rows first would give 6 and
+        # 17 a last bit more than 13 and list 6, 17, 13.
+        x = np.array([0, 2, 1, 2, 2, 1, 0, 2, 0, 1, 0, 0, 2, 1, 0, 0, 1, 0, 2, 1, 1, 2, 0])
+        c = [0, 0, 1, 0, 2, 2, 2, 0, 1, 0, 0, 2, 1, 2, 1, 1, 1, 2, 1, 2, 2, 2, 2]
+        y = [0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0]
+        s = [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0]
+        d = make_dataset(x / 10, c, y, s)
+        report = attribute(d, ComparabilityConfig(0.1, 0), similarity="adjacency", top_k=3)
+        for i in (11, 20):
+            listed = report.explanations(i)
+            assert [e.index for e in listed] == [6, 13, 17]
+            assert len({e.credibility for e in listed}) == 1
+            assert len({e.contribution for e in listed}) == 1
 
     def test_rwr_matches_dense_oracle(self):
         rng = np.random.default_rng(8)

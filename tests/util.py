@@ -1,9 +1,11 @@
 """Shared construction helpers for the test suite."""
 
 import numpy as np
+from scipy import sparse
 
 from biasaudit.attribution import Estimate
 from biasaudit.data import Dataset, FeatureSchema
+from biasaudit.similarity import StoredProximity
 
 
 def make_dataset(num, cat, labels, groups, levels=None, num_names=None, cat_names=None):
@@ -47,6 +49,22 @@ def random_dataset(rng, n, n_num=2, n_cat=1, n_levels=3):
     labels = rng.integers(0, 2, size=n)
     groups = rng.integers(0, 2, size=n)
     return make_dataset(num, cat, labels, groups)
+
+
+def random_instance(rng, n):
+    """Random dataset with a symmetric positive similarity, every entry stored in a CSR."""
+    d = random_dataset(rng, n, n_num=1, n_cat=0)
+    raw = rng.random((n, n))
+    q = (raw + raw.T) / 2
+    np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=n))
+    return d, StoredProximity(sparse.csr_matrix(q))
+
+
+def grid_argmin(weights, targets):
+    """Independent oracle: scan the weighted squared-loss objective over a 1e-4 grid on [0, 1]."""
+    grid = np.linspace(0.0, 1.0, 10_001)
+    objective = (weights[None, :] * (grid[:, None] - targets[None, :]) ** 2).sum(axis=1)
+    return grid[np.argmin(objective)]
 
 
 def dense_oracle(w, p):
